@@ -13,7 +13,8 @@ from .cyclotomic import (Cyclotomic, DivisionByZero, IncompatibleOrder, NotReal,
 from .group import (CapExceeded, FiniteMatrixGroup, Matrix2, NotUnitary,
                     binary_dihedral, binary_polyhedral, closure, conjugate,
                     cyclic_gamma, dihedral, load_generators, trivial_group)
-from .invariant import HermitianPolynomial, HoloPoly, phi, polarized_at_ones
+from .invariant import (GroupTooLarge, HermitianPolynomial, InvariantCheckFailed,
+                        phi, polarized_at_ones)
 from .signature import (EmptySpectrum, HermitianMatrix, Inertia, NotHermitian,
                         SignaturePair, coefficient_matrix, gauss_rank,
                         inertia_exact, inertia_numeric, positivity_ratio,

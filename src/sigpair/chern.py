@@ -19,38 +19,25 @@ from dataclasses import dataclass
 
 from .fpq import IntBivariatePoly, fpq
 from .group import FiniteMatrixGroup, Matrix2
-from .invariant import HoloPoly, polarized_at_ones
+from .invariant import (HermitianPolynomial, InvariantCheckFailed, polarized_at_ones,
+                        unpack_key)
 
 
 @dataclass
 class Orbit:
     """Group translates of a polynomial: full multiset, distinct set, stabilizer."""
 
-    elements: list[HoloPoly]
-    distinct: list[HoloPoly]
+    elements: list[HermitianPolynomial]
+    distinct: list[HermitianPolynomial]
     stabilizer_order: int
 
 
-def act(g: Matrix2, h: HoloPoly) -> HoloPoly:
+def act(g: Matrix2, h: HermitianPolynomial) -> HermitianPolynomial:
     """(g . h)(z) = h(g^-1 z), expanded exactly; g must be unitary."""
-    gi = g.dagger()
-    l1 = HoloPoly({(1, 0): gi.a, (0, 1): gi.b})
-    l2 = HoloPoly({(1, 0): gi.c, (0, 1): gi.d})
-    max1 = max((m[0] for m in h.terms), default=0)
-    max2 = max((m[1] for m in h.terms), default=0)
-    p1 = [HoloPoly({(0, 0): 1})]
-    for _ in range(max1):
-        p1.append(p1[-1] * l1)
-    p2 = [HoloPoly({(0, 0): 1})]
-    for _ in range(max2):
-        p2.append(p2[-1] * l2)
-    out = HoloPoly()
-    for (a, b), c in h.terms.items():
-        out = out + (p1[a] * p2[b]) * c
-    return out
+    return h.compose(g.dagger())
 
 
-def orbit(G: FiniteMatrixGroup, h: HoloPoly) -> Orbit:
+def orbit(G: FiniteMatrixGroup, h: HermitianPolynomial) -> Orbit:
     """All group translates of h in group element order, deduplicated exactly."""
     elements = [act(g, h) for g in G.elements]
     seen = {}
@@ -58,13 +45,14 @@ def orbit(G: FiniteMatrixGroup, h: HoloPoly) -> Orbit:
         seen.setdefault(e.key(), e)
     distinct = list(seen.values())
     stab, rem = divmod(G.order, len(distinct))
-    assert rem == 0, "orbit size must divide the group order"
+    if rem:
+        raise InvariantCheckFailed("orbit size must divide the group order")
     return Orbit(elements, distinct, stab)
 
 
-def _orbit_polynomial(polys: list[HoloPoly]) -> list[HoloPoly]:
+def _orbit_polynomial(polys: list[HermitianPolynomial]) -> list[HermitianPolynomial]:
     """Elementary symmetric polynomials e_0..e_m of the given polynomials."""
-    es = [HoloPoly({(0, 0): 1})]
+    es = [HermitianPolynomial.holomorphic({(0, 0): 1})]
     for b in polys:
         nxt = [es[0]]
         for a in range(1, len(es)):
@@ -74,14 +62,14 @@ def _orbit_polynomial(polys: list[HoloPoly]) -> list[HoloPoly]:
     return es
 
 
-def chern_classes(orb: Orbit, use_multiset: bool = True) -> list[HoloPoly]:
+def chern_classes(orb: Orbit, use_multiset: bool = True) -> list[HermitianPolynomial]:
     """Orbit Chern classes c_1..c_m (c_0 = 1 omitted)."""
     polys = orb.elements if use_multiset else orb.distinct
     return _orbit_polynomial(polys)[1:]
 
 
-def alternating_sum(classes: list[HoloPoly]) -> HoloPoly:
-    out = HoloPoly()
+def alternating_sum(classes: list[HermitianPolynomial]) -> HermitianPolynomial:
+    out = HermitianPolynomial()
     for j, c in enumerate(classes, start=1):
         out = out + (c if j % 2 else -c)
     return out
@@ -89,24 +77,25 @@ def alternating_sum(classes: list[HoloPoly]) -> HoloPoly:
 
 def verify_chern_identity(G: FiniteMatrixGroup, use_multiset: bool = True) -> bool:
     """sum_j (-1)^(j-1) c_j of the orbit of z1+z2 equals the polarized invariant."""
-    orb = orbit(G, HoloPoly({(1, 0): 1, (0, 1): 1}))
+    orb = orbit(G, HermitianPolynomial.holomorphic({(1, 0): 1, (0, 1): 1}))
     lhs = alternating_sum(chern_classes(orb, use_multiset=use_multiset))
     return lhs == polarized_at_ones(G)
 
 
 def chern_sum_as_fpq(G: FiniteMatrixGroup) -> IntBivariatePoly:
     """The alternating class sum of cyclic Gamma(p,q) read as an integer polynomial."""
-    orb = orbit(G, HoloPoly({(1, 0): 1, (0, 1): 1}))
+    orb = orbit(G, HermitianPolynomial.holomorphic({(1, 0): 1, (0, 1): 1}))
     total = alternating_sum(chern_classes(orb))
     out = {}
-    for m, c in total.terms.items():
+    for key, c in total.terms.items():
+        a1, a2, _, _ = unpack_key(key)
         f = c.as_fraction()
         assert f.denominator == 1
-        out[m] = int(f)
+        out[(a1, a2)] = int(f)
     return IntBivariatePoly(out)
 
 
-def set_multiset_relation(G: FiniteMatrixGroup, h: HoloPoly) -> bool:
+def set_multiset_relation(G: FiniteMatrixGroup, h: HermitianPolynomial) -> bool:
     """Set-based orbit polynomial ** stabilizer_order == multiset-based one."""
     orb = orbit(G, h)
     multi = _orbit_polynomial(orb.elements)
@@ -119,9 +108,10 @@ def set_multiset_relation(G: FiniteMatrixGroup, h: HoloPoly) -> bool:
     return acc == multi
 
 
-def _poly_in_x_mul(a: list[HoloPoly], b: list[HoloPoly]) -> list[HoloPoly]:
-    """Product of two polynomials in X whose coefficients are HoloPoly values."""
-    out = [HoloPoly() for _ in range(len(a) + len(b) - 1)]
+def _poly_in_x_mul(a: list[HermitianPolynomial],
+                   b: list[HermitianPolynomial]) -> list[HermitianPolynomial]:
+    """Product of two polynomials in X whose coefficients are HermitianPolynomial values."""
+    out = [HermitianPolynomial() for _ in range(len(a) + len(b) - 1)]
     for i, x in enumerate(a):
         if x.is_zero():
             continue

@@ -28,7 +28,7 @@ from .fpq import (T_closed, even_odd_table, f_closed_pminus1, family_table,
                   weight_census)
 from .group import (CapExceeded, FiniteMatrixGroup, NotUnitary, binary_dihedral,
                     binary_polyhedral, cyclic_gamma, dihedral, load_generators)
-from .invariant import phi
+from .invariant import GroupTooLarge, phi
 
 
 @dataclass
@@ -89,22 +89,22 @@ def cmd_signature(args) -> int:
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    progress = _progress(args.verbose, G)
     methods = ["exact", "numeric"] if args.method == "both" else [args.method]
+    t0 = time.monotonic()
     try:
-        records = [
-            sig_mod.result_record(G, method=m, precision_bits=args.precision,
-                                  progress=progress)
-            for m in methods
-        ]
-    except (NotUnitary, CapExceeded) as exc:
+        P = phi(G, progress=_progress(args.verbose, G))
+    except GroupTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    expand_ms = int((time.monotonic() - t0) * 1000)
+    records = [sig_mod.result_record(G, method=m, precision_bits=args.precision, poly=P)
+               for m in methods]
     if args.dump_poly:
         with open(args.dump_poly, "w", encoding="utf-8") as f:
-            for row in phi(G).csv_rows():
+            for row in P.csv_rows():
                 f.write(row + "\n")
     for rec in records:
+        rec["elapsed_ms"] += expand_ms
         _emit_record(rec, args.format, args.stable_output)
     return 0
 

@@ -82,20 +82,20 @@ def _subst_terms(f: IntBivariatePoly, anti: bool, negate_y: bool) -> dict[int, C
     return out
 
 
-def _three_term_phi(f: IntBivariatePoly, group_order: int, negate_y: bool) -> HermitianPolynomial:
-    A = HermitianPolynomial(_subst_terms(f, False, False), group_order)
-    B = HermitianPolynomial(_subst_terms(f, True, negate_y), group_order)
+def _three_term_phi(f: IntBivariatePoly, negate_y: bool) -> HermitianPolynomial:
+    A = HermitianPolynomial(_subst_terms(f, False, False))
+    B = HermitianPolynomial(_subst_terms(f, True, negate_y))
     return A + B - A * B
 
 
 def phi_delta_decomposed(p: int) -> HermitianPolynomial:
     """Phi of the dihedral group built from f_{p,p-1} by substitution only."""
-    return _three_term_phi(fpq(p, p - 1), 2 * p, negate_y=False)
+    return _three_term_phi(fpq(p, p - 1), negate_y=False)
 
 
 def phi_lambda_decomposed(p: int) -> HermitianPolynomial:
     """Phi of the binary dihedral group built from f_{2p,2p-1} by substitution only."""
-    return _three_term_phi(fpq(2 * p, 2 * p - 1), 4 * p, negate_y=True)
+    return _three_term_phi(fpq(2 * p, 2 * p - 1), negate_y=True)
 
 
 # -- dihedral blocks ----------------------------------------------------------

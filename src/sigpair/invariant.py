@@ -10,7 +10,10 @@ is a cyclic convolution of small integer vectors, and zero vectors are
 dropped eagerly.
 
 Monomial keys pack the exponent quadruple (a1, a2, b1, b2) of
-z1^a1 z2^a2 zbar1^b1 zbar2^b2 into one integer, 8 bits per slot.
+z1^a1 z2^a2 zbar1^b1 zbar2^b2 into one integer, 16 bits per slot, so the
+product of two monomials is the sum of their keys while every exponent stays
+below 2^16.  Every exponent of Phi_G is at most |G|, hence the order limit
+of 65535.
 """
 
 from __future__ import annotations
@@ -21,110 +24,67 @@ from fractions import Fraction
 from .cyclotomic import Cyclotomic, rational
 from .group import FiniteMatrixGroup, Matrix2
 
-_SHIFT = (0, 8, 16, 24)
-_MASK = 0xFF
+_SHIFT = (0, 16, 32, 48)
+_MASK = 0xFFFF
+
+
+class GroupTooLarge(ValueError):
+    """Group order beyond what the packed exponent keys can hold."""
+
+
+class InvariantCheckFailed(ArithmeticError):
+    """An expansion broke an identity that every exact expansion satisfies."""
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise InvariantCheckFailed(what)
 
 
 def pack_key(a1: int, a2: int, b1: int, b2: int) -> int:
-    return a1 | (a2 << 8) | (b1 << 16) | (b2 << 24)
+    return a1 | (a2 << 16) | (b1 << 32) | (b2 << 48)
 
 
 def unpack_key(key: int) -> tuple[int, int, int, int]:
-    return (key & _MASK, (key >> 8) & _MASK, (key >> 16) & _MASK, (key >> 24) & _MASK)
+    return (key & _MASK, (key >> 16) & _MASK, (key >> 32) & _MASK, (key >> 48) & _MASK)
 
 
-class HoloPoly:
-    """Sparse polynomial in z1, z2 only, with Cyclotomic coefficients."""
+def _accumulate(out: dict, key: int, value: Cyclotomic) -> None:
+    """out[key] += value, dropping the key when the sum cancels."""
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+class HermitianPolynomial:
+    """Sparse polynomial in z1, z2, zbar1, zbar2: packed key -> coefficient.
+
+    Coefficients are exact Cyclotomic values.  `phi` returns Hermitian ones,
+    with c(beta, alpha) = conj(c(alpha, beta)); a holomorphic polynomial is
+    one whose zbar exponents are all zero (`holomorphic`).
+    """
 
     __slots__ = ("terms",)
     __hash__ = None
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in (terms.items() if isinstance(terms, dict) else terms):
-                if isinstance(c, (int, Fraction)):
-                    c = rational(c)
-                if not c.is_zero():
-                    self.terms[tuple(mono)] = c
+    def __init__(self, terms: dict[int, Cyclotomic] | None = None):
+        self.terms = {} if terms is None else terms
 
-    def __eq__(self, other):
-        if not isinstance(other, HoloPoly):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[m] == c for m, c in self.terms.items())
+    @classmethod
+    def holomorphic(cls, terms: dict[tuple[int, int], object]) -> "HermitianPolynomial":
+        """sum of c z1^a1 z2^a2 over {(a1, a2): c}; c may be int, Fraction or Cyclotomic."""
+        out = {}
+        for (a1, a2), c in terms.items():
+            c = c if isinstance(c, Cyclotomic) else rational(c)
+            if not c.is_zero():
+                out[pack_key(a1, a2, 0, 0)] = c
+        return cls(out)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        p = HoloPoly()
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = HoloPoly()
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            c = other if isinstance(other, Cyclotomic) else rational(other)
-            if c.is_zero():
-                return HoloPoly()
-            p = HoloPoly()
-            p.terms = {m: v * c for m, v in self.terms.items()}
-            return p
-        out: dict[tuple[int, int], Cyclotomic] = {}
-        for (a1, a2), u in self.terms.items():
-            for (b1, b2), v in other.terms.items():
-                m = (a1 + b1, a2 + b2)
-                s = out.get(m)
-                w = u * v
-                s = w if s is None else s + w
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        p = HoloPoly()
-        p.terms = out
-        return p
-
-    __rmul__ = __mul__
-
-    def key(self) -> tuple:
-        """Exact hashable identity (for orbit deduplication)."""
-        return tuple(sorted((m, c.order, c.items) for m, c in self.terms.items()))
-
-    def __repr__(self):
-        return f"HoloPoly({self.terms!r})"
-
-
-class HermitianPolynomial:
-    """Sparse Hermitian polynomial: (alpha, beta) -> coefficient.
-
-    Keys are packed exponent quadruples; coefficients are exact Cyclotomic
-    values with the Hermitian symmetry c(beta, alpha) = conj(c(alpha, beta)).
-    """
-
-    __slots__ = ("terms", "group_order")
-    __hash__ = None
-
-    def __init__(self, terms: dict[int, Cyclotomic], group_order: int):
-        self.terms = terms
-        self.group_order = group_order
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -164,6 +124,10 @@ class HermitianPolynomial:
             return False
         return all(other.terms[k] == c for k, c in self.terms.items())
 
+    def key(self) -> tuple:
+        """Exact hashable identity (for orbit deduplication)."""
+        return tuple(sorted((k, c.order, c.items) for k, c in self.terms.items()))
+
     def diagonal_restriction(self) -> dict[tuple[int, int], Fraction]:
         """For diagonal polynomials: coefficients of x^a y^b with x=|z1|^2, y=|z2|^2."""
         if not self.is_diagonal():
@@ -177,62 +141,46 @@ class HermitianPolynomial:
     def compose(self, M: Matrix2) -> "HermitianPolynomial":
         """Exact substitution z -> Mz (and zbar -> conj(M) zbar), re-expanded.
 
-        Quadratic blowup; intended for the invariance checks on small groups.
+        Quadratic blowup; intended for small groups: the invariance checks and
+        the group action on holomorphic polynomials.
         """
-        l1 = HoloPoly({(1, 0): M.a, (0, 1): M.b})
-        l2 = HoloPoly({(1, 0): M.c, (0, 1): M.d})
-        k1 = HoloPoly({(1, 0): M.a.conj(), (0, 1): M.b.conj()})
-        k2 = HoloPoly({(1, 0): M.c.conj(), (0, 1): M.d.conj()})
-        zp = _power_table(l1, l2, self._max_exp(0), self._max_exp(1))
-        wp = _power_table(k1, k2, self._max_exp(2), self._max_exp(3))
+        rows = ((M.a, M.b), (M.c, M.d))
+        zp = _power_table(rows, 0, self._max_exp(0), self._max_exp(1))
+        conj_rows = tuple(tuple(e.conj() for e in row) for row in rows)
+        wp = _power_table(conj_rows, 2, self._max_exp(2), self._max_exp(3))
         out: dict[int, Cyclotomic] = {}
         for key, c in self.terms.items():
             a1, a2, b1, b2 = unpack_key(key)
-            zpart = zp[(a1, a2)]
-            wpart = wp[(b1, b2)]
-            for (u1, u2), cu in zpart.terms.items():
-                for (v1, v2), cv in wpart.terms.items():
-                    k = pack_key(u1, u2, v1, v2)
-                    w = c * cu * cv
-                    s = out.get(k)
-                    s = w if s is None else s + w
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
-        return HermitianPolynomial(out, self.group_order)
+            for k, v in (zp[(a1, a2)] * wp[(b1, b2)]).terms.items():
+                _accumulate(out, k, c * v)
+        return HermitianPolynomial(out)
 
     def _max_exp(self, slot: int) -> int:
         return max((key >> _SHIFT[slot]) & _MASK for key in self.terms) if self.terms else 0
 
-    def __mul__(self, other: "HermitianPolynomial") -> "HermitianPolynomial":
+    def __mul__(self, other) -> "HermitianPolynomial":
+        if not isinstance(other, HermitianPolynomial):
+            c = other if isinstance(other, Cyclotomic) else rational(other)
+            if c.is_zero():
+                return HermitianPolynomial()
+            return HermitianPolynomial({k: v * c for k, v in self.terms.items()})
         out: dict[int, Cyclotomic] = {}
         for ka, u in self.terms.items():
             for kb, v in other.terms.items():
-                k = ka + kb
-                w = u * v
-                s = out.get(k)
-                s = w if s is None else s + w
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return HermitianPolynomial(out, max(self.group_order, other.group_order))
+                _accumulate(out, ka + kb, u * v)
+        return HermitianPolynomial(out)
 
-    def __add__(self, other):
+    def __add__(self, other: "HermitianPolynomial") -> "HermitianPolynomial":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return HermitianPolynomial(out, max(self.group_order, other.group_order))
+            _accumulate(out, k, c)
+        return HermitianPolynomial(out)
 
-    def __sub__(self, other):
-        neg = HermitianPolynomial({k: -c for k, c in other.terms.items()}, other.group_order)
-        return self + neg
+    def __neg__(self) -> "HermitianPolynomial":
+        return HermitianPolynomial({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "HermitianPolynomial") -> "HermitianPolynomial":
+        return self + (-other)
 
     def csv_rows(self):
         """Rows 'a1,a2,b1,b2,coeff-json' sorted lexicographically."""
@@ -243,49 +191,29 @@ class HermitianPolynomial:
             yield ",".join(str(x) for x in quad) + "," + _json.dumps(c.to_json_dict(), sort_keys=True)
 
     def __repr__(self):
-        return f"HermitianPolynomial(<{len(self.terms)} terms>, group_order={self.group_order})"
+        return f"HermitianPolynomial(<{len(self.terms)} terms>)"
 
 
-def _power_table(l1: HoloPoly, l2: HoloPoly, max1: int, max2: int) -> dict:
-    """(a, b) -> l1^a * l2^b for all needed exponent pairs."""
-    p1 = [HoloPoly({(0, 0): 1})]
-    for _ in range(max1):
-        p1.append(p1[-1] * l1)
-    p2 = [HoloPoly({(0, 0): 1})]
-    for _ in range(max2):
-        p2.append(p2[-1] * l2)
+def _power_table(rows, slot: int, max1: int, max2: int) -> dict:
+    """(e1, e2) -> l1^e1 * l2^e2 for all needed exponent pairs.
+
+    l_i = rows[i][0] * v1 + rows[i][1] * v2, with v1, v2 the variables in
+    `slot` and `slot + 1` (0 for z1, z2; 2 for zbar1, zbar2).
+    """
+    powers = []
+    for row, top in zip(rows, (max1, max2)):
+        linear = HermitianPolynomial({1 << _SHIFT[slot + k]: e
+                                      for k, e in enumerate(row) if not e.is_zero()})
+        p = [HermitianPolynomial({0: rational(1)})]
+        for _ in range(top):
+            p.append(p[-1] * linear)
+        powers.append(p)
+    p1, p2 = powers
     return {(a, b): p1[a] * p2[b] for a in range(max1 + 1) for b in range(max2 + 1)}
 
 
-def _scaled_factors(G: FiniteMatrixGroup, n: int):
-    """Per group element: (denominator, [(key_delta, [(exp, int_coef), ...])]).
-
-    The factor (1 - <gz, z>) is scaled by the lcm d of its entries'
-    denominators, so the fold runs on integers; <gz, z> contributes the
-    bilinear form sum_{j,k} g[j][k] z_k zbar_j.
-    """
-    factors = []
-    for M in G.elements:
-        placed = []
-        dens = [1]
-        for j, k, e in ((0, 0, M.a), (0, 1, M.b), (1, 0, M.c), (1, 1, M.d)):
-            if e.is_zero():
-                continue
-            items = e.promote(n).items if e.order != n else e.items
-            dens.extend(v.denominator for _, v in items)
-            delta = (1 << _SHIFT[k]) + (1 << _SHIFT[2 + j])
-            placed.append((delta, items))
-        d = math.lcm(*dens)
-        terms = []
-        for delta, items in placed:
-            coefs = [(exp, -(v * d).numerator) for exp, v in items]
-            terms.append((delta, coefs))
-        factors.append((d, terms))
-    return factors
-
-
 def _fold_product(factors, n: int, progress=None):
-    """prod of (d + sum of scaled bilinear terms) over Z[x]/(x^n - 1) vectors."""
+    """prod of (d + sum of scaled monomial terms) over Z[x]/(x^n - 1) vectors."""
     prod = {0: [1] + [0] * (n - 1)}
     rng = range(n)
     for idx, (d, terms) in enumerate(factors):
@@ -315,59 +243,45 @@ def _fold_product(factors, n: int, progress=None):
     return prod
 
 
-def phi(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:
-    """Exact expansion of Phi_G = 1 - prod_{g in G}(1 - <gz, z>)."""
+def _expand(G: FiniteMatrixGroup, row, progress=None) -> HermitianPolynomial:
+    """1 - prod_{g in G}(1 - sum of c * monomial over row(g)), exactly.
+
+    row(g) lists (key_delta, c) pairs: the packed key of a monomial and its
+    Cyclotomic coefficient.  Each factor is scaled by the lcm d of its
+    coefficients' denominators, so the fold runs on integers.
+    """
     if G.order > _MASK:
-        raise ValueError(f"group order {G.order} exceeds the packed-exponent limit {_MASK}")
-    n = G.field_order()
-    factors = _scaled_factors(G, n)
-    scale = math.prod(d for d, _ in factors)
-    prod = _fold_product(factors, n, progress=progress)
-    terms: dict[int, Cyclotomic] = {}
-    for key, vec in prod.items():
-        c = Cyclotomic(n, {e: Fraction(v, scale) for e, v in enumerate(vec) if v})
-        if c.is_zero():
-            continue
-        if key == 0:
-            const = 1 - c
-            assert const.is_zero(), "constant term of Phi must vanish"
-            continue
-        terms[key] = -c
-    out = HermitianPolynomial(terms, G.order)
-    assert out.check_hermitian(), "expansion lost Hermitian symmetry"
-    bound = G.order
-    for key in terms:
-        assert all(x <= bound for x in unpack_key(key)), "degree bound exceeded"
-    return out
-
-
-def polarized_at_ones(G: FiniteMatrixGroup, progress=None) -> HoloPoly:
-    """1 - prod_{g in G}(1 - (gz)_1 - (gz)_2), a polynomial in z only."""
+        raise GroupTooLarge(f"group order {G.order} exceeds the packed-exponent limit {_MASK}")
     n = G.field_order()
     factors = []
     for M in G.elements:
-        placed = []
-        dens = [1]
-        for k, e in ((0, M.a + M.c), (1, M.b + M.d)):
-            if e.is_zero():
-                continue
-            items = e.promote(n).items if e.order != n else e.items
-            dens.extend(v.denominator for _, v in items)
-            placed.append((1 << _SHIFT[k], items))
-        d = math.lcm(*dens)
-        terms = [(delta, [(exp, -(v * d).numerator) for exp, v in items]) for delta, items in placed]
-        factors.append((d, terms))
+        placed = [(delta, (c if c.order == n else c.promote(n)).items)
+                  for delta, c in row(M) if not c.is_zero()]
+        d = math.lcm(1, *(v.denominator for _, items in placed for _, v in items))
+        factors.append((d, [(delta, [(e, -(v * d).numerator) for e, v in items])
+                            for delta, items in placed]))
     scale = math.prod(d for d, _ in factors)
-    prod = _fold_product(factors, n, progress=progress)
-    out = HoloPoly()
-    for key, vec in prod.items():
+    terms = {0: rational(1)}
+    for key, vec in _fold_product(factors, n, progress=progress).items():
         c = Cyclotomic(n, {e: Fraction(v, scale) for e, v in enumerate(vec) if v})
-        if c.is_zero():
-            continue
-        a1, a2 = key & _MASK, (key >> 8) & _MASK
-        if key == 0:
-            const = 1 - c
-            assert const.is_zero(), "constant term must vanish"
-            continue
-        out.terms[(a1, a2)] = -c
+        _accumulate(terms, key, -c)
+    _require(0 not in terms, "constant term must vanish")
+    return HermitianPolynomial(terms)
+
+
+def phi(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:
+    """Exact expansion of Phi_G = 1 - prod_{g in G}(1 - <gz, z>)."""
+    # <gz, z> = sum_{j,k} g[j][k] z_k zbar_j
+    out = _expand(G, lambda M: [(pack_key(1, 0, 1, 0), M.a), (pack_key(0, 1, 1, 0), M.b),
+                                (pack_key(1, 0, 0, 1), M.c), (pack_key(0, 1, 0, 1), M.d)],
+                  progress)
+    _require(out.check_hermitian(), "expansion lost Hermitian symmetry")
+    _require(all(x <= G.order for key in out.terms for x in unpack_key(key)),
+             "degree bound exceeded")
     return out
+
+
+def polarized_at_ones(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:
+    """1 - prod_{g in G}(1 - (gz)_1 - (gz)_2), a holomorphic polynomial."""
+    return _expand(G, lambda M: [(pack_key(1, 0, 0, 0), M.a + M.c),
+                                 (pack_key(0, 1, 0, 0), M.b + M.d)], progress)

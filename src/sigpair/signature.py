@@ -283,10 +283,14 @@ def positivity_ratio(G: FiniteMatrixGroup) -> Fraction:
 
 def result_record(G: FiniteMatrixGroup, method: str = "exact",
                   precision_bits: int = 256, zero_threshold: float = 1e-30,
-                  progress=None) -> dict:
-    """The JSON result record for a single group computation."""
+                  poly: HermitianPolynomial | None = None) -> dict:
+    """The JSON result record for a single group computation.
+
+    `poly` is Phi_G when the caller has already expanded it; `elapsed_ms` then
+    leaves the expansion out.
+    """
     t0 = time.monotonic()
-    M = coefficient_matrix(phi(G, progress=progress))
+    M = coefficient_matrix(phi(G) if poly is None else poly)
     if method == "exact":
         inertia = inertia_exact(M)
     elif method == "numeric":

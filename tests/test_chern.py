@@ -2,21 +2,24 @@
 
 import random
 
+import pytest
+
 from sigpair.chern import (Orbit, act, alternating_sum, chern_classes,
                            chern_sum_as_fpq, orbit, set_multiset_relation,
                            verify_chern_identity)
 from sigpair.cyclotomic import root_of_unity
 from sigpair.fpq import fpq
-from sigpair.group import (Matrix2, binary_dihedral, cyclic_gamma, diag,
-                           dihedral, identity, trivial_group)
-from sigpair.invariant import HoloPoly
+from sigpair.group import (FiniteMatrixGroup, Matrix2, binary_dihedral,
+                           cyclic_gamma, diag, dihedral, identity, trivial_group)
+from sigpair.invariant import HermitianPolynomial, InvariantCheckFailed
 
-H = HoloPoly({(1, 0): 1, (0, 1): 1})  # z1 + z2
+holo = HermitianPolynomial.holomorphic
+H = holo({(1, 0): 1, (0, 1): 1})  # z1 + z2
 
 
 def test_act_examples():
     assert act(identity(), H) == H
-    assert act(Matrix2(-1, 0, 0, -1), H) == HoloPoly({(1, 0): -1, (0, 1): -1})
+    assert act(Matrix2(-1, 0, 0, -1), H) == holo({(1, 0): -1, (0, 1): -1})
     z3 = root_of_unity(3, 1)
     assert act(diag(z3, z3), H) == H * (z3 ** 2)
 
@@ -24,8 +27,8 @@ def test_act_examples():
 def test_action_axioms_randomized():
     rng = random.Random(13)
     groups = [cyclic_gamma(6, 2), dihedral(3), binary_dihedral(2)]
-    monos = [HoloPoly({(1, 0): 1}), HoloPoly({(2, 1): 1}), HoloPoly({(0, 3): 1}),
-             HoloPoly({(1, 1): 1, (2, 0): 1})]
+    monos = [holo({(1, 0): 1}), holo({(2, 1): 1}), holo({(0, 3): 1}),
+             holo({(1, 1): 1, (2, 0): 1})]
     for g in groups:
         for h in monos:
             assert act(identity(), h) == h
@@ -44,7 +47,7 @@ def test_orbit_examples():
     p, q = 5, 3
     orb2 = orbit(cyclic_gamma(p, q), -H)
     w = root_of_unity(p, 1)
-    expect = {HoloPoly({(1, 0): -(w ** j), (0, 1): -(w ** (q * j))}).key()
+    expect = {holo({(1, 0): -(w ** j), (0, 1): -(w ** (q * j))}).key()
               for j in range(p)}
     assert {e.key() for e in orb2.elements} == expect
 
@@ -62,8 +65,8 @@ def test_chern_classes_examples():
     cls3 = chern_classes(orbit(cyclic_gamma(3, 1), H))
     assert cls3[0].is_zero() and cls3[1].is_zero()
     assert cls3[2] == H * H * H
-    fixed = orbit(trivial_group(), HoloPoly({(2, 1): 1}))
-    assert chern_classes(fixed)[0] == HoloPoly({(2, 1): 1})
+    fixed = orbit(trivial_group(), holo({(2, 1): 1}))
+    assert chern_classes(fixed)[0] == holo({(2, 1): 1})
 
 
 def test_classes_are_invariant():
@@ -93,7 +96,7 @@ def test_identity_beyond_cyclic():
 
 
 def test_set_vs_multiset():
-    fixed = HoloPoly({(1, 1): 1})  # z1 z2 is fixed by -I
+    fixed = holo({(1, 1): 1})  # z1 z2 is fixed by -I
     g = cyclic_gamma(2, 1)
     orb = orbit(g, fixed)
     assert orb.stabilizer_order == 2
@@ -115,7 +118,7 @@ def test_multiset_required_when_stabilizer_nontrivial():
     # one class where the multiset one has two: only the latter can reach the
     # group order on the right side of the identity
     g = cyclic_gamma(2, 1)
-    fixed = HoloPoly({(1, 1): 1})
+    fixed = holo({(1, 1): 1})
     orb = orbit(g, fixed)
     assert orb.stabilizer_order == 2
     multi = chern_classes(orb, use_multiset=True)
@@ -127,3 +130,10 @@ def test_orbit_dataclass():
     orb = orbit(trivial_group(), H)
     assert isinstance(orb, Orbit)
     assert orb.elements[0] == H
+
+
+def test_orbit_size_not_dividing_order_raises():
+    # three "elements" with a two-polynomial orbit: not a group
+    flip = diag(1, -1)
+    with pytest.raises(InvariantCheckFailed, match="orbit size"):
+        orbit(FiniteMatrixGroup([identity(), flip, flip], "not a group"), holo({(0, 1): 1}))

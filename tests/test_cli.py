@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from sigpair import cli, invariant, signature
 from sigpair.cli import main
-from sigpair.group import diag, dump_generators, Matrix2
+from sigpair.group import diag, dump_generators, FiniteMatrixGroup, identity, Matrix2
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,31 @@ def test_signature_file_not_unitary(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "unitary" in err
+
+
+def test_signature_group_too_large_exit_3(capsys, monkeypatch):
+    big = FiniteMatrixGroup([identity()] * 65536, "big")
+    monkeypatch.setattr(cli, "_parse_group", lambda spec: big)
+    code, out, err = run_cli(capsys, "signature", "--group", "big")
+    assert code == 3
+    assert out == ""
+    assert "65535" in err
+
+
+def test_signature_expands_phi_once(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(G, progress=None):
+        calls.append(G.label)
+        return invariant.phi(G, progress=progress)
+
+    monkeypatch.setattr(cli, "phi", counted)
+    monkeypatch.setattr(signature, "phi", counted)
+    code, out, _ = run_cli(capsys, "signature", "--group", "binary-dihedral:2",
+                           "--method", "both", "--dump-poly", str(tmp_path / "poly.csv"))
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2
+    assert len(calls) == 1
 
 
 def test_signature_bad_spec(capsys):

@@ -1,12 +1,22 @@
 """Expansion of the invariant polynomial: worked examples and invariance."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import sigpair
+from sigpair import invariant
 from sigpair.cyclotomic import rational
 from sigpair.fpq import fpq
-from sigpair.group import (binary_dihedral, binary_polyhedral, cyclic_gamma,
-                           dihedral, trivial_group)
-from sigpair.invariant import (HermitianPolynomial, HoloPoly, pack_key, phi,
+from sigpair.group import (FiniteMatrixGroup, binary_dihedral, binary_polyhedral,
+                           cyclic_gamma, dihedral, identity, trivial_group)
+from sigpair.invariant import (GroupTooLarge, HermitianPolynomial,
+                               InvariantCheckFailed, pack_key, phi,
                                polarized_at_ones, unpack_key)
 
 # the full hand-checkable expansion of the order-8 binary dihedral invariant
@@ -95,13 +105,14 @@ def test_diagonal_restriction_matches_fpq():
 
 def test_polarized_at_ones():
     pol = polarized_at_ones(trivial_group())
-    assert pol == HoloPoly({(1, 0): 1, (0, 1): 1})
+    assert pol == HermitianPolynomial.holomorphic({(1, 0): 1, (0, 1): 1})
     # cyclic p, q=1 gives the full binomial power (x+y)^p
     import math
 
     for p in (2, 3):
         pol = polarized_at_ones(cyclic_gamma(p, 1))
-        expect = HoloPoly({(r, p - r): math.comb(p, r) for r in range(p + 1)})
+        expect = HermitianPolynomial.holomorphic({(r, p - r): math.comb(p, r)
+                                                  for r in range(p + 1)})
         assert pol == expect
 
 
@@ -114,10 +125,91 @@ def test_csv_dump_sorted():
 
 
 def test_polynomial_algebra_helpers():
-    one_term = HermitianPolynomial({pack_key(1, 0, 1, 0): rational(1)}, 1)
-    other = HermitianPolynomial({pack_key(0, 1, 0, 1): rational(2)}, 1)
+    one_term = HermitianPolynomial({pack_key(1, 0, 1, 0): rational(1)})
+    other = HermitianPolynomial({pack_key(0, 1, 0, 1): rational(2)})
     s = one_term + other
     assert s.term_count() == 2
     assert (s - other) == one_term
     prod = one_term * other
     assert prod.coeff(1, 1, 1, 1) == 2
+
+
+def test_packed_key_holds_exponents_past_255():
+    assert unpack_key(pack_key(300, 299, 1, 300)) == (300, 299, 1, 300)
+    holo = HermitianPolynomial.holomorphic
+    prod = holo({(200, 0): 1}) * holo({(100, 0): 1})
+    assert [unpack_key(k) for k in prod.terms] == [(300, 0, 0, 0)]
+    assert prod == holo({(300, 0): 1})
+
+
+def test_order_limit_is_a_typed_error():
+    # checked before any arithmetic, so the identity repeated is enough
+    big = FiniteMatrixGroup([identity()] * 65536, "big")
+    for expand in (phi, polarized_at_ones):
+        with pytest.raises(GroupTooLarge, match="65535"):
+            expand(big)
+
+
+def test_polarized_is_phi_at_zbar_ones():
+    for g in (binary_polyhedral("T"), dihedral(4), binary_dihedral(3),
+              cyclic_gamma(7, 3)):
+        at_ones = HermitianPolynomial()
+        for key, c in phi(g).terms.items():
+            a1, a2, _, _ = unpack_key(key)
+            at_ones = at_ones + HermitianPolynomial.holomorphic({(a1, a2): c})
+        assert at_ones == polarized_at_ones(g), g.label
+
+
+def _double_constant(prod, order):
+    prod[0] = [2 * v for v in prod[0]]
+
+
+def _double_off_diagonal(prod, order):
+    key = pack_key(3, 3, 6, 0)  # coefficient -1 in Phi of dihedral(3)
+    prod[key] = [2 * v for v in prod[key]]
+
+
+def _past_degree_bound(prod, order):
+    prod[pack_key(order + 1, 0, order + 1, 0)] = list(prod[0])
+
+
+@pytest.mark.parametrize("expand, corrupt, what", [
+    (phi, _double_constant, "constant term"),
+    (polarized_at_ones, _double_constant, "constant term"),
+    (phi, _double_off_diagonal, "Hermitian symmetry"),
+    (phi, _past_degree_bound, "degree bound"),
+])
+def test_corrupted_fold_fails_its_check(monkeypatch, expand, corrupt, what):
+    g = dihedral(3)
+    fold = invariant._fold_product
+
+    def corrupted(factors, n, progress=None):
+        prod = fold(factors, n, progress)
+        corrupt(prod, g.order)
+        return prod
+
+    monkeypatch.setattr(invariant, "_fold_product", corrupted)
+    with pytest.raises(InvariantCheckFailed, match=what):
+        expand(g)
+
+
+def test_checks_hold_under_python_O():
+    script = textwrap.dedent("""
+        from sigpair import group, invariant
+        fold = invariant._fold_product
+
+        def corrupted(factors, n, progress=None):
+            prod = fold(factors, n, progress)
+            prod[0] = [2 * v for v in prod[0]]
+            return prod
+
+        invariant._fold_product = corrupted
+        try:
+            invariant.phi(group.dihedral(3))
+        except invariant.InvariantCheckFailed as exc:
+            print("raised:", exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(sigpair.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "raised: constant term must vanish"
