@@ -8,8 +8,8 @@ Subcommands:
               dihedral families
 
 Results go to stdout (JSON, CSV, LaTeX or text); diagnostics go to stderr.
-Exit codes: 0 success, 2 bad arguments, 3 invalid group input, 4 failed
-verification.
+Exit codes: 0 success, 2 bad arguments (including an invalid
+SIG_MAX_PRECISION_BITS), 3 invalid group input, 4 failed verification.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chern, closedforms, signature as sig_mod
+from .cyclotomic import InvalidPrecisionCap, precision_cap
 from .fpq import (T_closed, even_odd_table, f_closed_pminus1, family_table,
                   format_fpq, fpq, lww_sign, signature_cyclic,
                   signature_cyclic_closed, verify_exact_formula, weight,
@@ -460,6 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        precision_cap()
+    except InvalidPrecisionCap as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -44,6 +44,25 @@ class IncompatibleOrder(ValueError):
     """promote() target is not a multiple of the element's order."""
 
 
+class InvalidPrecisionCap(ValueError):
+    """SIG_MAX_PRECISION_BITS is not an integer of at least 64 (the first
+    precision sign() tries)."""
+
+
+def precision_cap() -> int:
+    """The precision cap for sign(): SIG_MAX_PRECISION_BITS, else the default."""
+    raw = os.environ.get(PRECISION_ENV)
+    if raw is None:
+        return DEFAULT_PRECISION_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 64:
+        raise InvalidPrecisionCap(f"{PRECISION_ENV}={raw!r} is not an integer of at least 64")
+    return cap
+
+
 def _divisors(n: int) -> list[int]:
     out = []
     for d in range(1, math.isqrt(n) + 1):
@@ -361,7 +380,7 @@ class Cyclotomic:
         if self.order == 1:
             f = self.items[0][1]
             return 1 if f > 0 else -1
-        cap = int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION_CAP))
+        cap = precision_cap()
         bits = 64
         while bits <= cap:
             lo, hi = intervals.real_enclosure(self.order, self.items, bits)

@@ -30,6 +30,16 @@ class CapExceeded(RuntimeError):
     """Closure grew past the element cap; generators span an infinite or huge group."""
 
 
+class OrderMismatch(ArithmeticError):
+    """A family constructor built a group of the wrong order."""
+
+
+def _check_order(g: "FiniteMatrixGroup", expected: int) -> "FiniteMatrixGroup":
+    if g.order != expected:
+        raise OrderMismatch(f"{g.label}: got order {g.order}, expected {expected}")
+    return g
+
+
 class Matrix2:
     """A 2x2 matrix with Cyclotomic entries (a b / c d)."""
 
@@ -72,6 +82,16 @@ class Matrix2:
     def key(self):
         """Hashable exact identity of the matrix (order/coords per entry)."""
         return tuple((e.order, e.items) for e in self.entries)
+
+    def key_at(self, n: int):
+        """Hashable identity of the value: every entry's coordinates in Q(zeta_n).
+
+        Unlike `key`, equal matrices get equal keys even when an entry carries
+        a larger order than its value needs; n must be a multiple of
+        `field_order()`.
+        """
+        # rationals are canonical at order 1 whatever field they came from
+        return tuple((e if e.order in (1, n) else e.promote(n)).items for e in self.entries)
 
     def field_order(self) -> int:
         return math.lcm(*(e.order for e in self.entries))
@@ -150,17 +170,21 @@ def closure(generators: list[Matrix2], cap: int = 10000, label: str = "closure")
     Element order is deterministic: BFS from the identity, multiplying on the
     right by the generators in their declared order.  A finite subsemigroup of
     a group is a group, so inverses and the identity are always present.
+    Elements are compared by value in Q(zeta_n), n the lcm of the generators'
+    entry orders, so a product whose entries carry a larger order than their
+    values need is still recognised as an element seen before.
     """
     for i, g in enumerate(generators):
         if not g.is_unitary():
             raise NotUnitary(f"generator {i} is not unitary", index=i)
+    n = math.lcm(1, *(g.field_order() for g in generators))
     elems = [identity()]
-    seen = {elems[0].key()}
+    seen = {elems[0].key_at(n)}
     i = 0
     while i < len(elems):
         for g in generators:
             m = elems[i] * g
-            k = m.key()
+            k = m.key_at(n)
             if k not in seen:
                 if len(elems) >= cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")
@@ -175,9 +199,7 @@ def cyclic_gamma(p: int, q: int) -> FiniteMatrixGroup:
     if p < 1:
         raise ValueError("p must be positive")
     elems = [diag(root_of_unity(p, j), root_of_unity(p, q * j)) for j in range(p)]
-    g = FiniteMatrixGroup(elems, f"Gamma({p},{q})")
-    assert g.order == p
-    return g
+    return _check_order(FiniteMatrixGroup(elems, f"Gamma({p},{q})"), p)
 
 
 def dihedral(p: int) -> FiniteMatrixGroup:
@@ -185,9 +207,7 @@ def dihedral(p: int) -> FiniteMatrixGroup:
     if p < 1:
         raise ValueError("p must be positive")
     gens = [diag(root_of_unity(p, 1), root_of_unity(p, p - 1)), antidiag(1, 1)]
-    g = closure(gens, label=f"Delta({p})")
-    assert g.order == 2 * p
-    return g
+    return _check_order(closure(gens, label=f"Delta({p})"), 2 * p)
 
 
 def binary_dihedral(p: int) -> FiniteMatrixGroup:
@@ -196,9 +216,7 @@ def binary_dihedral(p: int) -> FiniteMatrixGroup:
         raise ValueError("p must be positive")
     n = 2 * p
     gens = [diag(root_of_unity(n, 1), root_of_unity(n, n - 1)), antidiag(1, -1)]
-    g = closure(gens, label=f"Lambda({p})")
-    assert g.order == 4 * p
-    return g
+    return _check_order(closure(gens, label=f"Lambda({p})"), 4 * p)
 
 
 def springer_generators(kind: str) -> tuple[Matrix2, Matrix2, Matrix2]:
@@ -239,9 +257,7 @@ def binary_polyhedral(kind: str) -> FiniteMatrixGroup:
         expected = 120
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    g = closure(gens, label=kind)
-    assert g.order == expected, f"{kind}: got order {g.order}"
-    return g
+    return _check_order(closure(gens, label=kind), expected)
 
 
 def conjugate(G: FiniteMatrixGroup, U: Matrix2) -> FiniteMatrixGroup:

@@ -1,13 +1,34 @@
 """Expansion of the group-invariant Hermitian polynomial.
 
 The central object is Phi_G(z, zbar) = 1 - prod_{g in G} (1 - <gz, z>),
-expanded exactly as a sparse polynomial in (z1, z2, zbar1, zbar2).  The fold
-over group elements is the dominant cost for the large groups, so it runs on
-scaled integer coordinate vectors in Z[x]/(x^n - 1) (n the common cyclotomic
-order of all matrix entries) and converts to canonical field elements once at
-the end: denominators are cleared per factor, multiplication of coefficients
-is a cyclic convolution of small integer vectors, and zero vectors are
-dropped eagerly.
+expanded exactly as a sparse polynomial in (z1, z2, zbar1, zbar2).
+
+The product runs over the left cosets of the diagonal subgroup
+H = {g in G : g.b = g.c = 0}.  For h = diag(alpha, beta),
+<ghz, z> = alpha X_g + beta Y_g with X_g = z1 (g.a zbar1 + g.c zbar2) and
+Y_g = z2 (g.b zbar1 + g.d zbar2), so each coset gH contributes one factor
+
+    prod_{h in H} (1 - <ghz, z>) = 1 - F_H(X_g, Y_g),
+    F_H(X, Y) = 1 - prod_{h in H} (1 - alpha X - beta Y).
+
+H is every diagonal element of G, the largest subgroup the identity applies
+to, so the fold runs over [G:H] factors instead of |G| linear ones.  For a diagonal cyclic group Gamma(p, q), F_H is f_{p,q} and
+the index is 1; the dihedral and binary dihedral groups have index 2, the
+binary polyhedral groups 6 (T, O) or 12 (I).  H's own elements are folded
+first: their product is the identity coset's factor, since X_I = z1 zbar1
+and Y_I = z2 zbar2, F_H is read off it, and the fold continues from it over
+the other cosets.  H = {I} gives F_H = X + Y, the element-wise fold.  The
+polarization at zbar = (1, 1) is the same engine with X_g = (g.a + g.c) z1
+and Y_g = (g.b + g.d) z2.
+
+The fold runs on scaled integer coordinate vectors (n the common cyclotomic
+order of all matrix entries) and converts to canonical field elements once
+at the end: denominators are cleared per factor, multiplication of
+coefficients is a cyclic convolution of small integer vectors in
+Z[x]/(x^n - 1), and after every factor each vector is reduced modulo the
+cyclotomic polynomial Phi_n and dropped if it vanishes there.  The
+reduction keeps vectors short and drops monomials whose coefficient is zero
+in Q(zeta_n) but not in Z[x]/(x^n - 1).
 
 Monomial keys pack the exponent quadruple (a1, a2, b1, b2) of
 z1^a1 z2^a2 zbar1^b1 zbar2^b2 into one integer, 16 bits per slot, so the
@@ -20,8 +41,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from .cyclotomic import Cyclotomic, rational
+from .cyclotomic import Cyclotomic, _reduction_rows, euler_phi, rational
 from .group import FiniteMatrixGroup, Matrix2
 
 _SHIFT = (0, 16, 32, 48)
@@ -145,18 +167,17 @@ class HermitianPolynomial:
         the group action on holomorphic polynomials.
         """
         rows = ((M.a, M.b), (M.c, M.d))
-        zp = _power_table(rows, 0, self._max_exp(0), self._max_exp(1))
         conj_rows = tuple(tuple(e.conj() for e in row) for row in rows)
-        wp = _power_table(conj_rows, 2, self._max_exp(2), self._max_exp(3))
+        zp = _power_table([_linear(row, 0) for row in rows],
+                          {unpack_key(key)[:2] for key in self.terms})
+        wp = _power_table([_linear(row, 2) for row in conj_rows],
+                          {unpack_key(key)[2:] for key in self.terms})
         out: dict[int, Cyclotomic] = {}
         for key, c in self.terms.items():
             a1, a2, b1, b2 = unpack_key(key)
             for k, v in (zp[(a1, a2)] * wp[(b1, b2)]).terms.items():
                 _accumulate(out, k, c * v)
         return HermitianPolynomial(out)
-
-    def _max_exp(self, slot: int) -> int:
-        return max((key >> _SHIFT[slot]) & _MASK for key in self.terms) if self.terms else 0
 
     def __mul__(self, other) -> "HermitianPolynomial":
         if not isinstance(other, HermitianPolynomial):
@@ -194,37 +215,44 @@ class HermitianPolynomial:
         return f"HermitianPolynomial(<{len(self.terms)} terms>)"
 
 
-def _power_table(rows, slot: int, max1: int, max2: int) -> dict:
-    """(e1, e2) -> l1^e1 * l2^e2 for all needed exponent pairs.
+def _linear(row, slot: int) -> HermitianPolynomial:
+    """row[0] * v1 + row[1] * v2, with v1, v2 the variables in `slot` and
+    `slot + 1` (0 for z1, z2; 2 for zbar1, zbar2)."""
+    return HermitianPolynomial({1 << _SHIFT[slot + k]: e
+                                for k, e in enumerate(row) if not e.is_zero()})
 
-    l_i = rows[i][0] * v1 + rows[i][1] * v2, with v1, v2 the variables in
-    `slot` and `slot + 1` (0 for z1, z2; 2 for zbar1, zbar2).
-    """
+
+def _power_table(bases, pairs) -> dict:
+    """(e1, e2) -> bases[0]^e1 * bases[1]^e2 for every exponent pair in `pairs`."""
     powers = []
-    for row, top in zip(rows, (max1, max2)):
-        linear = HermitianPolynomial({1 << _SHIFT[slot + k]: e
-                                      for k, e in enumerate(row) if not e.is_zero()})
+    for k, base in enumerate(bases):
         p = [HermitianPolynomial({0: rational(1)})]
-        for _ in range(top):
-            p.append(p[-1] * linear)
+        for _ in range(max((pair[k] for pair in pairs), default=0)):
+            p.append(p[-1] * base)
         powers.append(p)
     p1, p2 = powers
-    return {(a, b): p1[a] * p2[b] for a in range(max1 + 1) for b in range(max2 + 1)}
+    return {(a, b): p1[a] * p2[b] for a, b in pairs}
 
 
-def _fold_product(factors, n: int, progress=None):
-    """prod of (d + sum of scaled monomial terms) over Z[x]/(x^n - 1) vectors."""
-    prod = {0: [1] + [0] * (n - 1)}
-    rng = range(n)
+def _fold_product(factors, n: int, progress=None, prod=None):
+    """prod (default 1) times the (d + sum of scaled monomial terms) factors.
+
+    Coefficients are integer vectors multiplied in Z[x]/(x^n - 1) and reduced
+    modulo Phi_n after every factor, so a vector is dropped exactly when its
+    coefficient vanishes in Q(zeta_n).
+    """
+    if prod is None:
+        prod = {0: [1] + [0] * (n - 1)}
     for idx, (d, terms) in enumerate(factors):
         out: dict[int, list[int]] = {}
         for key, vec in prod.items():
+            nonzero = [(i, v) for i, v in enumerate(vec) if v]
             acc = out.get(key)
             if acc is None:
                 out[key] = [d * v for v in vec]
             else:
-                for i in rng:
-                    acc[i] += d * vec[i]
+                for i, v in nonzero:
+                    acc[i] += d * v
             for delta, coefs in terms:
                 k2 = key + delta
                 acc = out.get(k2)
@@ -232,39 +260,116 @@ def _fold_product(factors, n: int, progress=None):
                     acc = [0] * n
                     out[k2] = acc
                 for e, c in coefs:
-                    for i in rng:
-                        v = vec[i]
-                        if v:
-                            j = i + e
-                            acc[j if j < n else j - n] += c * v
-        prod = {k: v for k, v in out.items() if any(v)}
+                    for i, v in nonzero:
+                        j = i + e
+                        acc[j if j < n else j - n] += c * v
+        prod = _reduce(out, n)
         if progress is not None:
             progress(idx + 1, len(factors))
     return prod
+
+
+@lru_cache(maxsize=None)
+def _sparse_reduction_rows(n: int) -> tuple:
+    """(j, [(i, c)]) for phi(n) <= j < n: x^j = sum of c x^i modulo Phi_n."""
+    rows = _reduction_rows(n)
+    return tuple((j, [(i, c) for i, c in enumerate(rows[j]) if c])
+                 for j in range(euler_phi(n), n))
+
+
+def _reduce(prod, n: int):
+    """Reduce every vector of prod in place modulo Phi_n, to degree below
+    phi(n), and drop the vectors that vanish in Q(zeta_n)."""
+    rows = _sparse_reduction_rows(n)
+    out = {}
+    for key, vec in prod.items():
+        for j, row in rows:
+            v = vec[j]
+            if v:
+                vec[j] = 0
+                for i, c in row:
+                    vec[i] += v * c
+        if any(vec):
+            out[key] = vec
+    return out
+
+
+def _integer_factor(terms, n: int):
+    """1 + sum of c * monomial over the (key, c) pairs, scaled by the lcm d of
+    the coefficients' denominators: (d, [(key, [(exponent, integer)])])."""
+    placed = [(key, (c if c.order == n else c.promote(n)).items)
+              for key, c in terms if not c.is_zero()]
+    d = math.lcm(1, *(v.denominator for _, items in placed for _, v in items))
+    return d, [(key, [(e, (v * d).numerator) for e, v in items]) for key, items in placed]
+
+
+def _to_terms(prod, n: int, scale: int) -> dict:
+    """Canonical field coefficients of prod / scale, for vectors reduced by `_reduce`."""
+    return {key: Cyclotomic(n, {e: Fraction(v, scale) for e, v in enumerate(vec) if v})
+            for key, vec in prod.items()}
+
+
+def _is_diagonal(M: Matrix2) -> bool:
+    return M.b.is_zero() and M.c.is_zero()
+
+
+def _product(G: FiniteMatrixGroup, row, n: int, progress=None):
+    """prod_{g in G}(1 - row(g)) as (integer vectors, scale), folded by cosets.
+
+    The diagonal elements H are folded one by one.  Their product is the
+    identity coset's factor 1 - F_H(X_I, Y_I), and the z exponents (i, j) of
+    each of its monomials index the term X^i Y^j of 1 - F_H.  Every other
+    left coset gH contributes 1 - F_H(X_g, Y_g): X_g is the part of row(g)
+    carrying z1, Y_g the part carrying z2.
+    """
+    H = [M for M in G.elements if _is_diagonal(M)]
+    reps, covered = [], set()
+    for g in G.elements:
+        if not _is_diagonal(g) and g.key_at(n) not in covered:
+            reps.append(g)
+            covered.update((g * h).key_at(n) for h in H)
+    _require((1 + len(reps)) * len(H) == G.order,
+             f"Lagrange identity: {1 + len(reps)} cosets of the {len(H)} diagonal "
+             f"elements do not make up {G.order} elements")
+    total = len(H) + len(reps)
+
+    def report(offset):
+        return None if progress is None else (lambda done, _: progress(offset + done, total))
+
+    factors = [_integer_factor([(delta, -c) for delta, c in row(h)], n) for h in H]
+    prod = _fold_product(factors, n, report(0))
+    scale = math.prod(d for d, _ in factors)
+    if not reps:
+        return prod, scale
+    # (i, j) -> coefficient of X^i Y^j in -F_H, the non-constant part of 1 - F_H
+    minus_f = {unpack_key(key)[:2]: c for key, c in _to_terms(prod, n, scale).items() if key}
+    factors = []
+    for g in reps:
+        terms = [(delta, c) for delta, c in row(g) if not c.is_zero()]
+        table = _power_table([HermitianPolynomial({k: c for k, c in terms if k & _MASK}),
+                              HermitianPolynomial({k: c for k, c in terms if not k & _MASK})],
+                             minus_f)
+        factor: dict[int, Cyclotomic] = {}
+        for ij, c in minus_f.items():
+            for key, v in table[ij].terms.items():
+                _accumulate(factor, key, c * v)
+        factors.append(_integer_factor(factor.items(), n))
+    prod = _fold_product(factors, n, report(len(H)), prod)
+    return prod, scale * math.prod(d for d, _ in factors)
 
 
 def _expand(G: FiniteMatrixGroup, row, progress=None) -> HermitianPolynomial:
     """1 - prod_{g in G}(1 - sum of c * monomial over row(g)), exactly.
 
     row(g) lists (key_delta, c) pairs: the packed key of a monomial and its
-    Cyclotomic coefficient.  Each factor is scaled by the lcm d of its
-    coefficients' denominators, so the fold runs on integers.
+    Cyclotomic coefficient; every monomial carries exactly one of z1, z2.
     """
     if G.order > _MASK:
         raise GroupTooLarge(f"group order {G.order} exceeds the packed-exponent limit {_MASK}")
     n = G.field_order()
-    factors = []
-    for M in G.elements:
-        placed = [(delta, (c if c.order == n else c.promote(n)).items)
-                  for delta, c in row(M) if not c.is_zero()]
-        d = math.lcm(1, *(v.denominator for _, items in placed for _, v in items))
-        factors.append((d, [(delta, [(e, -(v * d).numerator) for e, v in items])
-                            for delta, items in placed]))
-    scale = math.prod(d for d, _ in factors)
-    terms = {0: rational(1)}
-    for key, vec in _fold_product(factors, n, progress=progress).items():
-        c = Cyclotomic(n, {e: Fraction(v, scale) for e, v in enumerate(vec) if v})
-        _accumulate(terms, key, -c)
+    prod, scale = _product(G, row, n, progress)
+    terms = _to_terms(prod, n, -scale)
+    _accumulate(terms, 0, rational(1))
     _require(0 not in terms, "constant term must vanish")
     return HermitianPolynomial(terms)
 

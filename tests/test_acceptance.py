@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Criterion 2's order-120 exact computation is gated
-behind --runslow (several minutes); everything else is desk-scale.
+lines and timings.  Criterion 2's order-120 exact computation runs here too
+(about 20 s, nearly all of it expanding Phi); everything else is desk-scale.
 """
 
 import time
@@ -88,7 +88,6 @@ def test_criterion_02_su2_signatures_fast(tetrahedral_matrix, octahedral_matrix)
     _done("2", "cyclic p<=40, binary dihedral p<=8, T, O")
 
 
-@pytest.mark.slow
 def test_criterion_02_icosahedral_exact():
     """The order-120 exact run: S = (40, 22), rank 62 by two routes."""
     _begin("2-slow")

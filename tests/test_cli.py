@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from sigpair import cli, invariant, signature
+from sigpair import cli, closedforms, invariant, signature
 from sigpair.cli import main
-from sigpair.group import diag, dump_generators, FiniteMatrixGroup, identity, Matrix2
+from sigpair.group import (diag, dihedral, dump_generators, FiniteMatrixGroup, identity,
+                           Matrix2, springer_generators)
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +85,39 @@ def test_signature_expands_phi_once(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert len(out.strip().splitlines()) == 2
     assert len(calls) == 1
+
+
+@pytest.fixture
+def conjugated_dihedral_file(tmp_path):
+    """Generators of Delta_6 conjugated by r^2 (r^4 t s)^2 from the icosahedral group."""
+    r, s, t = springer_generators("I")
+    u = r ** 2 * (r ** 4 * t * s) ** 2
+    rot, refl = dihedral(6).elements[1:3]
+    path = tmp_path / "delta6u.json"
+    path.write_text(json.dumps(dump_generators([u * g * u.dagger() for g in (rot, refl)])))
+    return path
+
+
+@pytest.mark.parametrize("raw", ["abc", "8"])
+def test_invalid_precision_cap_exit_2(capsys, monkeypatch, conjugated_dihedral_file, raw):
+    computed = []
+    monkeypatch.setattr(cli, "phi", lambda *args, **kwargs: computed.append(args))
+    monkeypatch.setenv("SIG_MAX_PRECISION_BITS", raw)
+    code, out, err = run_cli(capsys, "signature", "--group", f"file:{conjugated_dihedral_file}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "SIG_MAX_PRECISION_BITS" in err
+    assert computed == []
+
+
+def test_default_precision_cap_certifies(capsys, monkeypatch, conjugated_dihedral_file):
+    monkeypatch.delenv("SIG_MAX_PRECISION_BITS", raising=False)
+    code, out, _ = run_cli(capsys, "signature", "--group", f"file:{conjugated_dihedral_file}",
+                           "--stable-output")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["order"] == 12
+    assert (rec["N_plus"], rec["N_minus"]) == tuple(closedforms.delta_signature_closed(6))
 
 
 def test_signature_bad_spec(capsys):

@@ -7,10 +7,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sigpair.cyclotomic import (Cyclotomic, DivisionByZero, IncompatibleOrder,
-                                NotReal, cyclotomic_polynomial, euler_phi,
-                                multiplicative_order, one, rational,
-                                root_of_unity, zero)
+from sigpair.cyclotomic import (DEFAULT_PRECISION_CAP, Cyclotomic, DivisionByZero,
+                                IncompatibleOrder, InvalidPrecisionCap, NotReal,
+                                cyclotomic_polynomial, euler_phi,
+                                multiplicative_order, one, precision_cap,
+                                rational, root_of_unity, zero)
 
 
 def test_cyclotomic_polynomials():
@@ -202,3 +203,22 @@ def test_precision_cap_env(monkeypatch):
     monkeypatch.setenv("SIG_MAX_PRECISION_BITS", "256")
     z5 = root_of_unity(5, 1)
     assert (z5 + z5 ** 4 + 1).sign() == 1
+
+
+@pytest.mark.parametrize("raw", ["abc", "8", "63", ""])
+def test_invalid_precision_cap_is_a_typed_error(monkeypatch, raw):
+    monkeypatch.setenv("SIG_MAX_PRECISION_BITS", raw)
+    with pytest.raises(InvalidPrecisionCap, match="at least 64"):
+        precision_cap()
+    z5 = root_of_unity(5, 1)
+    with pytest.raises(ValueError, match="SIG_MAX_PRECISION_BITS"):
+        (z5 + z5 ** 4).sign()
+
+
+def test_precision_cap_default_and_minimum(monkeypatch):
+    monkeypatch.delenv("SIG_MAX_PRECISION_BITS", raising=False)
+    assert precision_cap() == DEFAULT_PRECISION_CAP
+    monkeypatch.setenv("SIG_MAX_PRECISION_BITS", "64")
+    assert precision_cap() == 64
+    z5 = root_of_unity(5, 1)
+    assert (z5 + z5 ** 4).sign() == 1

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from sigpair import group
 from sigpair.cyclotomic import root_of_unity
-from sigpair.group import (CapExceeded, Matrix2, NotUnitary, antidiag,
+from sigpair.group import (CapExceeded, FiniteMatrixGroup, Matrix2, NotUnitary,
+                           OrderMismatch, antidiag,
                            binary_dihedral, binary_polyhedral, closure,
                            conjugate, cyclic_gamma, diag, dihedral,
                            dump_generators, identity, load_generators,
@@ -95,6 +97,32 @@ def test_binary_polyhedral_orders_and_su2():
         g = binary_polyhedral(kind)
         assert g.order == order
         assert g.is_su2()
+
+
+def test_closure_compares_elements_by_value():
+    # conjugating by an icosahedral element puts entries of Q(zeta_5) into
+    # products computed at order 30; they must still match earlier elements
+    r, s, t = springer_generators("I")
+    u = r ** 2 * (r ** 4 * t * s) ** 2
+    rot, refl = dihedral(6).elements[1:3]
+    g = closure([u * m * u.dagger() for m in (rot, refl)])
+    assert g.order == 12
+    assert len({m.key_at(g.field_order()) for m in g}) == 12
+
+
+def test_constructor_order_check_is_a_typed_error(monkeypatch):
+    # the check is an exception, not an assert, so it also holds under python -O
+    full = group.closure
+
+    def lossy(*args, **kwargs):
+        g = full(*args, **kwargs)
+        return FiniteMatrixGroup(g.elements[:-1], g.label)
+
+    monkeypatch.setattr(group, "closure", lossy)
+    for build, expected in ((lambda: dihedral(3), 6), (lambda: binary_dihedral(2), 8),
+                            (lambda: binary_polyhedral("T"), 24)):
+        with pytest.raises(OrderMismatch, match=f"expected {expected}"):
+            build()
 
 
 def test_tetrahedral_relations():

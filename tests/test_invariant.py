@@ -1,5 +1,6 @@
 """Expansion of the invariant polynomial: worked examples and invariance."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,10 +12,12 @@ import pytest
 
 import sigpair
 from sigpair import invariant
-from sigpair.cyclotomic import rational
+from sigpair.cyclotomic import Cyclotomic, rational
 from sigpair.fpq import fpq
-from sigpair.group import (FiniteMatrixGroup, binary_dihedral, binary_polyhedral,
-                           cyclic_gamma, dihedral, identity, trivial_group)
+from sigpair.group import (FiniteMatrixGroup, antidiag, binary_dihedral,
+                           binary_polyhedral, closure, conjugate, cyclic_gamma,
+                           diag, dihedral, identity, springer_generators,
+                           trivial_group)
 from sigpair.invariant import (GroupTooLarge, HermitianPolynomial,
                                InvariantCheckFailed, pack_key, phi,
                                polarized_at_ones, unpack_key)
@@ -160,6 +163,74 @@ def test_polarized_is_phi_at_zbar_ones():
         assert at_ones == polarized_at_ones(g), g.label
 
 
+def _phi_row(M):
+    return [(pack_key(1, 0, 1, 0), M.a), (pack_key(0, 1, 1, 0), M.b),
+            (pack_key(1, 0, 0, 1), M.c), (pack_key(0, 1, 0, 1), M.d)]
+
+
+def _polarized_row(M):
+    return [(pack_key(1, 0, 0, 0), M.a + M.c), (pack_key(0, 1, 0, 0), M.b + M.d)]
+
+
+def _elementwise(G, row):
+    """1 - prod_{g in G}(1 - row(g)) with one linear factor per element.
+
+    The oracle for the coset engine: no subgroup, no cosets, only the fold
+    kernel.  Diagonal elements go first, which keeps the intermediates of the
+    monomial groups small; the product does not depend on the order.
+    """
+    n = G.field_order()
+    factors = []
+    for M in sorted(G.elements, key=lambda M: not (M.b.is_zero() and M.c.is_zero())):
+        placed = [(key, c.promote(n).items) for key, c in row(M) if not c.is_zero()]
+        d = math.lcm(1, *(v.denominator for _, items in placed for _, v in items))
+        factors.append((d, [(key, [(e, -(v * d).numerator) for e, v in items])
+                            for key, items in placed]))
+    scale = math.prod(d for d, _ in factors)
+    out = {key: Cyclotomic(n, {e: Fraction(-v, scale) for e, v in enumerate(vec) if v})
+           for key, vec in invariant._fold_product(factors, n).items()}
+    out[0] = out.get(0, rational(0)) + 1
+    return HermitianPolynomial({key: c for key, c in out.items() if not c.is_zero()})
+
+
+def _conjugated_by_icosahedral(k):
+    r, s, t = springer_generators("I")
+    u = r ** k * (r ** 4 * t * s) ** 2
+    out = []
+    for G in (cyclic_gamma(8, 3), dihedral(6), binary_dihedral(3), binary_polyhedral("T")):
+        out.append(conjugate(G, u))
+        out[-1].label = f"{G.label}^u{k}"
+    return out
+
+
+def _oracle_groups():
+    yield binary_polyhedral("T")
+    yield binary_polyhedral("O")
+    yield from (dihedral(p) for p in range(1, 25))
+    yield from (binary_dihedral(p) for p in range(1, 13))
+    yield from (cyclic_gamma(p, q) for p, q in ((1, 1), (5, 2), (9, 4), (12, 7), (16, 15), (40, 39)))
+    for k in (0, 2):
+        yield from _conjugated_by_icosahedral(k)
+    # the diagonal subgroup is the Klein four group {diag(+-1, +-1)}, not cyclic
+    yield closure([diag(-1, 1), antidiag(1, 1)], label="klein")
+    # the diagonal subgroup is {I}: every coset factor is linear
+    yield closure([antidiag(1, 1)], label="swap")
+
+
+@pytest.mark.parametrize("G", list(_oracle_groups()), ids=lambda G: G.label)
+def test_coset_fold_matches_elementwise_fold(G):
+    assert phi(G) == _elementwise(G, _phi_row)
+    assert polarized_at_ones(G) == _elementwise(G, _polarized_row)
+
+
+def test_lagrange_check_rejects_a_non_group():
+    # the diagonal elements {I, diag(1, -1)} give 2 cosets of 2 for 3 elements
+    bogus = FiniteMatrixGroup([identity(), antidiag(1, 1), diag(1, -1)], "not a group")
+    for expand in (phi, polarized_at_ones):
+        with pytest.raises(InvariantCheckFailed, match="Lagrange"):
+            expand(bogus)
+
+
 def _double_constant(prod, order):
     prod[0] = [2 * v for v in prod[0]]
 
@@ -180,15 +251,16 @@ def _past_degree_bound(prod, order):
     (phi, _past_degree_bound, "degree bound"),
 ])
 def test_corrupted_fold_fails_its_check(monkeypatch, expand, corrupt, what):
+    # corrupt the full product, the one _expand converts to field coefficients
     g = dihedral(3)
-    fold = invariant._fold_product
+    product = invariant._product
 
-    def corrupted(factors, n, progress=None):
-        prod = fold(factors, n, progress)
+    def corrupted(*args, **kwargs):
+        prod, scale = product(*args, **kwargs)
         corrupt(prod, g.order)
-        return prod
+        return prod, scale
 
-    monkeypatch.setattr(invariant, "_fold_product", corrupted)
+    monkeypatch.setattr(invariant, "_product", corrupted)
     with pytest.raises(InvariantCheckFailed, match=what):
         expand(g)
 
@@ -196,14 +268,14 @@ def test_corrupted_fold_fails_its_check(monkeypatch, expand, corrupt, what):
 def test_checks_hold_under_python_O():
     script = textwrap.dedent("""
         from sigpair import group, invariant
-        fold = invariant._fold_product
+        product = invariant._product
 
-        def corrupted(factors, n, progress=None):
-            prod = fold(factors, n, progress)
+        def corrupted(*args, **kwargs):
+            prod, scale = product(*args, **kwargs)
             prod[0] = [2 * v for v in prod[0]]
-            return prod
+            return prod, scale
 
-        invariant._fold_product = corrupted
+        invariant._product = corrupted
         try:
             invariant.phi(group.dihedral(3))
         except invariant.InvariantCheckFailed as exc:
