@@ -90,32 +90,18 @@ def chern_sum_as_fpq(G: FiniteMatrixGroup) -> IntBivariatePoly:
     for key, c in total.terms.items():
         a1, a2, _, _ = unpack_key(key)
         f = c.as_fraction()
-        assert f.denominator == 1
+        if f.denominator != 1:
+            raise InvariantCheckFailed(f"alternating class sum has the non-integer coefficient {f}")
         out[(a1, a2)] = int(f)
     return IntBivariatePoly(out)
 
 
 def set_multiset_relation(G: FiniteMatrixGroup, h: HermitianPolynomial) -> bool:
-    """Set-based orbit polynomial ** stabilizer_order == multiset-based one."""
+    """Set-based orbit polynomial ** stabilizer_order == multiset-based one.
+
+    The power is the orbit polynomial of the distinct translates, each taken
+    stabilizer_order times.
+    """
     orb = orbit(G, h)
-    multi = _orbit_polynomial(orb.elements)
-    if orb.stabilizer_order == 1:
-        return multi == _orbit_polynomial(orb.distinct)
-    base = _orbit_polynomial(orb.distinct)
-    acc = base
-    for _ in range(orb.stabilizer_order - 1):
-        acc = _poly_in_x_mul(acc, base)
-    return acc == multi
-
-
-def _poly_in_x_mul(a: list[HermitianPolynomial],
-                   b: list[HermitianPolynomial]) -> list[HermitianPolynomial]:
-    """Product of two polynomials in X whose coefficients are HermitianPolynomial values."""
-    out = [HermitianPolynomial() for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
+    return (_orbit_polynomial(orb.distinct * orb.stabilizer_order)
+            == _orbit_polynomial(orb.elements))

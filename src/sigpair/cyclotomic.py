@@ -9,7 +9,9 @@ order 1, so rationals always live in Q(zeta_1) no matter how they arose.
 
 Values are immutable and operations are pure; the module-level caches of
 cyclotomic polynomials and reduction rows are read-only after first use, so
-everything is safe to share across threads.
+everything is safe to share across threads.  The reduction rows (x^j mod
+Phi_n for phi(n) <= j < n) are also the table the fold in `invariant`
+reduces its integer coefficient vectors with.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ class IncompatibleOrder(ValueError):
     """promote() target is not a multiple of the element's order."""
 
 
+class CyclotomicCheckFailed(ArithmeticError):
+    """An exact computation broke an identity that holds in every cyclotomic field."""
+
+
 class InvalidPrecisionCap(ValueError):
     """SIG_MAX_PRECISION_BITS is not an integer of at least 64 (the first
     precision sign() tries)."""
@@ -73,35 +79,19 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _polydiv_exact(num: list[int], den) -> list[int]:
-    """Exact quotient of integer polynomials, ascending coefficients."""
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quot = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        assert r == 0, "non-exact polynomial division"
-        quot[i - dn] = q
-        for k in range(dn + 1):
-            num[i - dn + k] -= q * den[k]
-    assert all(c == 0 for c in num), "non-exact polynomial division"
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending degree."""
+    """Integer coefficients of Phi_n, ascending degree: x^n - 1 divided by
+    Phi_d for every proper divisor d of n."""
     if n == 1:
         return (-1, 1)
-    f = [0] * (n + 1)
-    f[0] = -1
-    f[n] = 1
+    f = [-1] + [0] * (n - 1) + [1]
     for d in _divisors(n)[:-1]:
-        f = _polydiv_exact(f, cyclotomic_polynomial(d))
+        den = cyclotomic_polynomial(d)
+        q, r = _pdivmod(f, den)
+        if any(r):
+            raise CyclotomicCheckFailed(f"dividing x^{n} - 1 by Phi_{d} left a remainder")
+        f = q[:len(f) - len(den) + 1]
     return tuple(f)
 
 
@@ -111,20 +101,19 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> dict[int, tuple[int, ...]]:
-    """x^j mod Phi_n as integer coefficient rows, for phi(n) <= j < n."""
+def _reduction_rows(n: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """x^j mod Phi_n as sparse integer rows ((i, c), ...), i < phi(n), for
+    phi(n) <= j < n, ascending j."""
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
-    rows = {d: tuple(-c for c in phi[:-1])}
-    cur = list(rows[d])
-    for j in range(d + 1, n):
-        shifted = [0] + cur
-        top = shifted.pop()
+    cur = base = [-c for c in phi[:-1]]
+    rows = {}
+    for j in range(d, n):
+        rows[j] = tuple((i, c) for i, c in enumerate(cur) if c)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
         if top:
-            base = rows[d]
-            shifted = [shifted[i] + top * base[i] for i in range(d)]
-        cur = shifted
-        rows[j] = tuple(cur)
+            cur = [c + top * b for c, b in zip(cur, base)]
     return rows
 
 
@@ -148,9 +137,8 @@ def _canonical(order: int, raw: dict[int, Fraction]):
             if k < d:
                 out[k] += v
             else:
-                for i, r in enumerate(rows[k]):
-                    if r:
-                        out[i] += v * r
+                for i, r in rows[k]:
+                    out[i] += v * r
         items = tuple((i, c) for i, c in enumerate(out) if c)
     else:
         items = tuple(sorted((k, v) for k, v in folded.items() if v))
@@ -169,13 +157,14 @@ def _pdeg(p: list[Fraction]) -> int:
 
 
 def _pdivmod(a: list[Fraction], b: list[Fraction]):
+    """(quotient, remainder) of a / b; integer inputs stay integer when b is monic."""
     a = list(a)
     db = _pdeg(b)
     lead = b[db]
-    q = [Fraction(0)] * max(1, len(a))
+    q = [0] * max(1, len(a))
     for i in range(_pdeg(a), db - 1, -1):
         if a[i]:
-            c = a[i] / lead
+            c = a[i] if lead == 1 else a[i] / lead
             q[i - db] = c
             for k in range(db + 1):
                 a[k + i - db] -= c * b[k]
@@ -216,9 +205,6 @@ class Cyclotomic:
 
     def is_zero(self) -> bool:
         return not self.items
-
-    def is_rational(self) -> bool:
-        return self.order == 1
 
     def as_fraction(self) -> Fraction:
         if self.order != 1:
@@ -321,7 +307,8 @@ class Cyclotomic:
             qs = _pmul(q, s1)
             s0, s1 = s1, _psub(s0, qs)
         c = r1[0]
-        assert c, "gcd with irreducible modulus vanished"
+        if not c:
+            raise CyclotomicCheckFailed(f"gcd of {self} with the irreducible Phi_{n} vanished")
         return Cyclotomic(n, {i: v / c for i, v in enumerate(s1) if v})
 
     def __truediv__(self, other):

@@ -6,7 +6,10 @@ diagonal cyclic groups, dihedral and binary dihedral groups, and the binary
 tetrahedral / octahedral / icosahedral groups in their Springer matrix form.
 
 Element equality is exact coordinate equality after canonical reduction, so
-group closure never depends on numeric precision.  All values are immutable.
+group closure never depends on numeric precision.  A group keeps every
+irrational entry at one field order n, the lcm of its entries' orders
+(rationals stay at order 1), so `Matrix2.key` tells its elements, and their
+products, apart by value.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -80,18 +83,12 @@ class Matrix2:
         return (self * self.dagger()).is_identity()
 
     def key(self):
-        """Hashable exact identity of the matrix (order/coords per entry)."""
-        return tuple((e.order, e.items) for e in self.entries)
+        """Hashable exact identity of the matrix (order/coords per entry).
 
-    def key_at(self, n: int):
-        """Hashable identity of the value: every entry's coordinates in Q(zeta_n).
-
-        Unlike `key`, equal matrices get equal keys even when an entry carries
-        a larger order than its value needs; n must be a multiple of
-        `field_order()`.
+        Keys of matrices whose entries share one field order (as every
+        group's elements and their products do) are equal iff the values are.
         """
-        # rationals are canonical at order 1 whatever field they came from
-        return tuple((e if e.order in (1, n) else e.promote(n)).items for e in self.entries)
+        return tuple((e.order, e.items) for e in self.entries)
 
     def field_order(self) -> int:
         return math.lcm(*(e.order for e in self.entries))
@@ -124,6 +121,14 @@ def _entry(x) -> Cyclotomic:
     return x if isinstance(x, Cyclotomic) else rational(x)
 
 
+def _at_order(m: Matrix2, n: int) -> Matrix2:
+    """m with every irrational entry stored in Q(zeta_n); n a multiple of m.field_order()."""
+    if all(e.order in (1, n) for e in m.entries):
+        return m
+    # rationals are canonical at order 1 whatever field they came from
+    return Matrix2(*(e if e.order in (1, n) else e.promote(n) for e in m.entries))
+
+
 def identity() -> Matrix2:
     return Matrix2(1, 0, 0, 1)
 
@@ -140,7 +145,8 @@ class FiniteMatrixGroup:
     """An explicit finite subgroup of U(2): ordered element list, identity first."""
 
     def __init__(self, elements: list[Matrix2], label: str):
-        self.elements = list(elements)
+        self._field_order = math.lcm(1, *(m.field_order() for m in elements))
+        self.elements = [_at_order(m, self._field_order) for m in elements]
         self.label = label
 
     @property
@@ -148,8 +154,8 @@ class FiniteMatrixGroup:
         return len(self.elements)
 
     def field_order(self) -> int:
-        """Smallest common cyclotomic order of all entries."""
-        return math.lcm(*(m.field_order() for m in self.elements))
+        """Smallest common cyclotomic order of all entries, the order they are stored at."""
+        return self._field_order
 
     def element_keys(self) -> set:
         return {m.key() for m in self.elements}
@@ -170,21 +176,21 @@ def closure(generators: list[Matrix2], cap: int = 10000, label: str = "closure")
     Element order is deterministic: BFS from the identity, multiplying on the
     right by the generators in their declared order.  A finite subsemigroup of
     a group is a group, so inverses and the identity are always present.
-    Elements are compared by value in Q(zeta_n), n the lcm of the generators'
-    entry orders, so a product whose entries carry a larger order than their
-    values need is still recognised as an element seen before.
+    The generators are first stored at n, the lcm of their entry orders, so
+    every product is too and `key` compares elements by value.
     """
     for i, g in enumerate(generators):
         if not g.is_unitary():
             raise NotUnitary(f"generator {i} is not unitary", index=i)
     n = math.lcm(1, *(g.field_order() for g in generators))
+    generators = [_at_order(g, n) for g in generators]
     elems = [identity()]
-    seen = {elems[0].key_at(n)}
+    seen = {elems[0].key()}
     i = 0
     while i < len(elems):
         for g in generators:
             m = elems[i] * g
-            k = m.key_at(n)
+            k = m.key()
             if k not in seen:
                 if len(elems) >= cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")

@@ -33,9 +33,6 @@ class Interval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi}, bits={self.bits})"
 

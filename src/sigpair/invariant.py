@@ -18,8 +18,8 @@ binary polyhedral groups 6 (T, O) or 12 (I).  H's own elements are folded
 first: their product is the identity coset's factor, since X_I = z1 zbar1
 and Y_I = z2 zbar2, F_H is read off it, and the fold continues from it over
 the other cosets.  H = {I} gives F_H = X + Y, the element-wise fold.  The
-polarization at zbar = (1, 1) is the same engine with X_g = (g.a + g.c) z1
-and Y_g = (g.b + g.d) z2.
+polarization 1 - prod_{g in G}(1 - (gz)_1 - (gz)_2) is Phi_G at
+zbar = (1, 1): its terms with the zbar exponents dropped, summed.
 
 The fold runs on scaled integer coordinate vectors (n the common cyclotomic
 order of all matrix entries) and converts to canonical field elements once
@@ -28,7 +28,10 @@ coefficients is a cyclic convolution of small integer vectors in
 Z[x]/(x^n - 1), and after every factor each vector is reduced modulo the
 cyclotomic polynomial Phi_n and dropped if it vanishes there.  The
 reduction keeps vectors short and drops monomials whose coefficient is zero
-in Q(zeta_n) but not in Z[x]/(x^n - 1).
+in Q(zeta_n) but not in Z[x]/(x^n - 1); it reads the same table of rows
+x^j mod Phi_n that canonical field elements are reduced with.  Group
+elements are compared with `Matrix2.key`, exact by value because a group
+stores all its entries at one field order.
 
 Monomial keys pack the exponent quadruple (a1, a2, b1, b2) of
 z1^a1 z2^a2 zbar1^b1 zbar2^b2 into one integer, 16 bits per slot, so the
@@ -41,13 +44,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-from .cyclotomic import Cyclotomic, _reduction_rows, euler_phi, rational
+from .cyclotomic import Cyclotomic, _reduction_rows, rational
 from .group import FiniteMatrixGroup, Matrix2
 
 _SHIFT = (0, 16, 32, 48)
 _MASK = 0xFFFF
+_Z_SLOTS = (1 << _SHIFT[2]) - 1
 
 
 class GroupTooLarge(ValueError):
@@ -69,6 +72,11 @@ def pack_key(a1: int, a2: int, b1: int, b2: int) -> int:
 
 def unpack_key(key: int) -> tuple[int, int, int, int]:
     return (key & _MASK, (key >> 16) & _MASK, (key >> 32) & _MASK, (key >> 48) & _MASK)
+
+
+# the monomials of <gz, z> = g.a z1 zbar1 + g.b z2 zbar1 + g.c z1 zbar2 + g.d z2 zbar2
+_Z1W1, _Z2W1, _Z1W2, _Z2W2 = (pack_key(1, 0, 1, 0), pack_key(0, 1, 1, 0),
+                              pack_key(1, 0, 0, 1), pack_key(0, 1, 0, 1))
 
 
 def _accumulate(out: dict, key: int, value: Cyclotomic) -> None:
@@ -269,18 +277,10 @@ def _fold_product(factors, n: int, progress=None, prod=None):
     return prod
 
 
-@lru_cache(maxsize=None)
-def _sparse_reduction_rows(n: int) -> tuple:
-    """(j, [(i, c)]) for phi(n) <= j < n: x^j = sum of c x^i modulo Phi_n."""
-    rows = _reduction_rows(n)
-    return tuple((j, [(i, c) for i, c in enumerate(rows[j]) if c])
-                 for j in range(euler_phi(n), n))
-
-
 def _reduce(prod, n: int):
     """Reduce every vector of prod in place modulo Phi_n, to degree below
     phi(n), and drop the vectors that vanish in Q(zeta_n)."""
-    rows = _sparse_reduction_rows(n)
+    rows = _reduction_rows(n).items()
     out = {}
     for key, vec in prod.items():
         for j, row in rows:
@@ -313,21 +313,26 @@ def _is_diagonal(M: Matrix2) -> bool:
     return M.b.is_zero() and M.c.is_zero()
 
 
-def _product(G: FiniteMatrixGroup, row, n: int, progress=None):
-    """prod_{g in G}(1 - row(g)) as (integer vectors, scale), folded by cosets.
+def _poly(*terms) -> HermitianPolynomial:
+    """sum of c * monomial over the (packed key, c) pairs with c nonzero."""
+    return HermitianPolynomial({key: c for key, c in terms if not c.is_zero()})
+
+
+def _product(G: FiniteMatrixGroup, n: int, progress=None):
+    """prod_{g in G}(1 - <gz, z>) as (integer vectors, scale), folded by cosets.
 
     The diagonal elements H are folded one by one.  Their product is the
     identity coset's factor 1 - F_H(X_I, Y_I), and the z exponents (i, j) of
     each of its monomials index the term X^i Y^j of 1 - F_H.  Every other
-    left coset gH contributes 1 - F_H(X_g, Y_g): X_g is the part of row(g)
-    carrying z1, Y_g the part carrying z2.
+    left coset gH contributes 1 - F_H(X_g, Y_g), with
+    X_g = z1 (g.a zbar1 + g.c zbar2) and Y_g = z2 (g.b zbar1 + g.d zbar2).
     """
     H = [M for M in G.elements if _is_diagonal(M)]
     reps, covered = [], set()
     for g in G.elements:
-        if not _is_diagonal(g) and g.key_at(n) not in covered:
+        if not _is_diagonal(g) and g.key() not in covered:
             reps.append(g)
-            covered.update((g * h).key_at(n) for h in H)
+            covered.update((g * h).key() for h in H)
     _require((1 + len(reps)) * len(H) == G.order,
              f"Lagrange identity: {1 + len(reps)} cosets of the {len(H)} diagonal "
              f"elements do not make up {G.order} elements")
@@ -336,7 +341,7 @@ def _product(G: FiniteMatrixGroup, row, n: int, progress=None):
     def report(offset):
         return None if progress is None else (lambda done, _: progress(offset + done, total))
 
-    factors = [_integer_factor([(delta, -c) for delta, c in row(h)], n) for h in H]
+    factors = [_integer_factor([(_Z1W1, -h.a), (_Z2W2, -h.d)], n) for h in H]
     prod = _fold_product(factors, n, report(0))
     scale = math.prod(d for d, _ in factors)
     if not reps:
@@ -345,10 +350,8 @@ def _product(G: FiniteMatrixGroup, row, n: int, progress=None):
     minus_f = {unpack_key(key)[:2]: c for key, c in _to_terms(prod, n, scale).items() if key}
     factors = []
     for g in reps:
-        terms = [(delta, c) for delta, c in row(g) if not c.is_zero()]
-        table = _power_table([HermitianPolynomial({k: c for k, c in terms if k & _MASK}),
-                              HermitianPolynomial({k: c for k, c in terms if not k & _MASK})],
-                             minus_f)
+        table = _power_table([_poly((_Z1W1, g.a), (_Z1W2, g.c)),
+                              _poly((_Z2W1, g.b), (_Z2W2, g.d))], minus_f)
         factor: dict[int, Cyclotomic] = {}
         for ij, c in minus_f.items():
             for key, v in table[ij].terms.items():
@@ -358,28 +361,16 @@ def _product(G: FiniteMatrixGroup, row, n: int, progress=None):
     return prod, scale * math.prod(d for d, _ in factors)
 
 
-def _expand(G: FiniteMatrixGroup, row, progress=None) -> HermitianPolynomial:
-    """1 - prod_{g in G}(1 - sum of c * monomial over row(g)), exactly.
-
-    row(g) lists (key_delta, c) pairs: the packed key of a monomial and its
-    Cyclotomic coefficient; every monomial carries exactly one of z1, z2.
-    """
+def phi(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:
+    """Exact expansion of Phi_G = 1 - prod_{g in G}(1 - <gz, z>)."""
     if G.order > _MASK:
         raise GroupTooLarge(f"group order {G.order} exceeds the packed-exponent limit {_MASK}")
     n = G.field_order()
-    prod, scale = _product(G, row, n, progress)
+    prod, scale = _product(G, n, progress)
     terms = _to_terms(prod, n, -scale)
     _accumulate(terms, 0, rational(1))
     _require(0 not in terms, "constant term must vanish")
-    return HermitianPolynomial(terms)
-
-
-def phi(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:
-    """Exact expansion of Phi_G = 1 - prod_{g in G}(1 - <gz, z>)."""
-    # <gz, z> = sum_{j,k} g[j][k] z_k zbar_j
-    out = _expand(G, lambda M: [(pack_key(1, 0, 1, 0), M.a), (pack_key(0, 1, 1, 0), M.b),
-                                (pack_key(1, 0, 0, 1), M.c), (pack_key(0, 1, 0, 1), M.d)],
-                  progress)
+    out = HermitianPolynomial(terms)
     _require(out.check_hermitian(), "expansion lost Hermitian symmetry")
     _require(all(x <= G.order for key in out.terms for x in unpack_key(key)),
              "degree bound exceeded")
@@ -387,6 +378,9 @@ def phi(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:
 
 
 def polarized_at_ones(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:
-    """1 - prod_{g in G}(1 - (gz)_1 - (gz)_2), a holomorphic polynomial."""
-    return _expand(G, lambda M: [(pack_key(1, 0, 0, 0), M.a + M.c),
-                                 (pack_key(0, 1, 0, 0), M.b + M.d)], progress)
+    """1 - prod_{g in G}(1 - (gz)_1 - (gz)_2), a holomorphic polynomial:
+    Phi_G at zbar = (1, 1)."""
+    out: dict[int, Cyclotomic] = {}
+    for key, c in phi(G, progress).terms.items():
+        _accumulate(out, key & _Z_SLOTS, c)
+    return HermitianPolynomial(out)

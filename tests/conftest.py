@@ -3,7 +3,8 @@ import pytest
 
 def pytest_addoption(parser):
     parser.addoption("--runslow", action="store_true", default=False,
-                     help="run the order-120 exact computation and other slow checks")
+                     help="run the slow checks: the engine-vs-f_{p,q} signature sweep "
+                          "over every Gamma(p,q) with p <= 30")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -1,16 +1,19 @@
 """Group action on polynomials, orbits, and the alternating class-sum identity."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from sigpair import chern
 from sigpair.chern import (Orbit, act, alternating_sum, chern_classes,
                            chern_sum_as_fpq, orbit, set_multiset_relation,
                            verify_chern_identity)
 from sigpair.cyclotomic import root_of_unity
 from sigpair.fpq import fpq
-from sigpair.group import (FiniteMatrixGroup, Matrix2, binary_dihedral,
-                           cyclic_gamma, diag, dihedral, identity, trivial_group)
+from sigpair.group import (FiniteMatrixGroup, Matrix2, antidiag, binary_dihedral,
+                           closure, cyclic_gamma, diag, dihedral, identity,
+                           trivial_group)
 from sigpair.invariant import HermitianPolynomial, InvariantCheckFailed
 
 holo = HermitianPolynomial.holomorphic
@@ -124,6 +127,24 @@ def test_multiset_required_when_stabilizer_nontrivial():
     multi = chern_classes(orb, use_multiset=True)
     sett = chern_classes(orb, use_multiset=False)
     assert len(multi) == 2 and len(sett) == 1
+
+
+def test_orbit_in_mixed_order_group():
+    # generators of orders 3, 15 and 1; translates are compared by value
+    g = closure([diag(root_of_unity(3, 1), 1), diag(root_of_unity(15, 1), root_of_unity(15, 14)),
+                 antidiag(1, 1)])
+    assert g.order == 90
+    fixed = holo({(1, 1): 1})
+    orb = orbit(g, fixed)
+    assert len(orb.distinct) == 3 and orb.stabilizer_order == 30
+    assert set_multiset_relation(g, fixed)
+
+
+def test_class_sum_must_be_integral(monkeypatch):
+    # the check is an exception, not an assert, so it also holds under python -O
+    monkeypatch.setattr(chern, "alternating_sum", lambda classes: holo({(1, 0): Fraction(1, 2)}))
+    with pytest.raises(InvariantCheckFailed, match="non-integer"):
+        chern_sum_as_fpq(cyclic_gamma(3, 1))
 
 
 def test_orbit_dataclass():

@@ -7,8 +7,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sigpair.cyclotomic import (DEFAULT_PRECISION_CAP, Cyclotomic, DivisionByZero,
-                                IncompatibleOrder, InvalidPrecisionCap, NotReal,
+from sigpair import cyclotomic
+from sigpair.cyclotomic import (DEFAULT_PRECISION_CAP, Cyclotomic, CyclotomicCheckFailed,
+                                DivisionByZero, IncompatibleOrder,
+                                InvalidPrecisionCap, NotReal,
                                 cyclotomic_polynomial, euler_phi,
                                 multiplicative_order, one, precision_cap,
                                 rational, root_of_unity, zero)
@@ -120,6 +122,25 @@ def test_division_errors():
         one() / zero()
     with pytest.raises(DivisionByZero):
         zero().inverse()
+
+
+def test_inexact_cyclotomic_division_is_a_typed_error(monkeypatch):
+    # the checks are exceptions, not asserts, so they also hold under python -O
+    exact = cyclotomic._pdivmod
+
+    def with_remainder(a, b):
+        q, r = exact(a, b)
+        return q, [r[0] + 1] + r[1:]
+
+    monkeypatch.setattr(cyclotomic, "_pdivmod", with_remainder)
+    with pytest.raises(CyclotomicCheckFailed, match="remainder"):
+        cyclotomic_polynomial.__wrapped__(12)  # bypass the cache
+
+
+def test_vanishing_inverse_gcd_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_pdivmod", lambda a, b: ([Fraction(0)], [Fraction(0)]))
+    with pytest.raises(CyclotomicCheckFailed, match="gcd"):
+        root_of_unity(5, 1).inverse()
 
 
 def test_promote_and_roundtrip():

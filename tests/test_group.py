@@ -107,7 +107,27 @@ def test_closure_compares_elements_by_value():
     rot, refl = dihedral(6).elements[1:3]
     g = closure([u * m * u.dagger() for m in (rot, refl)])
     assert g.order == 12
-    assert len({m.key_at(g.field_order()) for m in g}) == 12
+    assert len({m.key() for m in g}) == 12
+
+
+def _mixed_order_groups():
+    # generators of orders 3, 15 and 1: products meet values such as zeta_3
+    # both as order-3 and as order-15 entries
+    yield closure([diag(root_of_unity(3, 1), 1), diag(root_of_unity(15, 1), root_of_unity(15, 14)),
+                   antidiag(1, 1)])
+    # listed by hand, not closed: zeta_15^k written at order 3 or 5 where it can be
+    yield FiniteMatrixGroup([diag(root_of_unity(3, k // 5) if k % 5 == 0 else
+                                  root_of_unity(5, k // 3) if k % 3 == 0 else
+                                  root_of_unity(15, k), 1) for k in range(15)], "Z15")
+
+
+@pytest.mark.parametrize("g", list(_mixed_order_groups()), ids=lambda g: g.label)
+def test_keys_compare_by_value_in_mixed_order_groups(g):
+    assert g.field_order() == 15
+    assert all(e.order in (1, 15) for m in g for e in m.entries)
+    keys = g.element_keys()
+    assert len(keys) == g.order
+    assert all((m * w).key() in keys for m in g for w in g)
 
 
 def test_constructor_order_check_is_a_typed_error(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 
 import sigpair
 from sigpair import invariant
-from sigpair.cyclotomic import Cyclotomic, rational
+from sigpair.cyclotomic import Cyclotomic, rational, root_of_unity
 from sigpair.fpq import fpq
 from sigpair.group import (FiniteMatrixGroup, antidiag, binary_dihedral,
                            binary_polyhedral, closure, conjugate, cyclic_gamma,
@@ -215,6 +215,9 @@ def _oracle_groups():
     yield closure([diag(-1, 1), antidiag(1, 1)], label="klein")
     # the diagonal subgroup is {I}: every coset factor is linear
     yield closure([antidiag(1, 1)], label="swap")
+    # generators of orders 3, 15 and 1: coset representatives compare by value
+    yield closure([diag(root_of_unity(3, 1), 1), diag(root_of_unity(15, 1), root_of_unity(15, 14)),
+                   antidiag(1, 1)], label="mixed")
 
 
 @pytest.mark.parametrize("G", list(_oracle_groups()), ids=lambda G: G.label)
@@ -251,7 +254,7 @@ def _past_degree_bound(prod, order):
     (phi, _past_degree_bound, "degree bound"),
 ])
 def test_corrupted_fold_fails_its_check(monkeypatch, expand, corrupt, what):
-    # corrupt the full product, the one _expand converts to field coefficients
+    # corrupt the full product, the one phi converts to field coefficients
     g = dihedral(3)
     product = invariant._product
 
