@@ -19,11 +19,11 @@ from .signature import (EmptySpectrum, HermitianMatrix, Inertia, NotHermitian,
                         SignaturePair, coefficient_matrix, gauss_rank,
                         inertia_exact, inertia_numeric, positivity_ratio,
                         signature_pair)
-from .fpq import (IntBivariatePoly, T_closed, WeightReport, c_closed,
+from .fpq import (T_closed, WeightReport, c_closed, even_binomial,
                   f_closed_pminus1, fpq, lww_sign, mirror_check,
                   signature_cyclic, signature_cyclic_closed, verify_exact_formula,
                   weight, weight_census)
-from .closedforms import (DiagonalBlockSummary, UnivariateIntPoly, d_poly,
+from .closedforms import (ClosedFormCheckFailed, DiagonalBlockSummary, d_poly,
                           d_poly_closed, d_sign_check, delta_counts,
                           delta_ratio, delta_signature_closed, e_coeffs,
                           lambda_signature_closed, p_poly_roots_check,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fpq import IntBivariatePoly, fpq
 from .group import FiniteMatrixGroup, Matrix2
 from .invariant import (HermitianPolynomial, InvariantCheckFailed, polarized_at_ones,
                         unpack_key)
@@ -82,8 +81,9 @@ def verify_chern_identity(G: FiniteMatrixGroup, use_multiset: bool = True) -> bo
     return lhs == polarized_at_ones(G)
 
 
-def chern_sum_as_fpq(G: FiniteMatrixGroup) -> IntBivariatePoly:
-    """The alternating class sum of cyclic Gamma(p,q) read as an integer polynomial."""
+def chern_sum_as_fpq(G: FiniteMatrixGroup) -> dict[tuple[int, int], int]:
+    """The alternating class sum of cyclic Gamma(p,q) read as an integer polynomial
+    {(a1, a2): coefficient of z1^a1 z2^a2}, comparable with `fpq.fpq`."""
     orb = orbit(G, HermitianPolynomial.holomorphic({(1, 0): 1, (0, 1): 1}))
     total = alternating_sum(chern_classes(orb))
     out = {}
@@ -93,7 +93,7 @@ def chern_sum_as_fpq(G: FiniteMatrixGroup) -> IntBivariatePoly:
         if f.denominator != 1:
             raise InvariantCheckFailed(f"alternating class sum has the non-integer coefficient {f}")
         out[(a1, a2)] = int(f)
-    return IntBivariatePoly(out)
+    return out
 
 
 def set_multiset_relation(G: FiniteMatrixGroup, h: HermitianPolynomial) -> bool:

@@ -136,10 +136,10 @@ def cmd_fpq(args) -> int:
         return 2
     poly = fpq(args.p, args.q)
     if args.format == "json":
-        print(json.dumps({f"{r},{s}": c for (r, s), c in poly.items_sorted()}, sort_keys=True))
+        print(json.dumps({f"{r},{s}": c for (r, s), c in sorted(poly.items())}, sort_keys=True))
     elif args.format == "csv":
         print("r,s,coefficient")
-        for (r, s), c in poly.items_sorted():
+        for (r, s), c in sorted(poly.items()):
             print(f"{r},{s},{c}")
     else:
         print(format_fpq(poly, args.p, args.q, latex=latex))
@@ -316,7 +316,7 @@ def _verify_lww(args) -> VerificationReport:
     def check(case):
         p, q = case
         poly = fpq(p, q)
-        for (r, s), c in poly.terms.items():
+        for (r, s), c in poly.items():
             w = weight(r, s, p, q)
             if w is None or (1 if c > 0 else -1) != lww_sign(r, s, w):
                 return False

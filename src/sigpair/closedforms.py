@@ -12,7 +12,10 @@ result in invariant-polynomial blocks gives diagonal matrices whose entries
 (the coefficients c_{p,j}, E_k, d_k computed here) have known signs, plus one
 2x2 block with negative determinant; the closed-form signature pairs follow
 by counting.  Everything in this module is an independent prediction that the
-exact engine cross-checks; nothing here feeds back into it.
+exact engine cross-checks; nothing here feeds back into it.  Univariate
+polynomials are lists of int coefficients indexed by degree, without trailing
+zeros; `fpq.even_binomial` expands E_n(u) = sum_m C(n, 2m) u^m, which gives
+both the d_k generating identity and the auxiliary polynomial P(z).
 """
 
 from __future__ import annotations
@@ -23,36 +26,21 @@ from fractions import Fraction
 
 import mpmath
 
-from .cyclotomic import Cyclotomic, rational
-from .fpq import IntBivariatePoly, c_closed, fpq
+from .cyclotomic import Cyclotomic, _pmul, rational
+from .fpq import c_closed, even_binomial, fpq
 from .invariant import HermitianPolynomial, pack_key
 from .signature import Inertia, SignaturePair
 
 
-class UnivariateIntPoly:
-    """Dense integer polynomial, coefficients indexed by degree."""
+class ClosedFormCheckFailed(ArithmeticError):
+    """A proven property of a closed-form coefficient failed (internal bug)."""
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = coeffs
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __eq__(self, other):
-        if not isinstance(other, UnivariateIntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"UnivariateIntPoly({self.coeffs!r})"
+def _trim(coeffs: list[int]) -> list[int]:
+    """Drop trailing zero coefficients in place and return the list."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 @dataclass
@@ -64,14 +52,15 @@ class DiagonalBlockSummary:
     contribution: Inertia
 
 
-def _subst_terms(f: IntBivariatePoly, anti: bool, negate_y: bool) -> dict[int, Cyclotomic]:
+def _subst_terms(f: dict[tuple[int, int], int], anti: bool,
+                 negate_y: bool) -> dict[int, Cyclotomic]:
     """Map f(x, y) into Hermitian-polynomial keys.
 
     Diagonal arguments send x^r y^s to z1^r z2^s zbar1^r zbar2^s; anti-diagonal
     arguments send it to z1^s z2^r zbar1^r zbar2^s, optionally with (-1)^s.
     """
     out = {}
-    for (r, s), c in f.terms.items():
+    for (r, s), c in f.items():
         if anti:
             key = pack_key(s, r, r, s)
             val = -c if (negate_y and s % 2) else c
@@ -82,7 +71,7 @@ def _subst_terms(f: IntBivariatePoly, anti: bool, negate_y: bool) -> dict[int, C
     return out
 
 
-def _three_term_phi(f: IntBivariatePoly, negate_y: bool) -> HermitianPolynomial:
+def _three_term_phi(f: dict[tuple[int, int], int], negate_y: bool) -> HermitianPolynomial:
     A = HermitianPolynomial(_subst_terms(f, False, False))
     B = HermitianPolynomial(_subst_terms(f, True, negate_y))
     return A + B - A * B
@@ -130,7 +119,8 @@ def delta_blocks(p: int) -> list[DiagonalBlockSummary]:
     blocks.append(DiagonalBlockSummary(
         "A_p1", a1, Inertia(sum(1 for v in a1 if v > 0), sum(1 for v in a1 if v < 0), 0)))
     a2 = [(-1) ** (k + 1) * ev[k - 1] for k in range(1, p)]
-    assert all(v != 0 for v in a2)
+    if 0 in a2:
+        raise ClosedFormCheckFailed(f"an E_k of the dihedral p = {p} vanishes")
     blocks.append(DiagonalBlockSummary(
         "A_p2", a2, Inertia(sum(1 for v in a2 if v > 0), sum(1 for v in a2 if v < 0), 0)))
     corner = 0 if p % 2 else -ev[p - 1]
@@ -177,7 +167,7 @@ def d_coeff_closed(p: int, j: int) -> int:
     return total
 
 
-def d_poly(p: int) -> UnivariateIntPoly:
+def d_poly(p: int) -> list[int]:
     """D_p(t) = sum d_k t^(2k) extracted from the decomposed Phi_Lambda_p."""
     P = phi_lambda_decomposed(p)
     coeffs = [0] * (4 * p + 1)
@@ -185,37 +175,24 @@ def d_poly(p: int) -> UnivariateIntPoly:
         c = P.terms.get(pack_key(2 * k, 2 * k, 2 * k, 2 * k))
         if c is not None:
             coeffs[2 * k] = int(c.as_fraction())
-    return UnivariateIntPoly(coeffs)
+    return _trim(coeffs)
 
 
-def d_poly_closed(p: int) -> UnivariateIntPoly:
-    """D_p(t) from the generating identity.
+def d_poly_closed(p: int) -> list[int]:
+    """D_p(t) from the generating identity D_p(t) = 1 - 4^(1-2p) E_{2p}(1-4t) E_{2p}(1+4t).
 
-    D_p(t) = 1 - 4^(1-2p) * u(t) v(t) with u = sum_j C(2p,2j) (1-4t)^j and
-    v = sum_k C(2p,2k) (1+4t)^k.  (The product of the four sign variants of
-    (1 +- a)(1 +- b), a^2 = 1-4t, b^2 = 1+4t, collapses to 4 u v.)
+    (The product of the four sign variants of (1 +- a)(1 +- b), a^2 = 1-4t,
+    b^2 = 1+4t, collapses to 4 E_{2p}(a^2) E_{2p}(b^2).)
     """
-    u = [Fraction(0)] * (p + 1)
-    v = [Fraction(0)] * (p + 1)
-    for j in range(p + 1):
-        b = math.comb(2 * p, 2 * j)
-        for i in range(j + 1):
-            w = b * math.comb(j, i) * (4 ** i)
-            u[i] += Fraction((-1) ** i * w)
-            v[i] += Fraction(w)
-    prod = [Fraction(0)] * (2 * p + 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v):
-                if y:
-                    prod[i + j] += x * y
-    scale = Fraction(4) ** (1 - 2 * p)
+    prod = _pmul(even_binomial(2 * p, 1, -4), even_binomial(2 * p, 1, 4))
     coeffs = []
     for k, c in enumerate(prod):
-        val = (1 if k == 0 else 0) - scale * c
-        assert val.denominator == 1, "D_p coefficient not integral"
-        coeffs.append(int(val))
-    return UnivariateIntPoly(coeffs)
+        d, rem = divmod(c, 4 ** (2 * p - 1))
+        if rem:
+            raise ClosedFormCheckFailed(f"D_{p} coefficient of t^{k} is not an integer")
+        coeffs.append(-d)
+    coeffs[0] += 1
+    return _trim(coeffs)
 
 
 def d_sign_check(p: int) -> bool:
@@ -223,10 +200,10 @@ def d_sign_check(p: int) -> bool:
     ext = d_poly(p)
     if ext != d_poly_closed(p):
         return False
-    if any(ext.coeff(2 * k - 1) for k in range(1, p + 1)):
+    if len(ext) != 2 * p + 1 or any(ext[1::2]):
         return False
     for k in range(1, p + 1):
-        d = ext.coeff(2 * k)
+        d = ext[2 * k]
         if k % 2 and d <= 0:
             return False
         if k % 2 == 0 and d >= 0:
@@ -245,10 +222,12 @@ def lambda_blocks(p: int) -> list[DiagonalBlockSummary]:
         raise ValueError("block derivation needs p >= 2")
     blocks = [DiagonalBlockSummary("E_1", [1], Inertia(1, 0, 0))]
     e1 = [c_closed(2 * p, j) for j in range(1, p + 1)]
-    assert all(v > 0 for v in e1)
+    if min(e1) <= 0:
+        raise ClosedFormCheckFailed(f"a c_{{{2 * p},j}} is not positive")
     blocks.append(DiagonalBlockSummary("E_p1", e1, Inertia(p, 0, 0)))
     e2 = [d_coeff_closed(p, j) for j in range(1, p)]
-    assert all(v != 0 for v in e2)
+    if 0 in e2:
+        raise ClosedFormCheckFailed(f"a d_j of the binary dihedral p = {p} vanishes")
     blocks.append(DiagonalBlockSummary(
         "E_p2", e2, Inertia(sum(1 for v in e2 if v > 0), sum(1 for v in e2 if v < 0), 0)))
     blocks.append(DiagonalBlockSummary("E_p3", [d_coeff_closed(p, p), -1], Inertia(1, 1, 0)))
@@ -269,9 +248,9 @@ def blocks_signature(blocks: list[DiagonalBlockSummary]) -> SignaturePair:
 # -- the auxiliary even-binomial polynomial -----------------------------------
 
 
-def p_poly(p: int) -> UnivariateIntPoly:
-    """P(z) = 2 sum_k C(2p, 2k) z^k."""
-    return UnivariateIntPoly([2 * math.comb(2 * p, 2 * k) for k in range(p + 1)])
+def p_poly(p: int) -> list[int]:
+    """P(z) = 2 E_{2p}(z) = 2 sum_k C(2p, 2k) z^k."""
+    return [2 * c for c in even_binomial(2 * p, 0, 1)]
 
 
 def p_poly_roots_check(p: int) -> bool:
@@ -279,7 +258,7 @@ def p_poly_roots_check(p: int) -> bool:
     and |P(x+iy)|^2 has positive coefficients everywhere on its support (exact)."""
     poly = p_poly(p)
     with mpmath.workprec(128):
-        coeffs = [mpmath.mpf(c) for c in reversed(poly.coeffs)]
+        coeffs = [mpmath.mpf(c) for c in reversed(poly)]
         roots = sorted(mpmath.polyroots(coeffs, maxsteps=200, extraprec=64),
                        key=lambda r: mpmath.re(r))
         expected = sorted((-mpmath.tan((2 * j + 1) * mpmath.pi / (4 * p)) ** 2
@@ -292,7 +271,7 @@ def p_poly_roots_check(p: int) -> bool:
                 return False
     # exact part: expand P(x+iy) over Z[i], then multiply by its conjugate
     gauss: dict[int, tuple[int, int]] = {}
-    for k, c in enumerate(poly.coeffs):
+    for k, c in enumerate(poly):
         if not c:
             continue
         # (x+iy)^k: C(k, m) x^(k-m) (iy)^m

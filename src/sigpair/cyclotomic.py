@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import intervals
-from .intervals import Interval
 
 Rational = Fraction
 
@@ -348,11 +347,6 @@ class Cyclotomic:
 
     # -- real evaluation -------------------------------------------------
 
-    def real_enclosure(self, bits: int) -> Interval:
-        """Certified dyadic interval around the value; element must be real."""
-        lo, hi = intervals.real_enclosure(self.order, self.items, bits)
-        return Interval(lo, hi, bits)
-
     def sign(self) -> int:
         """Exact sign of a real element: -1, 0 or +1.
 
@@ -432,7 +426,8 @@ class Cyclotomic:
 
 
 def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    """Product of dense coefficient lists; integer inputs stay integer."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):

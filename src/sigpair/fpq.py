@@ -14,9 +14,11 @@ A brute-force expansion over Q(zeta_p) serves as the independent oracle in
 the test suite, and the diagonal of the exact Phi engine cross-checks the
 same values a third way.
 
-Also here: the weight of a monomial, the gcd sign rule, weight censuses with
-their integer bounds, the closed forms for q = p-1, and the asymptotic
-positivity ratio.
+A polynomial here is a plain dict {(r, s): coefficient of x^r y^s} with no
+zero values.  Also here: the weight of a monomial, the gcd sign rule, weight
+censuses with their integer bounds, the closed forms for q = p-1, the
+even-binomial polynomial E_n behind them (shared with `closedforms`), and the
+asymptotic positivity ratio.
 """
 
 from __future__ import annotations
@@ -37,33 +39,7 @@ class IndexOutOfRange(ValueError):
 
 
 class CensusBoundViolation(AssertionError):
-    """A proven weight-census bound failed (internal bug)."""
-
-
-class IntBivariatePoly:
-    """Sparse polynomial in x, y with exact integer coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], int] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    def coeff(self, r: int, s: int) -> int:
-        return self.terms.get((r, s), 0)
-
-    def items_sorted(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, IntBivariatePoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        return f"IntBivariatePoly({self.terms!r})"
+    """A proven support or weight-census property failed (internal bug)."""
 
 
 def lattice_points(p: int, q: int) -> list[tuple[int, int]]:
@@ -82,8 +58,12 @@ def lattice_points(p: int, q: int) -> list[tuple[int, int]]:
     return sorted(pts, key=lambda m: (m[0] + m[1], m[1]))
 
 
-def fpq(p: int, q: int) -> IntBivariatePoly:
-    """Exact f_{p,q}; every coefficient is asserted to be an integer."""
+def fpq(p: int, q: int) -> dict[tuple[int, int], int]:
+    """Exact f_{p,q} as {(r, s): coefficient of x^r y^s}, zero terms omitted.
+
+    Every division of the recurrence is checked to be exact and every term to
+    lie on the weight lattice.
+    """
     if p < 1:
         raise ValueError("p must be positive")
     pts = lattice_points(p, q)
@@ -102,10 +82,10 @@ def fpq(p: int, q: int) -> IntBivariatePoly:
         if rem:
             raise NonIntegerCoefficient(f"f_{{{p},{q}}} coefficient at {(r, s)}")
         prod[(r, s)] = coef
-    out = {m: -c for m, c in prod.items() if m != (0, 0) and c}
-    poly = IntBivariatePoly(out)
-    for (r, s) in poly.terms:
-        assert (r + (q % p) * s) % p == 0 and 0 < r + s <= p
+    poly = {m: -c for m, c in prod.items() if m != (0, 0) and c}
+    for (r, s) in poly:
+        if (r + (q % p) * s) % p or not 0 < r + s <= p:
+            raise CensusBoundViolation(f"f_{{{p},{q}}} has the off-lattice term x^{r} y^{s}")
     return poly
 
 
@@ -126,42 +106,48 @@ def c_closed(p: int, j: int) -> int:
         raise IndexOutOfRange(f"j={j} outside 1..{p // 2}")
     num = p * math.comb(p - j, j)
     c, rem = divmod(num, p - j)
-    assert rem == 0
+    if rem:
+        raise NonIntegerCoefficient(f"c_{{{p},{j}}} = {num}/{p - j}")
     return c
 
 
-def f_closed_pminus1(p: int) -> IntBivariatePoly:
+def f_closed_pminus1(p: int) -> dict[tuple[int, int], int]:
     """x^p + y^p + sum_j (-1)^(j-1) c_{p,j} (xy)^j, the closed form of f_{p,p-1}."""
     terms = {(p, 0): 1, (0, p): 1}
     for j in range(1, p // 2 + 1):
-        terms[(j, j)] = terms.get((j, j), 0) + (-1) ** (j - 1) * c_closed(p, j)
-    return IntBivariatePoly(terms)
+        terms[(j, j)] = (-1) ** (j - 1) * c_closed(p, j)
+    return terms
+
+
+def even_binomial(n: int, a: int, c: int) -> list[int]:
+    """Coefficients in t of E_n(a + c t), where E_n(u) = sum_m C(n, 2m) u^m.
+
+    E_n(a^2) = ((1 + a)^n + (1 - a)^n) / 2.  The square-root formula for
+    f_{p,p-1}, the generating identity of the binary dihedral d_k and the
+    auxiliary polynomial P(z) are all written with E_n.
+    """
+    out = [0] * (n // 2 + 1)
+    for m in range(n // 2 + 1):
+        b = math.comb(n, 2 * m)
+        for i in range(m + 1):
+            out[i] += b * math.comb(m, i) * a ** (m - i) * c ** i
+    return out
 
 
 def verify_exact_formula(p: int) -> bool:
     """Check the square-root formula for f_{p,p-1}.
 
-    ((1+a)/2)^p + ((1-a)/2)^p with a^2 = 1 - 4t expands via the binomial
-    theorem to 2^(1-p) * sum_m C(p, 2m) (1-4t)^m; the formula asserts
-    f_{p,p-1} = x^p + y^p + 1 - that polynomial evaluated at t = xy.
+    ((1+a)/2)^p + ((1-a)/2)^p with a^2 = 1 - 4t is 2^(1-p) E_p(1 - 4t); the
+    formula states f_{p,p-1} = x^p + y^p + 1 - 2^(1-p) E_p(1 - 4xy), so in
+    particular every coefficient of E_p(1 - 4t) is divisible by 2^(p-1).
     """
-    g = [Fraction(0)] * (p // 2 + 1)  # coefficients in t
-    scale = Fraction(1, 1 << (p - 1))
-    for m in range(p // 2 + 1):
-        b = math.comb(p, 2 * m)
-        # (1-4t)^m
-        for i in range(m + 1):
-            g[i] += scale * b * math.comb(m, i) * ((-4) ** i)
-    expect: dict[tuple[int, int], Fraction] = {(p, 0): Fraction(1), (0, p): Fraction(1)}
-    for i in range(1, len(g)):
-        if g[i]:
-            expect[(i, i)] = expect.get((i, i), Fraction(0)) - g[i]
-    const = Fraction(1) - g[0]
-    if const:
-        expect[(0, 0)] = const
-    actual = fpq(p, p - 1)
-    keys = set(expect) | set(actual.terms)
-    return all(expect.get(m, Fraction(0)) == actual.coeff(*m) for m in keys)
+    expect = {(p, 0): 1, (0, p): 1, (0, 0): 1}
+    for i, g in enumerate(even_binomial(p, 1, -4)):
+        c, rem = divmod(g, 1 << (p - 1))
+        if rem:
+            return False
+        expect[(i, i)] = expect.get((i, i), 0) - c
+    return {m: c for m, c in expect.items() if c} == fpq(p, p - 1)
 
 
 @dataclass
@@ -182,9 +168,10 @@ def weight_census(p: int, q: int) -> WeightReport:
     poly = fpq(p, q)
     per_k: dict[int, int] = {}
     records = []
-    for (r, s), c in poly.items_sorted():
+    for (r, s), c in sorted(poly.items()):
         k = weight(r, s, p, q)
-        assert k is not None
+        if k is None:
+            raise CensusBoundViolation(f"f_{{{p},{q}}} has the off-lattice term x^{r} y^{s}")
         per_k[k] = per_k.get(k, 0) + 1
         records.append((r, s, k, 1 if c > 0 else -1))
     n_total = len(poly)
@@ -209,7 +196,7 @@ def weight_census(p: int, q: int) -> WeightReport:
 def signature_cyclic(p: int, q: int) -> SignaturePair:
     """Sign census of the f_{p,q} coefficients (the diagonal group's signature)."""
     poly = fpq(p, q)
-    pos = sum(1 for c in poly.terms.values() if c > 0)
+    pos = sum(1 for c in poly.values() if c > 0)
     return SignaturePair(pos, len(poly) - pos)
 
 
@@ -245,9 +232,11 @@ def mirror_check(p: int, q: int) -> bool:
         raise ValueError("need 1 <= q <= p")
     f1 = fpq(p, q)
     f2 = fpq(p, p - q + 1)
-    by_s1 = {s: abs(c) for (r, s), c in f1.terms.items()}
-    by_s2 = {s: abs(c) for (r, s), c in f2.terms.items()}
-    assert len(by_s1) == len(f1) and len(by_s2) == len(f2)
+    by_s1 = {s: abs(c) for (r, s), c in f1.items()}
+    by_s2 = {s: abs(c) for (r, s), c in f2.items()}
+    if len(by_s1) != len(f1) or len(by_s2) != len(f2):
+        raise CensusBoundViolation(
+            f"two terms of f_{{{p},{q}}} or f_{{{p},{p - q + 1}}} share a y-degree")
     return by_s1 == by_s2
 
 
@@ -259,7 +248,7 @@ def prime_congruence_holds(p: int, q: int) -> bool:
             if (r, s) == (0, 0):
                 continue
             binom = math.comb(p, r) if r + s == p else 0
-            if (poly.coeff(r, s) - binom) % p:
+            if (poly.get((r, s), 0) - binom) % p:
                 return False
     return True
 
@@ -267,8 +256,8 @@ def prime_congruence_holds(p: int, q: int) -> bool:
 # -- text rendering -----------------------------------------------------------
 
 
-def _sorted_for_display(poly: IntBivariatePoly, p: int, q: int):
-    return sorted(poly.terms.items(), key=lambda it: (weight(it[0][0], it[0][1], p, q), it[0][1]))
+def _sorted_for_display(poly: dict[tuple[int, int], int], p: int, q: int):
+    return sorted(poly.items(), key=lambda it: (weight(it[0][0], it[0][1], p, q), it[0][1]))
 
 
 def _monomial_text(r: int, s: int) -> str:
@@ -280,7 +269,7 @@ def _monomial_text(r: int, s: int) -> str:
     return "".join(parts) or "1"
 
 
-def format_fpq(poly: IntBivariatePoly, p: int, q: int, latex: bool = False) -> str:
+def format_fpq(poly: dict[tuple[int, int], int], p: int, q: int, latex: bool = False) -> str:
     """Render in the conventional order: ascending weight, then ascending y-degree."""
     parts = []
     for (r, s), c in _sorted_for_display(poly, p, q):

@@ -3,9 +3,9 @@
 Endpoints are Fractions whose denominators are powers of two, so every ring
 operation on endpoints is exact; rounding happens only when an endpoint is
 pushed onto a coarser dyadic grid, and it is always outward.  An enclosure
-computed here therefore genuinely contains the real number it approximates,
-which is what makes the sign certification in `cyclotomic` a proof rather
-than a heuristic.
+computed here, a (lo, hi) pair of dyadic Fractions, therefore genuinely
+contains the real number it approximates, which is what makes the sign
+certification in `cyclotomic` a proof rather than a heuristic.
 """
 
 from __future__ import annotations
@@ -13,28 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-
-class Interval:
-    """Closed real interval [lo, hi] with dyadic endpoints at a given precision."""
-
-    __slots__ = ("lo", "hi", "bits")
-
-    def __init__(self, lo: Fraction, hi: Fraction, bits: int):
-        if lo > hi:
-            raise ValueError("interval endpoints out of order")
-        self.lo = lo
-        self.hi = hi
-        self.bits = bits
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __repr__(self):
-        return f"Interval({self.lo}, {self.hi}, bits={self.bits})"
 
 
 def floor_dyadic(x: Fraction, bits: int) -> Fraction:

@@ -55,11 +55,19 @@ class SignaturePair(NamedTuple):
 
 
 class HermitianMatrix:
-    """Sparse Hermitian matrix over a cyclotomic field, with a monomial basis."""
+    """Sparse Hermitian matrix over a cyclotomic field, with a monomial basis.
+
+    The constructor checks the symmetry exactly and raises `NotHermitian`, so
+    every instance is Hermitian.
+    """
 
     def __init__(self, basis: list[tuple[int, int]], entries: dict[tuple[int, int], Cyclotomic]):
         self.basis = list(basis)
         self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        for (i, j), c in self.entries.items():
+            mirror = self.entries.get((j, i))
+            if mirror is None or mirror != c.conj():
+                raise NotHermitian(f"entry ({i},{j}) has no conjugate partner")
 
     @property
     def dimension(self) -> int:
@@ -67,12 +75,6 @@ class HermitianMatrix:
 
     def entry(self, i: int, j: int) -> Cyclotomic:
         return self.entries.get((i, j), rational(0))
-
-    def check_hermitian(self):
-        for (i, j), c in self.entries.items():
-            mirror = self.entries.get((j, i))
-            if mirror is None or mirror != c.conj():
-                raise NotHermitian(f"entry ({i},{j}) has no conjugate partner")
 
     def components(self) -> list[list[int]]:
         """Connected components of the off-diagonal support graph."""
@@ -119,9 +121,7 @@ def coefficient_matrix(P: HermitianPolynomial) -> HermitianMatrix:
     for key, c in P.terms.items():
         a1, a2, b1, b2 = unpack_key(key)
         entries[(index[(a1, a2)], index[(b1, b2)])] = c
-    m = HermitianMatrix(basis, entries)
-    m.check_hermitian()
-    return m
+    return HermitianMatrix(basis, entries)
 
 
 def _magnitude(c: Cyclotomic) -> float:
@@ -197,7 +197,6 @@ def _eliminate_block(block: list[list[Cyclotomic]]) -> Inertia:
 
 def inertia_exact(M: HermitianMatrix) -> Inertia:
     """Certified inertia by Hermitian congruence elimination."""
-    M.check_hermitian()
     pos = neg = zero_ct = 0
     for comp in M.components():
         block = M.dense_block(comp)
@@ -282,8 +281,7 @@ def positivity_ratio(G: FiniteMatrixGroup) -> Fraction:
 
 
 def result_record(G: FiniteMatrixGroup, method: str = "exact",
-                  precision_bits: int = 256, zero_threshold: float = 1e-30,
-                  poly: HermitianPolynomial | None = None) -> dict:
+                  precision_bits: int = 256, poly: HermitianPolynomial | None = None) -> dict:
     """The JSON result record for a single group computation.
 
     `poly` is Phi_G when the caller has already expanded it; `elapsed_ms` then
@@ -294,7 +292,7 @@ def result_record(G: FiniteMatrixGroup, method: str = "exact",
     if method == "exact":
         inertia = inertia_exact(M)
     elif method == "numeric":
-        inertia = inertia_numeric(M, precision_bits, zero_threshold)
+        inertia = inertia_numeric(M, precision_bits)
     else:
         raise ValueError(f"unknown method {method!r}")
     ratio = positivity_ratio_from(inertia)

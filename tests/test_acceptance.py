@@ -142,7 +142,7 @@ def test_criterion_05_gcd_sign_rule():
     cases = 0
     for p in range(1, 61):
         for q in (2, 3, 4, 5, 7, 8):
-            for (r, s), c in fpq(p, q).terms.items():
+            for (r, s), c in fpq(p, q).items():
                 w = weight(r, s, p, q)
                 assert w is not None, (p, q, r, s)
                 assert (1 if c > 0 else -1) == lww_sign(r, s, w), (p, q, r, s)

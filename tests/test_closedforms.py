@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from sigpair.closedforms import (DiagonalBlockSummary, UnivariateIntPoly,
+from sigpair import closedforms
+from sigpair.closedforms import (ClosedFormCheckFailed, DiagonalBlockSummary,
                                  blocks_signature, d_coeff_closed, d_poly,
                                  d_poly_closed, d_sign_check, delta_blocks,
                                  delta_counts, delta_ratio,
@@ -121,11 +122,11 @@ def test_small_p_edge_policy():
 
 def test_d_poly_extraction():
     dp = d_poly(2)
-    assert dp.coeff(2) == 12
-    assert dp.coeff(4) == -4
+    assert dp[2] == 12
+    assert dp[4] == -4
     dp1 = d_poly(1)
     assert dp1 == d_poly_closed(1)
-    assert dp1.coeff(2) == 4  # single coefficient, k = 1 odd, positive
+    assert dp1[2] == 4  # single coefficient, k = 1 odd, positive
 
 
 def test_d_poly_closed_matches_extraction():
@@ -137,7 +138,7 @@ def test_d_coeff_closed_matches_poly():
     for p in range(1, 9):
         dp = d_poly_closed(p)
         for j in range(1, p + 1):
-            assert dp.coeff(2 * j) == d_coeff_closed(p, j), (p, j)
+            assert dp[2 * j] == d_coeff_closed(p, j), (p, j)
 
 
 def test_d_sign_alternation():
@@ -160,8 +161,8 @@ def test_e_coeffs_example():
 
 
 def test_p_poly():
-    assert p_poly(1) == UnivariateIntPoly([2, 2])
-    assert p_poly(2) == UnivariateIntPoly([2, 12, 2])
+    assert p_poly(1) == [2, 2]
+    assert p_poly(2) == [2, 12, 2]
 
 
 def test_p_poly_roots():
@@ -178,11 +179,30 @@ def test_sqrt5_block_sign_certificates():
     assert (-2 - sqrt5).sign() == -1
 
 
-def test_univariate_poly_helpers():
-    u = UnivariateIntPoly([0, 1, 0, 0])
-    assert u.degree() == 1
-    assert u.coeff(1) == 1 and u.coeff(5) == 0
-    assert UnivariateIntPoly([]) == UnivariateIntPoly([0, 0])
+def test_vanishing_e_coefficient_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(closedforms, "e_coeffs", lambda p: [1, 0, 1, 1])
+    with pytest.raises(ClosedFormCheckFailed):
+        delta_blocks(5)
+
+
+def test_non_integral_d_poly_is_a_typed_error(monkeypatch):
+    even_binomial = closedforms.even_binomial
+    monkeypatch.setattr(closedforms, "even_binomial",
+                        lambda n, a, c: [v + 1 for v in even_binomial(n, a, c)])
+    with pytest.raises(ClosedFormCheckFailed):
+        d_poly_closed(3)
+
+
+def test_nonpositive_c_coefficient_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(closedforms, "c_closed", lambda p, j: -1)
+    with pytest.raises(ClosedFormCheckFailed):
+        lambda_blocks(3)
+
+
+def test_vanishing_d_coefficient_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(closedforms, "d_coeff_closed", lambda p, j: 0)
+    with pytest.raises(ClosedFormCheckFailed):
+        lambda_blocks(3)
 
 
 def test_block_summary_shape():

@@ -1,19 +1,25 @@
 """f_{p,q}: oracle cross-checks, closed forms, weights, censuses, ratios."""
 
+import importlib
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from sigpair.cyclotomic import one, root_of_unity
-from sigpair.fpq import (IndexOutOfRange, IntBivariatePoly, T_closed, c_closed,
-                         even_odd_limits, f_closed_pminus1, family_table,
+from sigpair.fpq import (CensusBoundViolation, IndexOutOfRange,
+                         NonIntegerCoefficient, T_closed, c_closed,
+                         even_binomial, even_odd_limits, f_closed_pminus1, family_table,
                          format_fpq, fpq, lww_sign, mirror_check,
                          prime_congruence_holds, signature_cyclic,
                          signature_cyclic_closed, verify_exact_formula, weight,
                          weight_census)
 from sigpair.group import cyclic_gamma
 from sigpair.signature import signature_pair
+
+# the package attribute `sigpair.fpq` is the function, so fetch the module
+fpq_module = importlib.import_module("sigpair.fpq")
 
 
 def fpq_by_product(p, q):
@@ -43,7 +49,7 @@ def fpq_by_product(p, q):
         assert f.denominator == 1
         if f:
             out[m] = int(f)
-    return IntBivariatePoly(out)
+    return out
 
 
 def test_fpq_matches_product_oracle():
@@ -81,11 +87,11 @@ def test_fpq_table_latex():
 
 
 def test_fpq_explicit_polynomials():
-    assert fpq(2, 4).terms == {(2, 0): 1, (0, 1): 2, (0, 2): -1}
-    assert fpq(9, 4).terms == {(9, 0): 1, (5, 1): 9, (1, 2): 9, (6, 3): 3,
+    assert fpq(2, 4) == {(2, 0): 1, (0, 1): 2, (0, 2): -1}
+    assert fpq(9, 4) == {(9, 0): 1, (5, 1): 9, (1, 2): 9, (6, 3): 3,
                                (2, 4): -18, (3, 6): 3, (0, 9): 1}
     for p in range(1, 13):
-        assert fpq(p, 1).terms == {(r, p - r): math.comb(p, r) for r in range(p + 1)}
+        assert fpq(p, 1) == {(r, p - r): math.comb(p, r) for r in range(p + 1)}
 
 
 def test_integrality_sweep():
@@ -118,7 +124,7 @@ def test_lww_consistency_sweep():
     for p in range(1, 41):
         for q in (2, 3, 4, 5, 7, 8):
             poly = fpq(p, q)
-            for (r, s), c in poly.terms.items():
+            for (r, s), c in poly.items():
                 w = weight(r, s, p, q)
                 assert w is not None
                 assert (1 if c > 0 else -1) == lww_sign(r, s, w), (p, q, r, s)
@@ -182,14 +188,14 @@ def test_signature_cyclic_matches_engine_full():
 
 def test_c_closed():
     assert c_closed(6, 2) == 9
-    assert fpq(6, 5).coeff(2, 2) == -9
+    assert fpq(6, 5).get((2, 2), 0) == -9
     assert c_closed(3, 1) == 3
     with pytest.raises(IndexOutOfRange):
         c_closed(6, 4)
 
 
 def test_f_closed_pminus1():
-    assert f_closed_pminus1(3).terms == {(3, 0): 1, (0, 3): 1, (1, 1): 3}
+    assert f_closed_pminus1(3) == {(3, 0): 1, (0, 3): 1, (1, 1): 3}
     assert f_closed_pminus1(5) == fpq(5, 4)
     for p in range(1, 25):
         assert f_closed_pminus1(p) == fpq(p, p - 1), p
@@ -198,6 +204,13 @@ def test_f_closed_pminus1():
 def test_exact_formula():
     for p in (1, 2, 3, 6, 9, 12):
         assert verify_exact_formula(p), p
+
+
+def test_exact_formula_rejects_an_inexact_division(monkeypatch):
+    even_binomial = fpq_module.even_binomial
+    monkeypatch.setattr(fpq_module, "even_binomial",
+                        lambda n, a, c: [v + 1 for v in even_binomial(n, a, c)])
+    assert not verify_exact_formula(6)
 
 
 def test_T_closed():
@@ -252,5 +265,45 @@ def test_q_normalisation():
     assert fpq(2, 4) == fpq(2, 0)
     assert fpq(5, 12) == fpq(5, 2)
     f = fpq(4, 4)
-    assert f.coeff(4, 0) == 1
-    assert all(r == 0 for (r, s) in f.terms if (r, s) != (4, 0))
+    assert f.get((4, 0), 0) == 1
+    assert all(r == 0 for (r, s) in f if (r, s) != (4, 0))
+
+
+def test_even_binomial():
+    assert even_binomial(4, 0, 1) == [1, 6, 1]
+    assert even_binomial(0, 5, 7) == [1]
+    for n in range(12):
+        for a, c in ((1, -4), (1, 4), (0, 1), (2, -3)):
+            coeffs = even_binomial(n, a, c)
+            for t in range(-3, 4):
+                u = a + c * t
+                assert (sum(v * t ** i for i, v in enumerate(coeffs))
+                        == sum(math.comb(n, 2 * m) * u ** m for m in range(n // 2 + 1)))
+        # E_n(s^2) = ((1 + s)^n + (1 - s)^n) / 2
+        for s in range(-4, 5):
+            assert 2 * sum(even_binomial(n, s * s, 0)) == (1 + s) ** n + (1 - s) ** n
+
+
+def test_off_lattice_term_is_a_typed_error(monkeypatch):
+    # x y is not on the weight lattice of (5, 2): 1 + 2 = 3 is not 0 mod 5
+    monkeypatch.setattr(fpq_module, "lattice_points", lambda p, q: [(1, 1), (p, 0)])
+    with pytest.raises(CensusBoundViolation):
+        fpq(5, 2)
+
+
+def test_non_integral_closed_coefficient_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(fpq_module, "math", SimpleNamespace(comb=lambda n, k: 1))
+    with pytest.raises(NonIntegerCoefficient):
+        c_closed(6, 2)  # 6 / 4
+
+
+def test_census_of_an_off_lattice_term_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(fpq_module, "fpq", lambda p, q: {(1, 1): 1})
+    with pytest.raises(CensusBoundViolation):
+        weight_census(5, 2)
+
+
+def test_mirror_of_a_shared_y_degree_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(fpq_module, "fpq", lambda p, q: {(1, 1): 1, (6, 1): -1})
+    with pytest.raises(CensusBoundViolation):
+        mirror_check(5, 2)

@@ -102,7 +102,7 @@ def test_substitution_by_nongroup_element_changes_phi():
 def test_diagonal_restriction_matches_fpq():
     for p, q in ((2, 4), (5, 4), (6, 4), (8, 4), (7, 3), (9, 2)):
         restrict = phi(cyclic_gamma(p, q)).diagonal_restriction()
-        expect = {m: Fraction(c) for m, c in fpq(p, q).terms.items()}
+        expect = {m: Fraction(c) for m, c in fpq(p, q).items()}
         assert restrict == expect, (p, q)
 
 
