@@ -15,7 +15,8 @@ from .group import (CapExceeded, FiniteMatrixGroup, Matrix2, NotUnitary,
                     cyclic_gamma, dihedral, load_generators, trivial_group)
 from .invariant import (GroupTooLarge, HermitianPolynomial, InvariantCheckFailed,
                         phi, polarized_at_ones)
-from .signature import (EmptySpectrum, HermitianMatrix, Inertia, NotHermitian,
+from .signature import (EmptySpectrum, HermitianMatrix, Inertia,
+                        InsufficientPrecision, NotHermitian, SignatureCheckFailed,
                         SignaturePair, coefficient_matrix, gauss_rank,
                         inertia_exact, inertia_numeric, positivity_ratio,
                         signature_pair)

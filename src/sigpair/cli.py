@@ -9,7 +9,8 @@ Subcommands:
 
 Results go to stdout (JSON, CSV, LaTeX or text); diagnostics go to stderr.
 Exit codes: 0 success, 2 bad arguments (including an invalid
-SIG_MAX_PRECISION_BITS), 3 invalid group input, 4 failed verification.
+SIG_MAX_PRECISION_BITS, or a --precision below the numeric oracle's floor
+of 128 bits), 3 invalid group input, 4 failed verification.
 """
 
 from __future__ import annotations
@@ -91,6 +92,12 @@ def cmd_signature(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     methods = ["exact", "numeric"] if args.method == "both" else [args.method]
+    if "numeric" in methods:
+        try:
+            sig_mod.check_numeric_precision(args.precision)
+        except sig_mod.InsufficientPrecision as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     t0 = time.monotonic()
     try:
         P = phi(G, progress=_progress(args.verbose, G))
@@ -246,10 +253,7 @@ def _verify_thm_su2(args) -> VerificationReport:
         res = sig_mod.inertia_exact(M)
         if (res.n_plus, res.n_minus) != expected:
             return False
-        if kind in ("T", "O"):
-            if sig_mod.inertia_numeric(M, 256, 1e-30) != res:
-                return False
-        return True
+        return sig_mod.inertia_numeric(M, 256, 1e-30) == res
 
     return _sweep("thm-su2-signatures", cases, check)
 
@@ -414,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--group", required=True,
                     help="cyclic:p,q | dihedral:p | binary-dihedral:p | T | O | I | file:PATH")
     sp.add_argument("--method", choices=("exact", "numeric", "both"), default="exact")
-    sp.add_argument("--precision", type=int, default=256, help="bits for the numeric oracle")
+    sp.add_argument("--precision", type=int, default=256, help="bits for the numeric oracle (at least 128)")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sp.add_argument("--stable-output", action="store_true",
                     help="omit timing fields so identical runs are byte-identical")

@@ -11,11 +11,14 @@ the elimination exploits; inertia is additive across components.
 
 A floating eigenvalue oracle (inertia_numeric) reproduces the original
 high-precision workflow; it is advisory only and never feeds certified
-results.
+results.  It too works block by block: one mpmath eigenvalue computation
+per connected component, after checking that the components partition the
+basis and that no nonzero entry joins two of them.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 from typing import NamedTuple
@@ -33,6 +36,15 @@ class NotHermitian(ValueError):
 
 class EmptySpectrum(ValueError):
     """Positivity ratio of an identically-zero polynomial."""
+
+
+class InsufficientPrecision(ValueError):
+    """Too few bits for the numeric oracle's zero threshold."""
+
+
+class SignatureCheckFailed(ArithmeticError):
+    """The numeric oracle's blocks do not partition the matrix: an index is
+    missing or repeated, or a nonzero entry joins two blocks."""
 
 
 class Inertia(NamedTuple):
@@ -235,30 +247,67 @@ def gauss_rank(M: HermitianMatrix) -> int:
     return rank
 
 
-def _mp_value(c: Cyclotomic) -> mpmath.mpc:
-    z = mpmath.mpc(0)
-    n = c.order
-    for k, v in c.items:
-        w = mpmath.expjpi(mpmath.mpf(2 * k) / n)
-        z += (mpmath.mpf(v.numerator) / v.denominator) * w
-    return z
+def check_numeric_precision(precision_bits: int, zero_threshold: float = 1e-30) -> None:
+    """Raise `InsufficientPrecision` unless 2^(28 - precision_bits) <= zero_threshold.
+
+    At fewer bits the eigensolver's rounding noise reaches the zero threshold
+    and zero eigenvalues get counted as signed ones: at the default 1e-30,
+    112 bits already gives a wrong inertia for `O`, and 128 bits (the floor)
+    is right on `T`, `O` and the benchmark's conjugated groups.
+    """
+    if not zero_threshold > 0:
+        raise InsufficientPrecision(f"zero threshold must be positive, got {zero_threshold:g}")
+    floor = 28 - math.log2(zero_threshold)
+    if precision_bits < floor:
+        raise InsufficientPrecision(
+            f"the numeric oracle needs at least {math.ceil(floor)} bits at zero threshold "
+            f"{zero_threshold:g}, got {precision_bits}")
 
 
 def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
                     zero_threshold: float = 1e-30) -> Inertia:
-    """Floating eigenvalue oracle: advisory only, never used for certified results."""
-    dim = M.dimension
+    """Floating eigenvalue oracle: advisory only, never used for certified results.
+
+    Eigenvalues are computed block by block, one `mpmath.eighe` per component
+    of `M.components()`, and the per-block counts are added; an eigenvalue
+    counts as zero when its absolute value is at most `zero_threshold`.  Before
+    any eigenvalue is computed, the components must partition the basis and
+    hold both ends of every nonzero entry, or `SignatureCheckFailed` is raised.
+    Each root of unity is evaluated once per call and each entry once, its
+    mirror being its conjugate.
+    """
+    check_numeric_precision(precision_bits, zero_threshold)
+    comps = M.components()
+    where = {i: (b, at) for b, comp in enumerate(comps) for at, i in enumerate(comp)}
+    if sum(map(len, comps)) != M.dimension or set(where) != set(range(M.dimension)):
+        raise SignatureCheckFailed("components do not partition the basis")
+    for (i, j) in M.entries:
+        if where[i][0] != where[j][0]:
+            raise SignatureCheckFailed(f"entry ({i},{j}) joins two components")
+    pos = neg = 0
     with mpmath.workprec(precision_bits):
-        A = mpmath.zeros(dim, dim)
+        roots = {}
+        blocks = [mpmath.zeros(len(comp)) for comp in comps]
         for (i, j), c in M.entries.items():
-            A[i, j] = _mp_value(c)
-        if dim == 0:
-            return Inertia(0, 0, 0)
-        eigs = mpmath.mp.eighe(A, eigvals_only=True)
+            if i > j:
+                continue
+            z = mpmath.mpc(0)
+            for k, v in c.items:
+                w = roots.get((c.order, k))
+                if w is None:
+                    w = roots[(c.order, k)] = mpmath.expjpi(mpmath.mpf(2 * k) / c.order)
+                z += (mpmath.mpf(v.numerator) / v.denominator) * w
+            b, p = where[i]
+            q = where[j][1]
+            blocks[b][p, q] = z
+            if p != q:
+                blocks[b][q, p] = mpmath.conj(z)
         thresh = mpmath.mpf(zero_threshold)
-        pos = sum(1 for e in eigs if e > thresh)
-        neg = sum(1 for e in eigs if e < -thresh)
-    return Inertia(pos, neg, dim - pos - neg)
+        for A in blocks:
+            eigs = mpmath.mp.eighe(A, eigvals_only=True)
+            pos += sum(1 for e in eigs if e > thresh)
+            neg += sum(1 for e in eigs if e < -thresh)
+    return Inertia(pos, neg, M.dimension - pos - neg)
 
 
 def signature_pair(G: FiniteMatrixGroup) -> SignaturePair:

@@ -89,13 +89,15 @@ def test_criterion_02_su2_signatures_fast(tetrahedral_matrix, octahedral_matrix)
 
 
 def test_criterion_02_icosahedral_exact():
-    """The order-120 exact run: S = (40, 22), rank 62 by two routes."""
+    """The order-120 exact run: S = (40, 22), rank 62 by two routes, and the
+    256-bit numeric oracle agrees with the exact inertia."""
     _begin("2-slow")
     M = coefficient_matrix(phi(binary_polyhedral("I")))
     res = inertia_exact(M)
     assert (res.n_plus, res.n_minus) == (40, 22)
     assert res.rank == 62
     assert gauss_rank(M) == 62
+    assert inertia_numeric(M, 256, 1e-30) == res
     _done("2-slow", f"dim {M.dimension}")
 
 
@@ -246,6 +248,7 @@ def test_criterion_12_oracle_agreement(tetrahedral_matrix, octahedral_matrix):
 
     Full dihedral (p <= 24) and binary dihedral (p <= 12) families, the
     diagonal cyclic groups up to p = 16 (all q), and the order-24/48 groups.
+    The order-120 group `I` is checked the same way in criterion 2.
     """
     _begin("12")
     matrices = []

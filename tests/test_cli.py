@@ -120,6 +120,26 @@ def test_default_precision_cap_certifies(capsys, monkeypatch, conjugated_dihedra
     assert (rec["N_plus"], rec["N_minus"]) == tuple(closedforms.delta_signature_closed(6))
 
 
+@pytest.mark.parametrize("bits", ["0", "-5", "8", "64"])
+def test_numeric_precision_below_floor_exit_2(capsys, monkeypatch, bits):
+    computed = []
+    monkeypatch.setattr(cli, "phi", lambda *args, **kwargs: computed.append(args))
+    code, out, err = run_cli(capsys, "signature", "--group", "T", "--method", "numeric",
+                             f"--precision={bits}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert computed == []
+
+
+def test_numeric_precision_floor_certifies(capsys):
+    code, out, _ = run_cli(capsys, "signature", "--group", "T", "--method", "numeric",
+                           "--precision", "128", "--stable-output")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["N_plus"], rec["N_minus"]) == (9, 5)
+
+
 def test_signature_bad_spec(capsys):
     code, out, err = run_cli(capsys, "signature", "--group", "nonsense:1")
     assert code == 2

@@ -3,17 +3,20 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from sigpair.cyclotomic import Cyclotomic, rational, root_of_unity
 from sigpair.group import (binary_dihedral, binary_polyhedral, conjugate,
-                           cyclic_gamma, diag, dihedral, trivial_group)
+                           cyclic_gamma, diag, dihedral, springer_generators,
+                           trivial_group)
 from sigpair.invariant import phi
 from sigpair.signature import (EmptySpectrum, HermitianMatrix, Inertia,
-                               NotHermitian, SignaturePair, coefficient_matrix,
-                               gauss_rank, inertia_exact, inertia_numeric,
-                               positivity_ratio, positivity_ratio_from,
-                               signature_pair)
+                               InsufficientPrecision, NotHermitian,
+                               SignatureCheckFailed, SignaturePair,
+                               coefficient_matrix, gauss_rank, inertia_exact,
+                               inertia_numeric, positivity_ratio,
+                               positivity_ratio_from, signature_pair)
 
 
 def _hm(diag_vals=(), offdiag=()):
@@ -170,6 +173,66 @@ def test_numeric_oracle_random_rational_matrices():
                         entries[(j, i)] = v
         M = HermitianMatrix([(i, 0) for i in range(n)], entries)
         assert inertia_exact(M) == inertia_numeric(M, 128, 1e-20)
+
+
+def _full_matrix_inertia(M, bits=256, zero_threshold=1e-30):
+    """Reference route for inertia_numeric: one eighe of the whole matrix,
+    every entry and every root of unity evaluated on its own."""
+    dim = M.dimension
+    with mpmath.workprec(bits):
+        A = mpmath.zeros(dim, dim)
+        for (i, j), c in M.entries.items():
+            A[i, j] = sum((mpmath.mpf(v.numerator) / v.denominator
+                           * mpmath.expjpi(mpmath.mpf(2 * k) / c.order)
+                           for k, v in c.items), mpmath.mpc(0))
+        eigs = mpmath.mp.eighe(A, eigvals_only=True) if dim else []
+        thresh = mpmath.mpf(zero_threshold)
+        pos = sum(1 for e in eigs if e > thresh)
+        neg = sum(1 for e in eigs if e < -thresh)
+    return Inertia(pos, neg, dim - pos - neg)
+
+
+def _conjugated_matrix(G):
+    """Phi_G's matrix for G conjugated by r (r^4 t s)^2, a non-monomial element of I."""
+    r, s, t = springer_generators("I")
+    w = r ** 4 * t * s
+    return coefficient_matrix(phi(conjugate(G, r * w * w)))
+
+
+@pytest.mark.parametrize("build", [lambda: binary_polyhedral("T"), lambda: dihedral(6),
+                                   lambda: binary_dihedral(3), lambda: cyclic_gamma(8, 3)],
+                         ids=["T", "Delta_6", "Lambda_3", "Gamma_8_3"])
+def test_blockwise_oracle_matches_full_matrix(build):
+    M = _conjugated_matrix(build())
+    expected = _full_matrix_inertia(M)
+    assert inertia_numeric(M, 256, 1e-30) == expected
+    perm = list(range(M.dimension))
+    random.Random(M.dimension).shuffle(perm)
+    assert inertia_numeric(M.permuted(perm), 256, 1e-30) == expected
+
+
+def test_numeric_oracle_checks_the_partition(monkeypatch):
+    M = coefficient_matrix(phi(binary_polyhedral("T")))
+    comps = M.components()
+    big = max(comps, key=len)
+    split = [c for c in comps if c is not big] + [big[:1], big[1:]]
+    monkeypatch.setattr(HermitianMatrix, "components", lambda self: split)
+    with pytest.raises(SignatureCheckFailed, match="joins two components"):
+        inertia_numeric(M, 256, 1e-30)
+    dropped = [c for c in comps if c is not big]
+    monkeypatch.setattr(HermitianMatrix, "components", lambda self: dropped)
+    with pytest.raises(SignatureCheckFailed, match="partition"):
+        inertia_numeric(M, 256, 1e-30)
+
+
+def test_numeric_oracle_precision_floor():
+    M = _hm(diag_vals=(1, -1))
+    for bits, threshold in ((127, 1e-30), (0, 1e-30), (-5, 1e-30), (64, 1e-20),
+                            (256, 0.0)):
+        with pytest.raises(InsufficientPrecision):
+            inertia_numeric(M, bits, threshold)
+    assert inertia_numeric(M, 128, 1e-30) == Inertia(1, 1, 0)
+    assert inertia_numeric(M, 95, 1e-20) == Inertia(1, 1, 0)
 
 
 def test_irrational_pivot_signs():
