@@ -7,8 +7,8 @@ with the closed-form combinatorics of the cyclic, dihedral and binary
 dihedral families and the orbit Chern class identity.
 """
 
-from .cyclotomic import (Cyclotomic, DivisionByZero, IncompatibleOrder, NotReal,
-                         PrecisionExceeded, Rational, cyclotomic_polynomial,
+from .cyclotomic import (Cyclotomic, DivisionByZero, IncompatibleOrder, MalformedJSON,
+                         NotReal, PrecisionExceeded, cyclotomic_polynomial,
                          rational, root_of_unity)
 from .group import (CapExceeded, FiniteMatrixGroup, Matrix2, NotUnitary,
                     binary_dihedral, binary_polyhedral, closure, conjugate,

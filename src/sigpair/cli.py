@@ -9,8 +9,8 @@ Subcommands:
 
 Results go to stdout (JSON, CSV, LaTeX or text); diagnostics go to stderr.
 Exit codes: 0 success, 2 bad arguments (including an invalid
-SIG_MAX_PRECISION_BITS, or a --precision below the numeric oracle's floor
-of 128 bits), 3 invalid group input, 4 failed verification.
+SIG_MAX_PRECISION_BITS, a malformed generator file, or a --precision below
+the numeric oracle's floor), 3 invalid group input, 4 failed verification.
 """
 
 from __future__ import annotations
@@ -88,25 +88,24 @@ def cmd_signature(args) -> int:
     except (NotUnitary, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     methods = ["exact", "numeric"] if args.method == "both" else [args.method]
-    if "numeric" in methods:
-        try:
-            sig_mod.check_numeric_precision(args.precision)
-        except sig_mod.InsufficientPrecision as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     t0 = time.monotonic()
     try:
+        if "numeric" in methods:
+            sig_mod.check_numeric_precision(args.precision)  # before the expansion
         P = phi(G, progress=_progress(args.verbose, G))
+        expand_ms = int((time.monotonic() - t0) * 1000)
+        records = [sig_mod.result_record(G, method=m, precision_bits=args.precision, poly=P)
+                   for m in methods]
     except GroupTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    expand_ms = int((time.monotonic() - t0) * 1000)
-    records = [sig_mod.result_record(G, method=m, precision_bits=args.precision, poly=P)
-               for m in methods]
+    except sig_mod.InsufficientPrecision as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.dump_poly:
         with open(args.dump_poly, "w", encoding="utf-8") as f:
             for row in P.csv_rows():

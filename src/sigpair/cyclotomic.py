@@ -1,29 +1,33 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-An element is a sparse rational coordinate vector over the power basis
-1, zeta_n, ..., zeta_n^(phi(n)-1), i.e. fully reduced modulo the n-th
-cyclotomic polynomial.  Canonical form is unique, so equality of values in
-one field is a coordinate comparison; operands of unequal order are promoted
-to the lcm order first.  Elements whose support is {0} are normalised to
-order 1, so rationals always live in Q(zeta_1) no matter how they arose.
+An element is a sparse integer coordinate vector over the power basis
+1, zeta_n, ..., zeta_n^(phi(n)-1), fully reduced modulo the n-th
+cyclotomic polynomial, over one positive denominator.  Canonical form is
+unique, so equality of values in one field is a comparison of numerators
+and denominator; operands of unequal order are promoted to the lcm order
+first.  Elements whose support is {0} are normalised to order 1, so
+rationals always live in Q(zeta_1) no matter how they arose.
+
+Ring operations run on ints and end in `reduce_vector`, the reduction the
+fold in `invariant` applies to its integer vectors too, and one gcd.
+Fractions appear only at the edges: the constructor, `coords`,
+`as_fraction`, JSON and the extended Euclid inside `inverse`.
 
 Values are immutable and operations are pure; the module-level caches of
 cyclotomic polynomials and reduction rows are read-only after first use, so
-everything is safe to share across threads.  The reduction rows (x^j mod
-Phi_n for phi(n) <= j < n) are also the table the fold in `invariant`
-reduces its integer coefficient vectors with.
+everything is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from . import intervals
-
-Rational = Fraction
 
 DEFAULT_PRECISION_CAP = 65536
 PRECISION_ENV = "SIG_MAX_PRECISION_BITS"
@@ -54,6 +58,13 @@ class InvalidPrecisionCap(ValueError):
     precision sign() tries)."""
 
 
+class MalformedJSON(ValueError):
+    """A JSON value does not have the documented shape."""
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
 def precision_cap() -> int:
     """The precision cap for sign(): SIG_MAX_PRECISION_BITS, else the default."""
     raw = os.environ.get(PRECISION_ENV)
@@ -68,16 +79,6 @@ def precision_cap() -> int:
     return cap
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, ascending degree: x^n - 1 divided by
@@ -85,7 +86,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     f = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n)[:-1]:
+    for d in (d for d in range(1, n) if n % d == 0):
         den = cyclotomic_polynomial(d)
         q, r = _pdivmod(f, den)
         if any(r):
@@ -100,52 +101,32 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> dict[int, tuple[tuple[int, int], ...]]:
-    """x^j mod Phi_n as sparse integer rows ((i, c), ...), i < phi(n), for
-    phi(n) <= j < n, ascending j."""
+def _reduction_rows(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """(j, x^j mod Phi_n) for phi(n) <= j < n, ascending j, each residue a
+    sparse integer row ((i, c), ...) with i < phi(n)."""
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
     cur = base = [-c for c in phi[:-1]]
-    rows = {}
+    rows = []
     for j in range(d, n):
-        rows[j] = tuple((i, c) for i, c in enumerate(cur) if c)
+        rows.append((j, tuple((i, c) for i, c in enumerate(cur) if c)))
         top = cur[-1]
         cur = [0] + cur[:-1]
         if top:
             cur = [c + top * b for c, b in zip(cur, base)]
-    return rows
+    return tuple(rows)
 
 
-def _canonical(order: int, raw: dict[int, Fraction]):
-    """Reduce a raw exponent->coefficient map to canonical (order, items)."""
-    if order == 1:
-        total = sum(raw.values(), Fraction(0))
-        return (1, ((0, total),) if total else ())
-    folded: dict[int, Fraction] = {}
-    for k, v in raw.items():
+def reduce_vector(vec: list[int], n: int) -> list[int]:
+    """Reduce vec, vec[k] the int coefficient of zeta_n^k for k < n, modulo
+    Phi_n in place: every entry from phi(n) on becomes zero.  Returns vec."""
+    for j, row in _reduction_rows(n):
+        v = vec[j]
         if v:
-            k %= order
-            folded[k] = folded.get(k, Fraction(0)) + v
-    d = euler_phi(order)
-    if any(k >= d for k in folded):
-        rows = _reduction_rows(order)
-        out = [Fraction(0)] * d
-        for k, v in folded.items():
-            if not v:
-                continue
-            if k < d:
-                out[k] += v
-            else:
-                for i, r in rows[k]:
-                    out[i] += v * r
-        items = tuple((i, c) for i, c in enumerate(out) if c)
-    else:
-        items = tuple(sorted((k, v) for k, v in folded.items() if v))
-    if not items:
-        return (1, ())
-    if len(items) == 1 and items[0][0] == 0:
-        return (1, items)
-    return (order, items)
+            vec[j] = 0
+            for i, c in row:
+                vec[i] += v * c
+    return vec
 
 
 def _pdeg(p: list[Fraction]) -> int:
@@ -173,34 +154,60 @@ def _pdivmod(a: list[Fraction], b: list[Fraction]):
 class Cyclotomic:
     """An exact element of Q(zeta_order) in canonical form.
 
-    `items` is a sorted tuple of (exponent, Fraction) pairs with exponents
-    below phi(order).  Instances are immutable; use the arithmetic operators.
-    Unhashable on purpose: canonical form is per-order, so containers must
-    key on explicit (order, items) data at a fixed ambient order.
+    The value is sum(v * zeta_order^k for k, v in items) / den: `items` is a
+    sorted tuple of (exponent, nonzero int) pairs with exponents below
+    phi(order), and `den` is a positive int coprime to them all.  Instances
+    are immutable; use the arithmetic operators.  Unhashable on purpose:
+    canonical form is per-order, so containers key on `key()` at a fixed
+    ambient order.
     """
 
-    __slots__ = ("order", "items")
+    __slots__ = ("order", "items", "den")
     __hash__ = None
 
     def __init__(self, order: int, coords=()):
         if order < 1:
             raise ValueError("order must be a positive integer")
-        raw = coords if isinstance(coords, dict) else dict(coords)
-        raw = {int(k): Fraction(v) for k, v in raw.items()}
-        self.order, self.items = _canonical(order, raw)
+        raw = {int(k): Fraction(v) for k, v in dict(coords).items()}
+        den = math.lcm(1, *(v.denominator for v in raw.values()))
+        vec = [0] * order
+        for k, v in raw.items():
+            vec[k % order] += v.numerator * (den // v.denominator)
+        c = _canonical(order, vec, den)
+        self.order, self.items, self.den = c.order, c.items, c.den
 
     @classmethod
-    def _make(cls, order: int, items) -> "Cyclotomic":
+    def _make(cls, order: int, items, den: int) -> "Cyclotomic":
         obj = object.__new__(cls)
         obj.order = order
         obj.items = items
+        obj.den = den
         return obj
+
+    @classmethod
+    def from_reduced(cls, order: int, vec: list[int], den: int) -> "Cyclotomic":
+        """sum(vec[k] * zeta_order^k) / den, for an int vector already reduced
+        modulo Phi_order (see `reduce_vector`) and a nonzero int den."""
+        items = tuple((k, v) for k, v in enumerate(vec) if v)
+        if not items:
+            return zero()
+        g = math.gcd(den, *(v for _, v in items))
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            items = tuple((k, v // g) for k, v in items)
+        return cls._make(1 if len(items) == 1 and items[0][0] == 0 else order, items, den)
 
     # -- inspection ------------------------------------------------------
 
     @property
     def coords(self) -> dict[int, Fraction]:
-        return dict(self.items)
+        return {k: Fraction(v, self.den) for k, v in self.items}
+
+    def key(self) -> tuple:
+        """Exact hashable identity; equal keys at one order mean equal values."""
+        return (self.order, self.items, self.den)
 
     def is_zero(self) -> bool:
         return not self.items
@@ -208,81 +215,68 @@ class Cyclotomic:
     def as_fraction(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"{self!r} is not rational")
-        return self.items[0][1] if self.items else Fraction(0)
+        return Fraction(self.items[0][1], self.den) if self.items else Fraction(0)
 
     def is_real(self) -> bool:
         return self.conj() == self
 
     # -- ring/field structure -------------------------------------------
 
-    def _promote_raw(self, m: int) -> dict[int, Fraction]:
-        step = m // self.order
-        return {k * step: v for k, v in self.items}
+    def _add_to(self, vec: list[int], scale: int = 1) -> list[int]:
+        """vec += scale * numerators, vec a dense vector at an order that self.order divides."""
+        step = len(vec) // self.order
+        for k, v in self.items:
+            vec[k * step] += v * scale
+        return vec
 
     def promote(self, m: int) -> "Cyclotomic":
         """The same value represented in Q(zeta_m); requires order | m."""
         if m % self.order:
             raise IncompatibleOrder(f"order {self.order} does not divide {m}")
-        return Cyclotomic._make(*_canonical(m, self._promote_raw(m)))
+        return _canonical(m, self._add_to([0] * m), self.den)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.order == other.order:
-            return self.items == other.items
+            return self.key() == other.key()
         m = math.lcm(self.order, other.order)
-        return _canonical(m, self._promote_raw(m)) == _canonical(m, other._promote_raw(m))
+        return self.promote(m).key() == other.promote(m).key()
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.order == 1 and other.order == 1:
-            return rational(self.as_fraction() + other.as_fraction())
         m = math.lcm(self.order, other.order)
-        raw = self._promote_raw(m)
-        for k, v in other._promote_raw(m).items():
-            raw[k] = raw.get(k, Fraction(0)) + v
-        return Cyclotomic._make(*_canonical(m, raw))
+        den = math.lcm(self.den, other.den)
+        vec = other._add_to(self._add_to([0] * m, den // self.den), den // other.den)
+        return _canonical(m, vec, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._make(self.order, tuple((k, -v) for k, v in self.items))
+        return Cyclotomic._make(self.order, tuple((k, -v) for k, v in self.items), self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.order == 1:
-            if not self.items:
-                return zero()
-            c = self.items[0][1]
-            return Cyclotomic._make(*_canonical(other.order, {k: v * c for k, v in other.items}))
-        if other.order == 1:
-            return other * self
         m = math.lcm(self.order, other.order)
-        a = list(self._promote_raw(m).items())
-        b = list(other._promote_raw(m).items())
-        raw: dict[int, Fraction] = {}
-        for ka, va in a:
-            for kb, vb in b:
-                k = ka + kb
-                raw[k] = raw.get(k, Fraction(0)) + va * vb
-        return Cyclotomic._make(*_canonical(m, raw))
+        sa, sb = m // self.order, m // other.order
+        vec = [0] * m
+        for ka, va in self.items:
+            ka *= sa
+            for kb, vb in other.items:
+                k = ka + kb * sb
+                vec[k if k < m else k - m] += va * vb
+        return _canonical(m, vec, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -290,41 +284,33 @@ class Cyclotomic:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.order == 1:
-            return rational(1 / self.as_fraction())
+            return rational(Fraction(self.den, self.items[0][1]))
         n = self.order
-        d = euler_phi(n)
-        a = [Fraction(0)] * d
+        a = [Fraction(0)] * euler_phi(n)
         for k, v in self.items:
-            a[k] = v
+            a[k] = Fraction(v)
         phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        # extended Euclid: s1 * a == r1 (mod Phi_n); Phi_n irreducible over Q
+        # extended Euclid on the numerators: s1 * a == r1 (mod Phi_n); Phi_n irreducible over Q
         r0, r1 = phi, a
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while _pdeg(r1) > 0:
             q, r = _pdivmod(r0, r1)
             r0, r1 = r1, r
             qs = _pmul(q, s1)
-            s0, s1 = s1, _psub(s0, qs)
+            s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
         c = r1[0]
         if not c:
             raise CyclotomicCheckFailed(f"gcd of {self} with the irreducible Phi_{n} vanished")
-        return Cyclotomic(n, {i: v / c for i, v in enumerate(s1) if v})
+        return Cyclotomic(n, {i: v * self.den / c for i, v in enumerate(s1) if v})
 
     def __truediv__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("division by zero element")
-        if self.order == 1 and other.order == 1:
-            return rational(self.as_fraction() / other.as_fraction())
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        return self.inverse() * other
 
     def __pow__(self, e: int):
         if e < 0:
@@ -343,7 +329,10 @@ class Cyclotomic:
         if self.order == 1:
             return self
         n = self.order
-        return Cyclotomic._make(*_canonical(n, {(n - k) % n: v for k, v in self.items}))
+        vec = [0] * n
+        for k, v in self.items:
+            vec[(n - k) % n] = v
+        return _canonical(n, vec, self.den)
 
     # -- real evaluation -------------------------------------------------
 
@@ -353,14 +342,14 @@ class Cyclotomic:
         Zero is decided syntactically from canonical form; otherwise the value
         is evaluated by interval arithmetic at doubling precision until the
         enclosure excludes zero, which must happen since the value is nonzero.
+        It encloses the numerators' sum: den > 0 does not change the sign.
         """
         if not self.is_real():
             raise NotReal(f"sign() of non-real element {self}")
         if self.is_zero():
             return 0
         if self.order == 1:
-            f = self.items[0][1]
-            return 1 if f > 0 else -1
+            return 1 if self.items[0][1] > 0 else -1
         cap = precision_cap()
         bits = 64
         while bits <= cap:
@@ -375,13 +364,10 @@ class Cyclotomic:
     def approx_float(self) -> float:
         """Float estimate of a real element, for pivot-size heuristics only."""
         if self.order == 1:
-            f = self.items[0][1] if self.items else Fraction(0)
-            try:
-                return float(f)
-            except OverflowError:
-                return math.inf if f > 0 else -math.inf
-        lo, hi = intervals.real_enclosure(self.order, self.items, 64)
-        mid = (lo + hi) / 2
+            mid = self.as_fraction()
+        else:
+            lo, hi = intervals.real_enclosure(self.order, self.coords.items(), 64)
+            mid = (lo + hi) / 2
         try:
             return float(mid)
         except OverflowError:
@@ -391,8 +377,8 @@ class Cyclotomic:
         """Uncertified complex float value (debugging and float cross-checks)."""
         z = 0j
         for k, v in self.items:
-            z += float(v) * complex(math.cos(2 * math.pi * k / self.order),
-                                    math.sin(2 * math.pi * k / self.order))
+            z += v / self.den * complex(math.cos(2 * math.pi * k / self.order),
+                                        math.sin(2 * math.pi * k / self.order))
         return z
 
     # -- serialization ----------------------------------------------------
@@ -400,22 +386,36 @@ class Cyclotomic:
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
-            "coords": [[k, f"{v.numerator}/{v.denominator}"] for k, v in self.items],
+            "coords": [[k, f"{v.numerator}/{v.denominator}"] for k, v in self.coords.items()],
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Cyclotomic":
-        coords = {int(k): Fraction(str(v)) for k, v in data.get("coords", [])}
-        return cls(int(data["order"]), coords)
+    def from_json_dict(cls, data) -> "Cyclotomic":
+        """Inverse of `to_json_dict`; `MalformedJSON` names the fault of data
+        of another shape, or with two exponents equal modulo the order."""
+        order = data.get("order") if isinstance(data, dict) else None
+        if type(order) is not int or order < 1:
+            raise MalformedJSON(f"a field element needs a positive integer order, got {data!r}")
+        pairs = data.get("coords", [])
+        coords = {}
+        for pair in pairs if isinstance(pairs, list) else [pairs]:
+            k, v = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
+            if type(k) is not int or not (type(v) is int or isinstance(v, str)
+                                          and _RATIONAL.fullmatch(v)):
+                raise MalformedJSON(f"coordinate {pair!r} is not [exponent, \"num/den\"], den > 0")
+            if k % order in coords:
+                raise MalformedJSON(f"exponent {k} repeats an earlier one modulo {order}")
+            coords[k % order] = Fraction(v)
+        return cls(order, coords)
 
     def __repr__(self):
-        return f"Cyclotomic({self.order}, {dict(self.items)!r})"
+        return f"Cyclotomic({self.order}, {self.coords!r})"
 
     def __str__(self):
         if self.is_zero():
             return "0"
         parts = []
-        for k, v in self.items:
+        for k, v in self.coords.items():
             if k == 0:
                 parts.append(str(v))
             elif v == 1:
@@ -423,6 +423,12 @@ class Cyclotomic:
             else:
                 parts.append(f"({v})*z{self.order}^{k}")
         return " + ".join(parts)
+
+
+def _canonical(order: int, vec: list[int], den: int) -> Cyclotomic:
+    """sum(vec[k] * zeta_order^k) / den in canonical form, for a dense int
+    vector of length order (reduced in place) and a nonzero int den."""
+    return Cyclotomic.from_reduced(order, reduce_vector(vec, order), den)
 
 
 def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -436,13 +442,6 @@ def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _psub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 def _coerce(x):
     if isinstance(x, Cyclotomic):
         return x
@@ -454,11 +453,11 @@ def _coerce(x):
 def rational(x) -> Cyclotomic:
     """Embed an int or Fraction as an order-1 element."""
     f = Fraction(x)
-    return Cyclotomic._make(1, ((0, f),) if f else ())
+    return Cyclotomic._make(1, ((0, f.numerator),) if f else (), f.denominator)
 
 
 def zero() -> Cyclotomic:
-    return Cyclotomic._make(1, ())
+    return Cyclotomic._make(1, (), 1)
 
 
 def one() -> Cyclotomic:
@@ -469,7 +468,7 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     """zeta_n^k in canonical form."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Cyclotomic(n, {k % n: Fraction(1)})
+    return Cyclotomic(n, {k % n: 1})
 
 
 def multiplicative_order(a: Cyclotomic, bound: int = 10000) -> int:

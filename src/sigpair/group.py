@@ -18,7 +18,7 @@ import json
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, rational, root_of_unity
+from .cyclotomic import Cyclotomic, MalformedJSON, rational, root_of_unity
 
 
 class NotUnitary(ValueError):
@@ -83,12 +83,12 @@ class Matrix2:
         return (self * self.dagger()).is_identity()
 
     def key(self):
-        """Hashable exact identity of the matrix (order/coords per entry).
+        """Hashable exact identity of the matrix (`Cyclotomic.key` per entry).
 
         Keys of matrices whose entries share one field order (as every
         group's elements and their products do) are equal iff the values are.
         """
-        return tuple((e.order, e.items) for e in self.entries)
+        return tuple(e.key() for e in self.entries)
 
     def field_order(self) -> int:
         return math.lcm(*(e.order for e in self.entries))
@@ -283,15 +283,23 @@ def load_generators(data) -> FiniteMatrixGroup:
     """Build a group from the JSON generator-file format.
 
     Format: {"generators": [[[c, c], [c, c]], ...], "cap": n} where each c is
-    a Cyclotomic JSON object {"order": n, "coords": [[k, "num/den"], ...]}.
+    a Cyclotomic JSON object {"order": n, "coords": [[k, "num/den"], ...]} and
+    cap > 0 is optional.  Data of another shape raises `MalformedJSON`.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    matrices = data.get("generators") if isinstance(data, dict) else None
+    if not isinstance(matrices, list):
+        raise MalformedJSON("a generator file must be an object with a \"generators\" list")
     gens = []
-    for rows in data["generators"]:
-        (a, b), (c, d) = rows
-        gens.append(Matrix2(*(Cyclotomic.from_json_dict(x) for x in (a, b, c, d))))
-    cap = int(data.get("cap", 10000))
+    for i, rows in enumerate(matrices):
+        if not (isinstance(rows, list) and len(rows) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in rows)):
+            raise MalformedJSON(f"generator {i} is not a 2x2 matrix")
+        gens.append(Matrix2(*(Cyclotomic.from_json_dict(x) for row in rows for x in row)))
+    cap = data.get("cap", 10000)
+    if type(cap) is not int or cap < 1:
+        raise MalformedJSON(f"\"cap\" must be a positive integer, got {cap!r}")
     return closure(gens, cap=cap, label="custom")
 
 

@@ -23,13 +23,15 @@ zbar = (1, 1): its terms with the zbar exponents dropped, summed.
 
 The fold runs on scaled integer coordinate vectors (n the common cyclotomic
 order of all matrix entries) and converts to canonical field elements once
-at the end: denominators are cleared per factor, multiplication of
-coefficients is a cyclic convolution of small integer vectors in
-Z[x]/(x^n - 1), and after every factor each vector is reduced modulo the
-cyclotomic polynomial Phi_n and dropped if it vanishes there.  The
-reduction keeps vectors short and drops monomials whose coefficient is zero
-in Q(zeta_n) but not in Z[x]/(x^n - 1); it reads the same table of rows
-x^j mod Phi_n that canonical field elements are reduced with.  Group
+at the end: each factor is scaled by the lcm of its coefficients'
+denominators, multiplication of coefficients is a cyclic convolution of
+small integer vectors in Z[x]/(x^n - 1), and after every factor each vector
+is reduced modulo the cyclotomic polynomial Phi_n and dropped if it
+vanishes there.  The reduction keeps vectors short and drops monomials
+whose coefficient is zero in Q(zeta_n) but not in Z[x]/(x^n - 1); it is
+`cyclotomic.reduce_vector`, the one that canonical field elements are
+reduced with, so a reduced vector over the product of the scales becomes a
+field element by one gcd (`Cyclotomic.from_reduced`).  Group
 elements are compared with `Matrix2.key`, exact by value because a group
 stores all its entries at one field order.
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, _reduction_rows, rational
+from .cyclotomic import Cyclotomic, rational, reduce_vector
 from .group import FiniteMatrixGroup, Matrix2
 
 _SHIFT = (0, 16, 32, 48)
@@ -156,7 +158,7 @@ class HermitianPolynomial:
 
     def key(self) -> tuple:
         """Exact hashable identity (for orbit deduplication)."""
-        return tuple(sorted((k, c.order, c.items) for k, c in self.terms.items()))
+        return tuple(sorted((k, c.key()) for k, c in self.terms.items()))
 
     def diagonal_restriction(self) -> dict[tuple[int, int], Fraction]:
         """For diagonal polynomials: coefficients of x^a y^b with x=|z1|^2, y=|z2|^2."""
@@ -271,42 +273,18 @@ def _fold_product(factors, n: int, progress=None, prod=None):
                     for i, v in nonzero:
                         j = i + e
                         acc[j if j < n else j - n] += c * v
-        prod = _reduce(out, n)
+        prod = {key: vec for key, vec in out.items() if any(reduce_vector(vec, n))}
         if progress is not None:
             progress(idx + 1, len(factors))
     return prod
 
 
-def _reduce(prod, n: int):
-    """Reduce every vector of prod in place modulo Phi_n, to degree below
-    phi(n), and drop the vectors that vanish in Q(zeta_n)."""
-    rows = _reduction_rows(n).items()
-    out = {}
-    for key, vec in prod.items():
-        for j, row in rows:
-            v = vec[j]
-            if v:
-                vec[j] = 0
-                for i, c in row:
-                    vec[i] += v * c
-        if any(vec):
-            out[key] = vec
-    return out
-
-
 def _integer_factor(terms, n: int):
     """1 + sum of c * monomial over the (key, c) pairs, scaled by the lcm d of
     the coefficients' denominators: (d, [(key, [(exponent, integer)])])."""
-    placed = [(key, (c if c.order == n else c.promote(n)).items)
-              for key, c in terms if not c.is_zero()]
-    d = math.lcm(1, *(v.denominator for _, items in placed for _, v in items))
-    return d, [(key, [(e, (v * d).numerator) for e, v in items]) for key, items in placed]
-
-
-def _to_terms(prod, n: int, scale: int) -> dict:
-    """Canonical field coefficients of prod / scale, for vectors reduced by `_reduce`."""
-    return {key: Cyclotomic(n, {e: Fraction(v, scale) for e, v in enumerate(vec) if v})
-            for key, vec in prod.items()}
+    placed = [(key, c.promote(n)) for key, c in terms if not c.is_zero()]
+    d = math.lcm(1, *(c.den for _, c in placed))
+    return d, [(key, [(e, v * (d // c.den)) for e, v in c.items]) for key, c in placed]
 
 
 def _is_diagonal(M: Matrix2) -> bool:
@@ -347,7 +325,8 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None):
     if not reps:
         return prod, scale
     # (i, j) -> coefficient of X^i Y^j in -F_H, the non-constant part of 1 - F_H
-    minus_f = {unpack_key(key)[:2]: c for key, c in _to_terms(prod, n, scale).items() if key}
+    minus_f = {unpack_key(key)[:2]: Cyclotomic.from_reduced(n, vec, scale)
+               for key, vec in prod.items() if key}
     factors = []
     for g in reps:
         table = _power_table([_poly((_Z1W1, g.a), (_Z1W2, g.c)),
@@ -367,7 +346,7 @@ def phi(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:
         raise GroupTooLarge(f"group order {G.order} exceeds the packed-exponent limit {_MASK}")
     n = G.field_order()
     prod, scale = _product(G, n, progress)
-    terms = _to_terms(prod, n, -scale)
+    terms = {key: Cyclotomic.from_reduced(n, vec, -scale) for key, vec in prod.items()}
     _accumulate(terms, 0, rational(1))
     _require(0 not in terms, "constant term must vanish")
     out = HermitianPolynomial(terms)

@@ -252,8 +252,8 @@ def check_numeric_precision(precision_bits: int, zero_threshold: float = 1e-30) 
 
     At fewer bits the eigensolver's rounding noise reaches the zero threshold
     and zero eigenvalues get counted as signed ones: at the default 1e-30,
-    112 bits already gives a wrong inertia for `O`, and 128 bits (the floor)
-    is right on `T`, `O` and the benchmark's conjugated groups.
+    112 bits already gives a wrong inertia for `O`.  This floor needs no
+    matrix; `inertia_numeric` adds one per block that grows with the entries.
     """
     if not zero_threshold > 0:
         raise InsufficientPrecision(f"zero threshold must be positive, got {zero_threshold:g}")
@@ -275,6 +275,11 @@ def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
     hold both ends of every nonzero entry, or `SignatureCheckFailed` is raised.
     Each root of unity is evaluated once per call and each entry once, its
     mirror being its conjugate.
+
+    Rounding noise grows with the entries, so it also raises
+    `InsufficientPrecision`, before any eigenvalue, unless precision_bits >=
+    16 - log2(zero_threshold) + log2(max(1, max |a_ij|)): 127 bits for `T`,
+    138 for `O` and 171 for `I` at the default threshold.
     """
     check_numeric_precision(precision_bits, zero_threshold)
     comps = M.components()
@@ -288,6 +293,7 @@ def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
     with mpmath.workprec(precision_bits):
         roots = {}
         blocks = [mpmath.zeros(len(comp)) for comp in comps]
+        top = mpmath.mpf(1)
         for (i, j), c in M.entries.items():
             if i > j:
                 continue
@@ -296,12 +302,21 @@ def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
                 w = roots.get((c.order, k))
                 if w is None:
                     w = roots[(c.order, k)] = mpmath.expjpi(mpmath.mpf(2 * k) / c.order)
-                z += (mpmath.mpf(v.numerator) / v.denominator) * w
+                z += v * w
+            z /= c.den
             b, p = where[i]
             q = where[j][1]
             blocks[b][p, q] = z
             if p != q:
                 blocks[b][q, p] = mpmath.conj(z)
+            top = max(top, abs(z))
+        size = float(mpmath.log(top, 2))
+        floor = 16 - math.log2(zero_threshold) + size
+        if precision_bits < floor:
+            raise InsufficientPrecision(
+                f"the matrix has entries up to 2^{size:.1f}, so the numeric oracle needs at "
+                f"least {math.ceil(floor)} bits at zero threshold {zero_threshold:g}, "
+                f"got {precision_bits}")
         thresh = mpmath.mpf(zero_threshold)
         for A in blocks:
             eigs = mpmath.mp.eighe(A, eigvals_only=True)

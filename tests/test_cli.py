@@ -6,8 +6,8 @@ import pytest
 
 from sigpair import cli, closedforms, invariant, signature
 from sigpair.cli import main
-from sigpair.group import (diag, dihedral, dump_generators, FiniteMatrixGroup, identity,
-                           Matrix2, springer_generators)
+from sigpair.group import (binary_polyhedral, diag, dihedral, dump_generators,
+                           FiniteMatrixGroup, identity, Matrix2, springer_generators)
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +138,42 @@ def test_numeric_precision_floor_certifies(capsys):
     assert code == 0
     rec = json.loads(out)
     assert (rec["N_plus"], rec["N_minus"]) == (9, 5)
+
+
+def test_numeric_precision_below_the_matrix_floor_exit_2(capsys, monkeypatch):
+    scaled = invariant.phi(binary_polyhedral("T")) * 2 ** 60
+    monkeypatch.setattr(cli, "phi", lambda G, progress=None: scaled)
+    code, out, err = run_cli(capsys, "signature", "--group", "T", "--method", "numeric",
+                             "--precision", "128")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^71" in err
+
+
+_ONE = {"order": 1, "coords": [[0, "1/1"]]}
+_ZERO = {"order": 1, "coords": []}
+
+
+@pytest.mark.parametrize("data, fault", [
+    ({"generators": [[1, 2]]}, "2x2"),
+    ({"generators": [[[{"order": 1, "coords": [[0, "1/0"]]}, _ZERO], [_ZERO, _ONE]]]},
+     "den > 0"),
+    ([[[_ONE, _ZERO], [_ZERO, _ONE]]], "must be an object"),
+    ({"generators": [[[_ONE, _ZERO], [_ZERO, _ONE]]], "cap": None}, "cap"),
+    ({"generators": [[[{"order": 2.5, "coords": [[1, "1/1"]]}, _ZERO], [_ZERO, _ONE]]]},
+     "order"),
+    ({"generators": [[[{"order": 4, "coords": [[1, "1/2"], [1, "1/2"]]}, _ZERO],
+                      [_ZERO, {"order": 4, "coords": [[3, "1/1"]]}]]]}, "repeats"),
+    ('{"generators": ' + "[" * 100000 + "]" * 100000 + "}", "recursion"),
+], ids=["row-not-a-matrix", "zero-denominator", "top-level-array", "null-cap",
+        "fractional-order", "repeated-exponent", "deep-nesting"])
+def test_malformed_generator_file_exit_2(capsys, tmp_path, data, fault):
+    path = tmp_path / "gens.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    code, out, err = run_cli(capsys, "signature", "--group", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and fault in err
 
 
 def test_signature_bad_spec(capsys):

@@ -1,5 +1,6 @@
 """Field arithmetic, canonical forms and certified signs in Q(zeta_n)."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -95,6 +96,109 @@ def test_field_axioms_randomized():
             assert a * a.inverse() == 1
 
 
+def _reference(n, raw):
+    """Fraction coordinates of sum(v x^k) modulo Phi_n by polynomial remainder:
+    a route that shares no code with the kernel's reduction rows."""
+    poly = [Fraction(0)] * (max(raw, default=0) + 1)
+    for k, v in raw.items():
+        poly[k] += v
+    _, rem = cyclotomic._pdivmod(poly, [Fraction(c) for c in cyclotomic_polynomial(n)])
+    return {k: v for k, v in enumerate(rem) if v}
+
+
+def _lifted(c, m):
+    """c's Fraction coordinates as exponents at order m (order | m), unreduced."""
+    step = m // c.order
+    return {k * step: v for k, v in c.coords.items()}
+
+
+def _value(c, m):
+    return _reference(m, _lifted(c, m))
+
+
+def _times(x, y):
+    """Product of two exponent -> coefficient maps, exponents added unreduced."""
+    out = {}
+    for ka, va in x.items():
+        for kb, vb in y.items():
+            out[ka + kb] = out.get(ka + kb, 0) + va * vb
+    return out
+
+
+def _assert_canonical(c):
+    nums = [v for _, v in c.items]
+    assert c.den > 0 and math.gcd(c.den, *nums) == 1
+    assert all(isinstance(v, int) and v for v in nums)
+    assert [k for k, _ in c.items] == sorted({k for k, _ in c.items})
+    assert all(0 <= k < euler_phi(c.order) for k, _ in c.items)
+    if c.is_zero():
+        assert (c.order, c.den) == (1, 1)
+    assert (c.order == 1) == (c.is_zero() or [k for k, _ in c.items] == [0])
+
+
+_KERNEL_ORDERS = (1, 3, 5, 8, 12, 24, 40)
+
+
+@pytest.mark.parametrize("orders", [(n, n) for n in _KERNEL_ORDERS]
+                         + [(1, 8), (3, 8), (5, 12), (8, 12), (12, 40), (24, 5)],
+                         ids=lambda o: f"{o[0]}x{o[1]}")
+def test_kernel_matches_fraction_reference(orders):
+    rng = random.Random(sum(orders) * 101 + orders[0])
+    n1, n2 = orders
+    m = math.lcm(n1, n2)
+    for _ in range(25):
+        a = _random_element(rng, n1, span=40)
+        b = _random_element(rng, n2, span=40)
+        for c in (a, b):
+            _assert_canonical(c)
+            assert _value(c, c.order) == c.coords
+        total, prod = a + b, a * b
+        for c in (total, prod, a.conj(), a.promote(m), b.promote(m)):
+            _assert_canonical(c)
+        summed = _lifted(a, m)
+        for k, v in _lifted(b, m).items():
+            summed[k] = summed.get(k, 0) + v
+        assert _value(total, m) == _reference(m, summed)
+        assert _value(prod, m) == _reference(m, _times(_lifted(a, m), _lifted(b, m)))
+        assert _value(a.conj(), n1) == _reference(n1, {(n1 - k) % n1: v
+                                                       for k, v in a.coords.items()})
+        assert _value(a.promote(m), m) == _value(a, m)
+        if not a.is_zero():
+            inv = a.inverse()
+            _assert_canonical(inv)
+            assert _reference(n1, _times(a.coords, _lifted(inv, n1))) == {0: 1}
+
+
+def test_json_strings_are_stable():
+    z5 = root_of_unity(5, 1)
+    elts = [
+        root_of_unity(20, 3) * Fraction(7, 6) - Fraction(1, 2),
+        Cyclotomic(12, {0: Fraction(1, 3), 5: Fraction(-2, 9), 7: 4, 11: Fraction(5, 6)}),
+        (z5 + z5 ** 4) * Fraction(1, 10 ** 30) + Fraction(1, 10 ** 60),
+        (z5 ** 2 - z5 ** 3).inverse(),
+        (root_of_unity(8, 1) + 3).inverse() / 7,
+        Cyclotomic(40, {39: Fraction(-4, 15), 17: Fraction(9, 10), 2: 6}),
+        root_of_unity(3, 1) + root_of_unity(3, 2),
+        rational(Fraction(-3, 7)),
+        zero(),
+    ]
+    expected = [
+        '{"coords": [[0, "-1/2"], [3, "7/6"]], "order": 20}',
+        '{"coords": [[0, "1/3"], [1, "-53/18"], [3, "-19/18"]], "order": 12}',
+        '{"coords": [[0, "-999999999999999999999999999999/' + "1" + "0" * 60 + '"], '
+        '[2, "-1/1' + "0" * 30 + '"], [3, "-1/1' + "0" * 30 + '"]], "order": 5}',
+        '{"coords": [[0, "-1/5"], [1, "-2/5"], [2, "-3/5"], [3, "1/5"]], "order": 5}',
+        '{"coords": [[0, "27/574"], [1, "-9/574"], [2, "3/574"], [3, "-1/574"]], "order": 8}',
+        '{"coords": [[1, "-9/10"], [2, "6/1"], [3, "-4/15"], [5, "9/10"], [7, "4/15"], '
+        '[9, "-9/10"], [11, "-4/15"], [13, "9/10"], [15, "4/15"]], "order": 40}',
+        '{"coords": [[0, "-1/1"]], "order": 1}',
+        '{"coords": [[0, "-3/7"]], "order": 1}',
+        '{"coords": [], "order": 1}',
+    ]
+    assert [json.dumps(e.to_json_dict(), sort_keys=True) for e in elts] == expected
+    assert all(Cyclotomic.from_json_dict(e.to_json_dict()) == e for e in elts)
+
+
 def test_sign_examples():
     z5 = root_of_unity(5, 1)
     sqrt5 = 2 * (z5 + z5 ** 4) + 1
@@ -181,7 +285,7 @@ def test_sign_agrees_with_float_oracle():
             if elt.is_zero():
                 continue
             val = mpmath.mpf(0)
-            for k, v in elt.items:
+            for k, v in elt.coords.items():
                 val += mpmath.mpf(v.numerator) / v.denominator * mpmath.cos(
                     2 * mpmath.pi * k / elt.order)
             if abs(val) < mpmath.mpf(2) ** -150:

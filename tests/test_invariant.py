@@ -182,7 +182,7 @@ def _elementwise(G, row):
     n = G.field_order()
     factors = []
     for M in sorted(G.elements, key=lambda M: not (M.b.is_zero() and M.c.is_zero())):
-        placed = [(key, c.promote(n).items) for key, c in row(M) if not c.is_zero()]
+        placed = [(key, c.promote(n).coords.items()) for key, c in row(M) if not c.is_zero()]
         d = math.lcm(1, *(v.denominator for _, items in placed for _, v in items))
         factors.append((d, [(key, [(e, -(v * d).numerator) for e, v in items])
                             for key, items in placed]))

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from sigpair.cyclotomic import Cyclotomic, rational, root_of_unity
-from sigpair.group import (binary_dihedral, binary_polyhedral, conjugate,
+from sigpair.group import (binary_dihedral, binary_polyhedral, closure, conjugate,
                            cyclic_gamma, diag, dihedral, springer_generators,
                            trivial_group)
 from sigpair.invariant import phi
@@ -184,7 +184,7 @@ def _full_matrix_inertia(M, bits=256, zero_threshold=1e-30):
         for (i, j), c in M.entries.items():
             A[i, j] = sum((mpmath.mpf(v.numerator) / v.denominator
                            * mpmath.expjpi(mpmath.mpf(2 * k) / c.order)
-                           for k, v in c.items), mpmath.mpc(0))
+                           for k, v in c.coords.items()), mpmath.mpc(0))
         eigs = mpmath.mp.eighe(A, eigvals_only=True) if dim else []
         thresh = mpmath.mpf(zero_threshold)
         pos = sum(1 for e in eigs if e > thresh)
@@ -233,6 +233,33 @@ def test_numeric_oracle_precision_floor():
             inertia_numeric(M, bits, threshold)
     assert inertia_numeric(M, 128, 1e-30) == Inertia(1, 1, 0)
     assert inertia_numeric(M, 95, 1e-20) == Inertia(1, 1, 0)
+
+
+def test_numeric_oracle_floor_grows_with_the_entries():
+    # T's matrix scaled by 2^60: 128 bits gave (21, 19) and 160 bits (17, 12)
+    # before the floor; with it, both are refused and 192 bits are right
+    M = coefficient_matrix(phi(binary_polyhedral("T")) * 2 ** 60)
+    for bits in (128, 160):
+        with pytest.raises(InsufficientPrecision, match="entries up to 2\\^71"):
+            inertia_numeric(M, bits, 1e-30)
+    for bits in (192, 256):
+        assert inertia_numeric(M, bits, 1e-30) == Inertia(9, 5, 45)
+
+
+@pytest.mark.slow
+def test_scalar_extension_mu3_octahedral_numeric_route():
+    # mu_3 O, order 144, has entries near 2^68.5: its exact pair against the
+    # block-wise oracle, at a precision above the floor and one below it
+    r, s, t = springer_generators("O")
+    z3 = root_of_unity(3, 1)
+    G = closure([r * t, t, diag(z3, z3)])
+    assert G.order == 144
+    M = coefficient_matrix(phi(G))
+    exact = inertia_exact(M)
+    assert (exact.n_plus, exact.n_minus) == (59, 25)
+    assert inertia_numeric(M, 256, 1e-30) == exact
+    with pytest.raises(InsufficientPrecision):
+        inertia_numeric(M, 128, 1e-30)
 
 
 def test_irrational_pivot_signs():
