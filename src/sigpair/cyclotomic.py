@@ -31,6 +31,9 @@ from . import intervals
 
 DEFAULT_PRECISION_CAP = 65536
 PRECISION_ENV = "SIG_MAX_PRECISION_BITS"
+# Largest field order a JSON element may name: Q(zeta_n) costs Phi_n and
+# about (n - phi(n)) phi(n) reduction-table entries before any arithmetic.
+MAX_JSON_ORDER = 4096
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -392,10 +395,14 @@ class Cyclotomic:
     @classmethod
     def from_json_dict(cls, data) -> "Cyclotomic":
         """Inverse of `to_json_dict`; `MalformedJSON` names the fault of data
-        of another shape, or with two exponents equal modulo the order."""
+        of another shape, with an order above `MAX_JSON_ORDER`, or with two
+        exponents equal modulo the order."""
         order = data.get("order") if isinstance(data, dict) else None
         if type(order) is not int or order < 1:
             raise MalformedJSON(f"a field element needs a positive integer order, got {data!r}")
+        if order > MAX_JSON_ORDER:
+            raise MalformedJSON(f"a field element's order must be at most {MAX_JSON_ORDER}, "
+                                f"got {order}")
         pairs = data.get("coords", [])
         coords = {}
         for pair in pairs if isinstance(pairs, list) else [pairs]:

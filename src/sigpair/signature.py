@@ -9,11 +9,14 @@ negative).  All arithmetic stays in the cyclotomic field.  Matrices arising
 from invariant polynomials split into many small connected components, which
 the elimination exploits; inertia is additive across components.
 
-A floating eigenvalue oracle (inertia_numeric) reproduces the original
-high-precision workflow; it is advisory only and never feeds certified
-results.  It too works block by block: one mpmath eigenvalue computation
-per connected component, after checking that the components partition the
-basis and that no nonzero entry joins two of them.
+A numeric oracle (inertia_numeric) stands in for the original
+high-precision eigenvalue workflow; it is advisory only and never feeds
+certified results.  It too works block by block, after checking that the
+components partition the basis and that no nonzero entry joins two of them,
+but computes no eigenvalue: each block is reduced to a real tridiagonal
+matrix by Householder reflections in integer fixed point, and two Sturm
+counts per block give the eigenvalues above and below the zero threshold.
+mpmath only evaluates the roots of unity.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 import mpmath
@@ -250,10 +254,12 @@ def gauss_rank(M: HermitianMatrix) -> int:
 def check_numeric_precision(precision_bits: int, zero_threshold: float = 1e-30) -> None:
     """Raise `InsufficientPrecision` unless 2^(28 - precision_bits) <= zero_threshold.
 
-    At fewer bits the eigensolver's rounding noise reaches the zero threshold
-    and zero eigenvalues get counted as signed ones: at the default 1e-30,
-    112 bits already gives a wrong inertia for `O`.  This floor needs no
-    matrix; `inertia_numeric` adds one per block that grows with the entries.
+    The numeric oracle rounds every entry and every step of its reduction to
+    precision_bits fraction bits.  With fewer bits than this floor the
+    rounding reaches the zero threshold and zero eigenvalues get counted as
+    signed ones: at the default 1e-30, 112 bits gave a wrong inertia for `O`.
+    This floor needs no matrix; `inertia_numeric` adds one per matrix that
+    grows with the entries.
     """
     if not zero_threshold > 0:
         raise InsufficientPrecision(f"zero threshold must be positive, got {zero_threshold:g}")
@@ -264,20 +270,107 @@ def check_numeric_precision(precision_bits: int, zero_threshold: float = 1e-30) 
             f"{zero_threshold:g}, got {precision_bits}")
 
 
+def _div(a: int, b: int) -> int:
+    """a / b rounded to the nearest int, for b > 0."""
+    return (2 * a + b) // (2 * b)
+
+
+def _tridiagonal(re: list[list[int]], im: list[list[int]], bits: int):
+    """Householder tridiagonalisation of a Hermitian block in fixed point.
+
+    re[i][j] + i im[i][j] is entry (i, j) times 2^bits, both halves stored;
+    the lists are overwritten.  Returns the diagonal d (times 2^bits) and
+    the squared subdiagonal moduli e2 (times 2^(2 bits)), each exactly the
+    squared norm of the column it eliminates, so no square root enters the
+    result.  Each reflector I - 2uu* is built from its column shifted to
+    full width, one exponent per reflector, so a column that earlier steps
+    shrank to a few units keeps its direction.  u is a unit vector to
+    2^-bits: the phase x0/|x0| takes |x0| to `bits` places below the unit of
+    x0, so a few-unit x0 still gives a phase of modulus one, and |v| comes
+    from v itself, not from a formula in |x| and |x0|.
+    """
+    n = len(re)
+    d, e2 = [], []
+    width = bits + 4
+    for k in range(n - 1):
+        lo = k + 1
+        d.append(re[k][k])
+        xr = [re[i][k] for i in range(lo, n)]
+        xi = [im[i][k] for i in range(lo, n)]
+        e2.append(sum(map(mul, xr, xr)) + sum(map(mul, xi, xi)))
+        if not any(xr[1:]) and not any(xi[1:]):
+            continue  # column k is already tridiagonal
+        shift = width - max(map(abs, xr + xi)).bit_length()
+        xr = [a << shift if shift >= 0 else a >> -shift for a in xr]
+        xi = [a << shift if shift >= 0 else a >> -shift for a in xi]
+        norm = math.isqrt(sum(map(mul, xr, xr)) + sum(map(mul, xi, xi)))
+        a0, b0 = xr[0], xi[0]
+        if a0 or b0:
+            # v = x + |x| x0/|x0| e1, so that H x = -|x| x0/|x0| e1
+            m0 = math.isqrt((a0 * a0 + b0 * b0) << (2 * bits))
+            xr[0] = a0 + _div((a0 * norm) << bits, m0)
+            xi[0] = b0 + _div((b0 * norm) << bits, m0)
+        else:
+            xr[0] = norm
+        nv = math.isqrt(sum(map(mul, xr, xr)) + sum(map(mul, xi, xi)))
+        ur = [_div(a << bits, nv) for a in xr]
+        ui = [_div(b << bits, nv) for b in xi]
+        # p = 2Bu, K = u*p, w = p - Ku, then B <- B - uw* - wu* on rows lo..n-1
+        pr, pi = [], []
+        for i in range(lo, n):
+            rr, ri = re[i][lo:], im[i][lo:]
+            pr.append((sum(map(mul, rr, ur)) - sum(map(mul, ri, ui))) >> (bits - 1))
+            pi.append((sum(map(mul, rr, ui)) + sum(map(mul, ri, ur))) >> (bits - 1))
+        K = (sum(map(mul, ur, pr)) + sum(map(mul, ui, pi))) >> bits
+        wr = [p - ((K * u) >> bits) for p, u in zip(pr, ur)]
+        wi = [p - ((K * u) >> bits) for p, u in zip(pi, ui)]
+        for i in range(n - lo):
+            uri, uii, wri, wii = ur[i], ui[i], wr[i], wi[i]
+            rr, ri = re[lo + i], im[lo + i]
+            for j in range(i):
+                urj, uij, wrj, wij = ur[j], ui[j], wr[j], wi[j]
+                x = rr[lo + j] - ((uri * wrj + uii * wij + wri * urj + wii * uij) >> bits)
+                y = ri[lo + j] - ((uii * wrj - uri * wij + wii * urj - wri * uij) >> bits)
+                rr[lo + j] = re[lo + j][lo + i] = x
+                ri[lo + j] = y
+                im[lo + j][lo + i] = -y
+            rr[lo + i] -= (uri * wri + uii * wii) >> (bits - 1)
+    d.append(re[n - 1][n - 1])
+    return d, e2
+
+
+def _count_below(d: list[int], e2: list[int], x: int) -> int:
+    """Sturm count of the tridiagonal (d, e2) from `_tridiagonal`: the
+    number of eigenvalues below x (times 2^bits), a zero pivot counting as a
+    tiny negative one (Kahan's count, as in LAPACK's dstebz)."""
+    count = 0
+    q = 1
+    for k, dk in enumerate(d):
+        q = dk - x - (e2[k - 1] // q if k else 0)
+        if q <= 0:
+            count += 1
+            q = q or -1
+    return count
+
+
 def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
                     zero_threshold: float = 1e-30) -> Inertia:
-    """Floating eigenvalue oracle: advisory only, never used for certified results.
+    """Numeric inertia oracle: advisory only, never used for certified results.
 
-    Eigenvalues are computed block by block, one `mpmath.eighe` per component
-    of `M.components()`, and the per-block counts are added; an eigenvalue
-    counts as zero when its absolute value is at most `zero_threshold`.  Before
-    any eigenvalue is computed, the components must partition the basis and
-    hold both ends of every nonzero entry, or `SignatureCheckFailed` is raised.
-    Each root of unity is evaluated once per call and each entry once, its
-    mirror being its conjugate.
+    Works block by block on the components of `M.components()` and adds the
+    per-block counts; an eigenvalue counts as zero when its absolute value is
+    at most `zero_threshold`.  Before any arithmetic the components must
+    partition the basis and hold both ends of every nonzero entry, or
+    `SignatureCheckFailed` is raised.  No eigenvalue is computed: each block
+    is reduced to a real tridiagonal matrix by complex Householder
+    reflections in integer fixed point with precision_bits fraction bits,
+    and two Sturm counts give the eigenvalues below -zero_threshold and at
+    most +zero_threshold.  Each entry is converted once, its mirror being its
+    conjugate, from root-of-unity values that mpmath evaluates once per call
+    with at least 32 guard bits.
 
-    Rounding noise grows with the entries, so it also raises
-    `InsufficientPrecision`, before any eigenvalue, unless precision_bits >=
+    Rounding grows with the entries, so it also raises
+    `InsufficientPrecision`, before the reduction, unless precision_bits >=
     16 - log2(zero_threshold) + log2(max(1, max |a_ij|)): 127 bits for `T`,
     138 for `O` and 171 for `I` at the default threshold.
     """
@@ -289,39 +382,47 @@ def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
     for (i, j) in M.entries:
         if where[i][0] != where[j][0]:
             raise SignatureCheckFailed(f"entry ({i},{j}) joins two components")
-    pos = neg = 0
-    with mpmath.workprec(precision_bits):
-        roots = {}
-        blocks = [mpmath.zeros(len(comp)) for comp in comps]
-        top = mpmath.mpf(1)
-        for (i, j), c in M.entries.items():
-            if i > j:
-                continue
-            z = mpmath.mpc(0)
+    bits = max(precision_bits, 1)  # the shifts below need a positive width
+    upper = [(i, j, c) for (i, j), c in M.entries.items() if i <= j]
+    # guard bits cover coordinates larger than the entry they sum to
+    guard = 32 + max([0] + [sum(abs(v) for _, v in c.items).bit_length() - c.den.bit_length()
+                            for _, _, c in upper])
+    scale = bits + guard
+    roots = {}
+    re = [[[0] * len(comp) for _ in comp] for comp in comps]
+    im = [[[0] * len(comp) for _ in comp] for comp in comps]
+    size = 0.0  # log2(max(1, max |a_ij|)), from the entries before rounding to bits
+    with mpmath.workprec(scale + 16):
+        for i, j, c in upper:
+            zr = zi = 0
             for k, v in c.items:
                 w = roots.get((c.order, k))
                 if w is None:
-                    w = roots[(c.order, k)] = mpmath.expjpi(mpmath.mpf(2 * k) / c.order)
-                z += v * w
-            z /= c.den
+                    z = mpmath.expjpi(mpmath.mpf(2 * k) / c.order)
+                    w = roots[(c.order, k)] = (int(mpmath.nint(mpmath.ldexp(z.real, scale))),
+                                               int(mpmath.nint(mpmath.ldexp(z.imag, scale))))
+                zr += v * w[0]
+                zi += v * w[1]
+            q = c.den << guard
+            if zr or zi:
+                size = max(size, math.log2(zr * zr + zi * zi) / 2 - math.log2(q) - bits)
+            zr, zi = _div(zr, q), (_div(zi, q) if i != j else 0)
             b, p = where[i]
-            q = where[j][1]
-            blocks[b][p, q] = z
-            if p != q:
-                blocks[b][q, p] = mpmath.conj(z)
-            top = max(top, abs(z))
-        size = float(mpmath.log(top, 2))
-        floor = 16 - math.log2(zero_threshold) + size
-        if precision_bits < floor:
-            raise InsufficientPrecision(
-                f"the matrix has entries up to 2^{size:.1f}, so the numeric oracle needs at "
-                f"least {math.ceil(floor)} bits at zero threshold {zero_threshold:g}, "
-                f"got {precision_bits}")
-        thresh = mpmath.mpf(zero_threshold)
-        for A in blocks:
-            eigs = mpmath.mp.eighe(A, eigvals_only=True)
-            pos += sum(1 for e in eigs if e > thresh)
-            neg += sum(1 for e in eigs if e < -thresh)
+            r = where[j][1]
+            re[b][p][r] = re[b][r][p] = zr
+            im[b][p][r], im[b][r][p] = zi, -zi
+    floor = 16 - math.log2(zero_threshold) + size
+    if precision_bits < floor:
+        raise InsufficientPrecision(
+            f"the matrix has entries up to 2^{size:.1f}, so the numeric oracle needs at "
+            f"least {math.ceil(floor)} bits at zero threshold {zero_threshold:g}, "
+            f"got {precision_bits}")
+    thresh = math.floor(Fraction(zero_threshold) * 2 ** bits)
+    pos = neg = 0
+    for bre, bim in zip(re, im):
+        d, e2 = _tridiagonal(bre, bim, bits)
+        neg += _count_below(d, e2, -thresh)
+        pos += len(d) - _count_below(d, e2, thresh)
     return Inertia(pos, neg, M.dimension - pos - neg)
 
 

@@ -165,8 +165,11 @@ _ZERO = {"order": 1, "coords": []}
     ({"generators": [[[{"order": 4, "coords": [[1, "1/2"], [1, "1/2"]]}, _ZERO],
                       [_ZERO, {"order": 4, "coords": [[3, "1/1"]]}]]]}, "repeats"),
     ('{"generators": ' + "[" * 100000 + "]" * 100000 + "}", "recursion"),
+    # diag(1, 1) written in Q(zeta_55440): building that field took minutes
+    ({"generators": [[[{"order": 55440, "coords": [[0, "1/1"]]}, _ZERO],
+                      [_ZERO, _ONE]]]}, "order must be at most 4096, got 55440"),
 ], ids=["row-not-a-matrix", "zero-denominator", "top-level-array", "null-cap",
-        "fractional-order", "repeated-exponent", "deep-nesting"])
+        "fractional-order", "repeated-exponent", "deep-nesting", "huge-order"])
 def test_malformed_generator_file_exit_2(capsys, tmp_path, data, fault):
     path = tmp_path / "gens.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))

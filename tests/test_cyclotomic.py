@@ -11,7 +11,7 @@ import pytest
 from sigpair import cyclotomic
 from sigpair.cyclotomic import (DEFAULT_PRECISION_CAP, Cyclotomic, CyclotomicCheckFailed,
                                 DivisionByZero, IncompatibleOrder,
-                                InvalidPrecisionCap, NotReal,
+                                InvalidPrecisionCap, MAX_JSON_ORDER, MalformedJSON, NotReal,
                                 cyclotomic_polynomial, euler_phi,
                                 multiplicative_order, one, precision_cap,
                                 rational, root_of_unity, zero)
@@ -319,6 +319,13 @@ def test_json_round_trip():
     assert data["order"] == 20
     assert all(isinstance(k, int) and "/" in s for k, s in data["coords"])
     assert Cyclotomic.from_json_dict(data) == z
+
+
+def test_json_order_bound():
+    top = Cyclotomic.from_json_dict({"order": MAX_JSON_ORDER, "coords": [[1, "1"]]})
+    assert top == root_of_unity(MAX_JSON_ORDER, 1)
+    with pytest.raises(MalformedJSON, match=f"at most {MAX_JSON_ORDER}, got {MAX_JSON_ORDER + 1}"):
+        Cyclotomic.from_json_dict({"order": MAX_JSON_ORDER + 1, "coords": [[0, "1"]]})
 
 
 def test_precision_cap_env(monkeypatch):

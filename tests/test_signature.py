@@ -1,6 +1,8 @@
-"""Coefficient matrices, exact inertia, and the floating oracle."""
+"""Coefficient matrices, exact inertia, and the numeric oracle."""
 
+import functools
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -192,6 +194,130 @@ def _full_matrix_inertia(M, bits=256, zero_threshold=1e-30):
     return Inertia(pos, neg, dim - pos - neg)
 
 
+def _dense(rows):
+    return HermitianMatrix([(i, 0) for i in range(len(rows))],
+                           {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row)})
+
+
+def _random_element(rng, order):
+    exps = rng.sample(range(order), rng.randint(1, 3))
+    return Cyclotomic(order, {k: rng.randint(-3, 3) for k in exps})
+
+
+def _random_hermitian(rng, order, n):
+    rows = [[rational(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rational(rng.randint(-4, 4))
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                rows[i][j] = _random_element(rng, order)
+                rows[j][i] = rows[i][j].conj()
+    return rows
+
+
+def _random_low_rank(rng, order, n):
+    """sum of 1-3 signed outer products v v*: mostly zero eigenvalues."""
+    rows = [[rational(0)] * n for _ in range(n)]
+    for _ in range(rng.randint(1, 3)):
+        v = [_random_element(rng, order) if rng.random() < 0.7 else rational(0)
+             for _ in range(n)]
+        sign = rng.choice((1, -1))
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = rows[i][j] + sign * v[i] * v[j].conj()
+    return rows
+
+
+def _with_zero_rows(rng, rows):
+    for i in rng.sample(range(len(rows)), rng.randint(1, max(1, len(rows) // 3))):
+        for j in range(len(rows)):
+            rows[i][j] = rows[j][i] = rational(0)
+    return rows
+
+
+def _with_a_few_ulps(rng, order, rows, bits):
+    """rows with entry (0, 1) a few units of 2^-bits: the leading entry of
+    the first reflector's column, whose phase must still have modulus one."""
+    rows[0][1] = _random_element(rng, order) * Fraction(1, 2 ** bits)
+    rows[1][0] = rows[0][1].conj()
+    return rows
+
+
+@pytest.mark.parametrize("bits, threshold", [(256, 1e-30), (128, 1e-20)])
+@pytest.mark.parametrize("order", [5, 8, 40])
+def test_numeric_oracle_matches_full_matrix_on_random_matrices(order, bits, threshold):
+    rng = random.Random(order * 1000 + bits)
+    kinds = (_random_hermitian, _random_low_rank,
+             lambda rng, order, n: _with_zero_rows(rng, _random_hermitian(rng, order, n)))
+    for kind in kinds:
+        for _ in range(8):
+            M = _dense(kind(rng, order, rng.randint(2, 12)))
+            expected = _full_matrix_inertia(M, bits, threshold)
+            assert inertia_numeric(M, bits, threshold) == expected
+            assert expected == inertia_exact(M)
+    # a few-ulp entry can add an eigenvalue far below the threshold, which
+    # only the exact route sees
+    for _ in range(12):
+        rows = _random_hermitian(rng, order, rng.randint(2, 12))
+        M = _dense(_with_a_few_ulps(rng, order, rows, bits))
+        assert inertia_numeric(M, bits, threshold) == _full_matrix_inertia(M, bits, threshold)
+
+
+def test_numeric_oracle_few_ulp_leading_entry():
+    # e = (1 - i) 2^-256 is one unit of 2^-256 in each part and leads the
+    # first reflector's column; the reflector's phase e/|e| must take |e| to
+    # 2 x 256 bits: with |e| rounded to 256 bits the phase has modulus 1.13
+    # and the oracle gave (2, 1, 0)
+    i = root_of_unity(4, 1)
+    M = _hm(diag_vals=(-2, 0, 2), offdiag=[(0, 1, (1 - i) * Fraction(1, 2 ** 256)), (0, 2, 3)])
+    assert inertia_numeric(M, 256, 1e-30) == _full_matrix_inertia(M) == Inertia(1, 1, 1)
+
+
+def _rational_reflection(v):
+    vv = sum(x * x for x in v)
+    return [[Fraction(int(i == j)) - Fraction(2 * v[i] * v[j], vv) for j in range(len(v))]
+            for i in range(len(v))]
+
+
+def _matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+@pytest.mark.parametrize("bits, threshold", [(256, 1e-30), (128, 1e-20)])
+def test_numeric_oracle_near_the_threshold(bits, threshold):
+    # eigenvalues at +-3 and +-1/2 times the threshold, hidden by a rational
+    # orthogonal conjugation: the first pair counts as signed, the second as zero
+    rng = random.Random(bits)
+    thr = Fraction(threshold)
+    for _ in range(6):
+        eigs = [3 * thr, -3 * thr, thr / 2, -thr / 2, Fraction(0)]
+        eigs += [Fraction(rng.choice((-2, -1, 1, 3))) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(eigs)
+        n = len(eigs)
+        Q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for _ in range(2):
+            Q = _matmul(Q, _rational_reflection([rng.randint(-3, 3) or 1 for _ in range(n)]))
+        A = _matmul(_matmul(Q, [[eigs[i] if i == j else 0 for j in range(n)] for i in range(n)]),
+                    [list(col) for col in zip(*Q)])
+        M = _dense([[rational(a) for a in row] for row in A])
+        expected = Inertia(sum(e > thr for e in eigs), sum(e < -thr for e in eigs),
+                           sum(abs(e) <= thr for e in eigs))
+        assert _full_matrix_inertia(M, bits, threshold) == expected
+        assert inertia_numeric(M, bits, threshold) == expected
+
+
+def test_numeric_oracle_computes_no_eigenvalue(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the numeric oracle called an eigenvalue routine")
+
+    for name in ("eig", "eigh", "eighe", "eigsy"):
+        monkeypatch.setattr(mpmath.mp, name, refuse)
+        monkeypatch.setattr(mpmath, name, refuse)
+    M = coefficient_matrix(phi(binary_polyhedral("T")))
+    assert inertia_numeric(M, 256, 1e-30) == Inertia(9, 5, 45)
+
+
 def _conjugated_matrix(G):
     """Phi_G's matrix for G conjugated by r (r^4 t s)^2, a non-monomial element of I."""
     r, s, t = springer_generators("I")
@@ -235,6 +361,15 @@ def test_numeric_oracle_precision_floor():
     assert inertia_numeric(M, 95, 1e-20) == Inertia(1, 1, 0)
 
 
+def test_numeric_oracle_at_a_huge_threshold():
+    # at threshold 1e10 the floors allow precisions down to -17 bits for
+    # entries of size 1; the entry size is measured before any rounding
+    assert inertia_numeric(_hm(diag_vals=(1, -1)), -5, 1e10) == Inertia(0, 0, 2)
+    assert inertia_numeric(_hm(diag_vals=(2 ** 40, -1)), 64, 1e10) == Inertia(1, 0, 1)
+    with pytest.raises(InsufficientPrecision, match="entries up to 2\\^40.0, .* least 23 bits"):
+        inertia_numeric(_hm(diag_vals=(2 ** 40, -1)), 2, 1e10)
+
+
 def test_numeric_oracle_floor_grows_with_the_entries():
     # T's matrix scaled by 2^60: 128 bits gave (21, 19) and 160 bits (17, 12)
     # before the floor; with it, both are refused and 192 bits are right
@@ -246,20 +381,52 @@ def test_numeric_oracle_floor_grows_with_the_entries():
         assert inertia_numeric(M, bits, 1e-30) == Inertia(9, 5, 45)
 
 
-@pytest.mark.slow
-def test_scalar_extension_mu3_octahedral_numeric_route():
-    # mu_3 O, order 144, has entries near 2^68.5: its exact pair against the
-    # block-wise oracle, at a precision above the floor and one below it
+@pytest.mark.parametrize("kind, scale, size, floor",
+                         [("T", 60, "71.2", 187), ("T", 100, "111.2", 227), ("O", 40, "62.0", 178)])
+def test_numeric_oracle_precision_sweep(kind, scale, size, floor):
+    # every precision from 128 bits up to the matrix floor is refused with the
+    # entry-size message; from the floor to 256 bits the inertia is exact
+    M = coefficient_matrix(phi(binary_polyhedral(kind)) * 2 ** scale)
+    exact = inertia_exact(M)
+    message = f"entries up to 2\\^{re.escape(size)}, so .* at least {floor} bits"
+    for bits in range(128, floor):
+        with pytest.raises(InsufficientPrecision, match=message):
+            inertia_numeric(M, bits, 1e-30)
+    for bits in range(floor, 257, 3):
+        assert inertia_numeric(M, bits, 1e-30) == exact, bits
+
+
+@functools.lru_cache(maxsize=None)
+def _mu3_octahedral_matrix():
     r, s, t = springer_generators("O")
     z3 = root_of_unity(3, 1)
     G = closure([r * t, t, diag(z3, z3)])
     assert G.order == 144
-    M = coefficient_matrix(phi(G))
+    return coefficient_matrix(phi(G))
+
+
+@pytest.mark.slow
+def test_scalar_extension_mu3_octahedral_numeric_route():
+    # mu_3 O, order 144, has entries near 2^68.5: its exact pair against the
+    # block-wise oracle, at a precision above the floor and one below it
+    M = _mu3_octahedral_matrix()
     exact = inertia_exact(M)
     assert (exact.n_plus, exact.n_minus) == (59, 25)
     assert inertia_numeric(M, 256, 1e-30) == exact
     with pytest.raises(InsufficientPrecision):
         inertia_numeric(M, 128, 1e-30)
+
+
+@pytest.mark.slow
+def test_numeric_oracle_near_its_floor_on_large_groups():
+    # I's floor is 171 bits and mu_3 O's 185
+    M = coefficient_matrix(phi(binary_polyhedral("I")))
+    exact = inertia_exact(M)
+    assert (exact.n_plus, exact.n_minus) == (40, 22)
+    for bits in (172, 256):
+        assert inertia_numeric(M, bits, 1e-30) == exact, bits
+    M = _mu3_octahedral_matrix()
+    assert inertia_numeric(M, 186, 1e-30) == inertia_exact(M)
 
 
 def test_irrational_pivot_signs():
