@@ -422,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stable-output", action="store_true",
                     help="omit timing fields so identical runs are byte-identical")
     sp.add_argument("--dump-poly", metavar="PATH", help="write the expanded polynomial as CSV")
-    sp.add_argument("-v", "--verbose", action="store_true")
+    sp.add_argument("-v", "--verbose", action="store_true",
+                    help="report progress on stderr, one step per coset of the diagonal subgroup")
     sp.set_defaults(func=cmd_signature)
 
     fp = sub.add_parser("fpq", help="the bivariate polynomials f_{p,q}")

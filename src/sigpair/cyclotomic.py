@@ -172,11 +172,15 @@ class Cyclotomic:
         if order < 1:
             raise ValueError("order must be a positive integer")
         raw = {int(k): Fraction(v) for k, v in dict(coords).items()}
-        den = math.lcm(1, *(v.denominator for v in raw.values()))
-        vec = [0] * order
-        for k, v in raw.items():
-            vec[k % order] += v.numerator * (den // v.denominator)
-        c = _canonical(order, vec, den)
+        if all(k % order == 0 for k in raw):
+            # a rational lives at order 1: build no table of Q(zeta_order)
+            c = rational(sum(raw.values()))
+        else:
+            den = math.lcm(1, *(v.denominator for v in raw.values()))
+            vec = [0] * order
+            for k, v in raw.items():
+                vec[k % order] += v.numerator * (den // v.denominator)
+            c = _canonical(order, vec, den)
         self.order, self.items, self.den = c.order, c.items, c.den
 
     @classmethod

@@ -10,9 +10,11 @@ The Euler-operator recurrence
 
 then reconstructs P with pure integer arithmetic (each division is exact
 because the coefficients are integers), which keeps the large sweeps cheap.
-A brute-force expansion over Q(zeta_p) serves as the independent oracle in
-the test suite, and the diagonal of the exact Phi engine cross-checks the
-same values a third way.
+The exact Phi engine builds the product of every diagonal group with its
+own copy of this recurrence (`invariant._diagonal_product`), kept apart on
+purpose so each checks the other; the routes independent of both are a
+brute-force expansion over Q(zeta_p) and the engine's element-wise fold,
+the oracles of the test suite.
 
 A polynomial here is a plain dict {(r, s): coefficient of x^r y^s} with no
 zero values.  Also here: the weight of a monomial, the gcd sign rule, weight

@@ -12,14 +12,23 @@ Y_g = z2 (g.b zbar1 + g.d zbar2), so each coset gH contributes one factor
     F_H(X, Y) = 1 - prod_{h in H} (1 - alpha X - beta Y).
 
 H is every diagonal element of G, the largest subgroup the identity applies
-to, so the fold runs over [G:H] factors instead of |G| linear ones.  For a diagonal cyclic group Gamma(p, q), F_H is f_{p,q} and
-the index is 1; the dihedral and binary dihedral groups have index 2, the
-binary polyhedral groups 6 (T, O) or 12 (I).  H's own elements are folded
-first: their product is the identity coset's factor, since X_I = z1 zbar1
-and Y_I = z2 zbar2, F_H is read off it, and the fold continues from it over
-the other cosets.  H = {I} gives F_H = X + Y, the element-wise fold.  The
-polarization 1 - prod_{g in G}(1 - (gz)_1 - (gz)_2) is Phi_G at
-zbar = (1, 1): its terms with the zbar exponents dropped, summed.
+to, so the fold runs over [G:H] factors instead of |G| linear ones.  For a
+diagonal cyclic group Gamma(p, q), F_H is f_{p,q} and the index is 1; the
+dihedral and binary dihedral groups have index 2, the binary polyhedral
+groups 6 (T, O) or 12 (I).  The identity coset's factor is not folded: with
+X_I = z1 zbar1 and Y_I = z2 zbar2 it is 1 - F_H(X, Y) itself, an integer
+polynomial that `_diagonal_product` builds from power sums.  Reading each
+diagonal entry as zeta_N^a (N = lcm(2, n)), character orthogonality gives
+sum_h alpha_h^i beta_h^j = |H| on the weight lattice of H and 0 off it, so
+
+    log prod_h (1 - alpha_h X - beta_h Y) = sum_lattice -|H| C(i+j, i) X^i Y^j / (i+j),
+
+and the Euler operator turns the exponential into an integer recurrence
+(D'Angelo-Lichtblau; `fpq` runs the cyclic case on its own).  The fold
+continues from that factor over the other cosets.  H = {I} gives
+F_H = X + Y, the element-wise fold.  The polarization
+1 - prod_{g in G}(1 - (gz)_1 - (gz)_2) is Phi_G at zbar = (1, 1): its
+terms with the zbar exponents dropped, summed.
 
 The fold runs on scaled integer coordinate vectors (n the common cyclotomic
 order of all matrix entries) and converts to canonical field elements once
@@ -47,7 +56,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, rational, reduce_vector
+from .cyclotomic import Cyclotomic, _reduction_rows, euler_phi, rational, reduce_vector
 from .group import FiniteMatrixGroup, Matrix2
 
 _SHIFT = (0, 16, 32, 48)
@@ -296,14 +305,87 @@ def _poly(*terms) -> HermitianPolynomial:
     return HermitianPolynomial({key: c for key, c in terms if not c.is_zero()})
 
 
+def _root_exponents(n: int) -> dict:
+    """The canonical numerators of every root of unity +-zeta_n^k in Q(zeta_n)
+    (den 1), mapped to the exponent a with value zeta_N^a, N = lcm(2, n).
+
+    zeta_n^k is the basis vector k for k < phi(n) and the reduction row of
+    x^k modulo Phi_n from there on; the rationals +-1, stored at order 1,
+    have the numerators of k = 0.
+    """
+    N, d = math.lcm(2, n), euler_phi(n)
+    rows = dict(_reduction_rows(n))
+    table = {}
+    for k in range(n):
+        items = ((k, 1),) if k < d else rows[k]
+        a = k * (N // n)
+        table[items] = a
+        table[tuple((i, -c) for i, c in items)] = (a + N // 2) % N
+    return table
+
+
+def _log_weights(exponents: set, N: int, order: int) -> dict:
+    """(i, j) -> (i + j) [log P](i, j) = -order C(i+j, i) for P the product
+    over the group of exponent pairs `exponents`, on its weight lattice
+    {(i, j): 0 < i + j <= order, a i + b j = 0 mod N for every (a, b)},
+    in ascending degree; off the lattice the power sums vanish."""
+    chars = [(a, b) for a, b in exponents if a or b]
+    return {(i, d - i): -order * math.comb(d, i)
+            for d in range(1, order + 1) for i in range(d, -1, -1)
+            if all((a * i + b * (d - i)) % N == 0 for a, b in chars)}
+
+
+def _diagonal_product(H: list[Matrix2], n: int) -> dict[tuple[int, int], int]:
+    """prod_{h in H}(1 - alpha_h X - beta_h Y) as {(r, s): int}, zero terms
+    omitted, for H a group of diag(alpha_h, beta_h) with entries in Q(zeta_n).
+
+    Each entry is read exactly as zeta_N^a, N = lcm(2, n); then the Euler
+    recurrence (r+s) P[r, s] = sum_{(i,j)} w(i, j) P[r-i, s-j] over the
+    weight lattice rebuilds the product in plain ints.  The recurrence holds
+    only for a group, so an entry that is not a root of unity, a repeated
+    element, a set not closed under products or an inexact division raises
+    `InvariantCheckFailed`.
+    """
+    N = math.lcm(2, n)
+    table = _root_exponents(n)
+
+    def exponent(e: Cyclotomic) -> int:
+        a = table.get(e.items) if e.den == 1 and e.order in (1, n) else None
+        if a is None:
+            raise InvariantCheckFailed(f"diagonal entry {e} is not a root of unity in Q(zeta_{n})")
+        return a
+
+    exponents = {(exponent(h.a), exponent(h.d)) for h in H}
+    _require(len(exponents) == len(H)
+             and all(((a + c) % N, (b + d) % N) in exponents
+                     for a, b in exponents for c, d in exponents),
+             f"the {len(H)} diagonal elements are not a group")
+    weights = _log_weights(exponents, N, len(H))
+    prod = {(0, 0): 1}
+    for r, s in weights:
+        acc = 0
+        for (i, j), w in weights.items():
+            if i <= r and j <= s:
+                prev = prod.get((r - i, s - j))
+                if prev is not None:
+                    acc += w * prev
+        coef, rem = divmod(acc, r + s)
+        if rem:
+            raise InvariantCheckFailed(f"Euler recurrence: {acc} at {(r, s)} "
+                                       f"is not a multiple of {r + s}")
+        if coef:
+            prod[(r, s)] = coef
+    return prod
+
+
 def _product(G: FiniteMatrixGroup, n: int, progress=None):
     """prod_{g in G}(1 - <gz, z>) as (integer vectors, scale), folded by cosets.
 
-    The diagonal elements H are folded one by one.  Their product is the
-    identity coset's factor 1 - F_H(X_I, Y_I), and the z exponents (i, j) of
-    each of its monomials index the term X^i Y^j of 1 - F_H.  Every other
-    left coset gH contributes 1 - F_H(X_g, Y_g), with
+    The identity coset's factor 1 - F_H(X_I, Y_I) is `_diagonal_product` of
+    the diagonal elements H, its term X^i Y^j the monomial z1^i z2^j zbar1^i
+    zbar2^j.  Every other left coset gH contributes 1 - F_H(X_g, Y_g), with
     X_g = z1 (g.a zbar1 + g.c zbar2) and Y_g = z2 (g.b zbar1 + g.d zbar2).
+    `progress(done, [G:H])` follows each coset, the identity's first.
     """
     H = [M for M in G.elements if _is_diagonal(M)]
     reps, covered = [], set()
@@ -314,19 +396,14 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None):
     _require((1 + len(reps)) * len(H) == G.order,
              f"Lagrange identity: {1 + len(reps)} cosets of the {len(H)} diagonal "
              f"elements do not make up {G.order} elements")
-    total = len(H) + len(reps)
-
-    def report(offset):
-        return None if progress is None else (lambda done, _: progress(offset + done, total))
-
-    factors = [_integer_factor([(_Z1W1, -h.a), (_Z2W2, -h.d)], n) for h in H]
-    prod = _fold_product(factors, n, report(0))
-    scale = math.prod(d for d, _ in factors)
+    identity_factor = _diagonal_product(H, n)
+    prod = {pack_key(r, s, r, s): [c] + [0] * (n - 1) for (r, s), c in identity_factor.items()}
+    if progress is not None:
+        progress(1, 1 + len(reps))
     if not reps:
-        return prod, scale
+        return prod, 1
     # (i, j) -> coefficient of X^i Y^j in -F_H, the non-constant part of 1 - F_H
-    minus_f = {unpack_key(key)[:2]: Cyclotomic.from_reduced(n, vec, scale)
-               for key, vec in prod.items() if key}
+    minus_f = {ij: rational(c) for ij, c in identity_factor.items() if ij != (0, 0)}
     factors = []
     for g in reps:
         table = _power_table([_poly((_Z1W1, g.a), (_Z1W2, g.c)),
@@ -336,8 +413,9 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None):
             for key, v in table[ij].terms.items():
                 _accumulate(factor, key, c * v)
         factors.append(_integer_factor(factor.items(), n))
-    prod = _fold_product(factors, n, report(len(H)), prod)
-    return prod, scale * math.prod(d for d, _ in factors)
+    report = None if progress is None else (lambda done, total: progress(1 + done, 1 + total))
+    prod = _fold_product(factors, n, report, prod)
+    return prod, math.prod(d for d, _ in factors)
 
 
 def phi(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:

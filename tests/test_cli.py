@@ -87,6 +87,14 @@ def test_signature_expands_phi_once(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("spec, last", [("cyclic:40,39", "factor 1/1"), ("O", "factor 6/6")])
+def test_verbose_progress_counts_cosets(capsys, spec, last):
+    # one step per coset of the diagonal subgroup, the diagonal product first
+    code, _, err = run_cli(capsys, "signature", "--group", spec, "-v", "--stable-output")
+    assert code == 0
+    assert err.splitlines()[-1] == f"{cli._parse_group(spec).label}: {last}"
+
+
 @pytest.fixture
 def conjugated_dihedral_file(tmp_path):
     """Generators of Delta_6 conjugated by r^2 (r^4 t s)^2 from the icosahedral group."""

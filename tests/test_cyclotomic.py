@@ -328,6 +328,18 @@ def test_json_order_bound():
         Cyclotomic.from_json_dict({"order": MAX_JSON_ORDER + 1, "coords": [[0, "1"]]})
 
 
+def test_rational_at_a_large_order_builds_no_table():
+    # 3795 = 3 * 5 * 11 * 23: Phi_3795 and its reduction rows take 0.6 s and 230 MB (2-core VM)
+    cyclotomic._reduction_rows.cache_clear()
+    cyclotomic.cyclotomic_polynomial.cache_clear()
+    for coords in ({0: 1}, {3795: Fraction(-2, 3)}, {0: 1, 7590: -1}):
+        x = Cyclotomic(3795, coords)
+        assert x.order == 1 and x == sum(coords.values())
+    assert Cyclotomic.from_json_dict({"order": 3795, "coords": [[0, "1"]]}) == 1
+    assert cyclotomic._reduction_rows.cache_info().misses == 0
+    assert cyclotomic.cyclotomic_polynomial.cache_info().misses == 0
+
+
 def test_precision_cap_env(monkeypatch):
     # a generous cap still certifies an easy sign
     monkeypatch.setenv("SIG_MAX_PRECISION_BITS", "256")

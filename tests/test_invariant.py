@@ -218,12 +218,60 @@ def _oracle_groups():
     # generators of orders 3, 15 and 1: coset representatives compare by value
     yield closure([diag(root_of_unity(3, 1), 1), diag(root_of_unity(15, 1), root_of_unity(15, 14)),
                    antidiag(1, 1)], label="mixed")
+    # diagonal, not cyclic, at the odd field order 3 with -1 entries (exponents mod 6)
+    yield closure([diag(-1, 1), diag(1, -1), diag(root_of_unity(3, 1), 1)], label="mu6xmu2")
 
 
 @pytest.mark.parametrize("G", list(_oracle_groups()), ids=lambda G: G.label)
 def test_coset_fold_matches_elementwise_fold(G):
     assert phi(G) == _elementwise(G, _phi_row)
     assert polarized_at_ones(G) == _elementwise(G, _polarized_row)
+
+
+def _diagonal_groups():
+    yield from (cyclic_gamma(p, q) for p in range(1, 17) for q in range(1, p + 1))
+    yield cyclic_gamma(40, 39)
+
+
+def test_diagonal_product_matches_elementwise_fold():
+    for G in _diagonal_groups():
+        prod = invariant._diagonal_product(G.elements, G.field_order())
+        got = HermitianPolynomial({pack_key(r, s, r, s): rational(c) for (r, s), c in prod.items()})
+        assert got == HermitianPolynomial({0: rational(1)}) - _elementwise(G, _phi_row), G.label
+
+
+def _unit(re, im):
+    """re + i im in Q(zeta_4)."""
+    return Cyclotomic(4, {0: re, 1: im})
+
+
+@pytest.mark.parametrize("elements, what", [
+    # {0, 1} mod 4 is not closed: the power sums of the recurrence would be wrong
+    ([identity(), diag(root_of_unity(4, 1), 1)], "not a group"),
+    ([identity(), diag(_unit(Fraction(3, 5), Fraction(4, 5)), _unit(Fraction(3, 5), Fraction(-4, 5)))],
+     "not a root of unity"),
+], ids=["not-closed", "not-root-of-unity"])
+def test_diagonal_stage_rejects_a_non_group(elements, what):
+    bogus = FiniteMatrixGroup(elements, "not a group")
+    for expand in (phi, polarized_at_ones):
+        with pytest.raises(InvariantCheckFailed, match=what):
+            expand(bogus)
+
+
+def test_inexact_euler_division_fails_its_check(monkeypatch):
+    log_weights = invariant._log_weights
+
+    def perturbed(*args):
+        # one more at the lowest lattice point of degree 2 or more leaves a remainder there
+        weights = log_weights(*args)
+        ij = next(ij for ij in weights if sum(ij) > 1)
+        weights[ij] += 1
+        return weights
+
+    monkeypatch.setattr(invariant, "_log_weights", perturbed)
+    for G in (cyclic_gamma(40, 39), dihedral(3), binary_polyhedral("T")):
+        with pytest.raises(InvariantCheckFailed, match="Euler recurrence"):
+            phi(G)
 
 
 def test_lagrange_check_rejects_a_non_group():
@@ -270,7 +318,7 @@ def test_corrupted_fold_fails_its_check(monkeypatch, expand, corrupt, what):
 
 def test_checks_hold_under_python_O():
     script = textwrap.dedent("""
-        from sigpair import group, invariant
+        from sigpair import cyclotomic, group, invariant
         product = invariant._product
 
         def corrupted(*args, **kwargs):
@@ -279,12 +327,16 @@ def test_checks_hold_under_python_O():
             return prod, scale
 
         invariant._product = corrupted
-        try:
-            invariant.phi(group.dihedral(3))
-        except invariant.InvariantCheckFailed as exc:
-            print("raised:", exc)
+        not_closed = group.FiniteMatrixGroup(
+            [group.identity(), group.diag(cyclotomic.root_of_unity(4, 1), 1)], "not closed")
+        for G in (group.dihedral(3), not_closed):
+            try:
+                invariant.phi(G)
+            except invariant.InvariantCheckFailed as exc:
+                print("raised:", exc)
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(sigpair.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "raised: constant term must vanish"
+    assert done.stdout.splitlines() == ["raised: constant term must vanish",
+                                        "raised: the 2 diagonal elements are not a group"]
