@@ -8,8 +8,7 @@ dihedral families and the orbit Chern class identity.
 """
 
 from .cyclotomic import (Cyclotomic, DivisionByZero, IncompatibleOrder, MalformedJSON,
-                         NotReal, PrecisionExceeded, cyclotomic_polynomial,
-                         rational, root_of_unity)
+                         NotReal, cyclotomic_polynomial, rational, root_of_unity)
 from .group import (CapExceeded, FiniteMatrixGroup, Matrix2, NotUnitary,
                     binary_dihedral, binary_polyhedral, closure, conjugate,
                     cyclic_gamma, dihedral, load_generators, trivial_group)

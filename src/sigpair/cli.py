@@ -8,9 +8,9 @@ Subcommands:
               dihedral families
 
 Results go to stdout (JSON, CSV, LaTeX or text); diagnostics go to stderr.
-Exit codes: 0 success, 2 bad arguments (including an invalid
-SIG_MAX_PRECISION_BITS, a malformed generator file, or a --precision below
-the numeric oracle's floor), 3 invalid group input, 4 failed verification.
+Exit codes: 0 success, 2 bad arguments (including a malformed generator
+file, a --precision below the numeric oracle's floor, or a --p outside a
+family's range), 3 invalid group input, 4 failed verification.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chern, closedforms, signature as sig_mod
-from .cyclotomic import InvalidPrecisionCap, precision_cap
 from .fpq import (T_closed, even_odd_table, f_closed_pminus1, family_table,
                   format_fpq, fpq, lww_sign, signature_cyclic,
                   signature_cyclic_closed, verify_exact_formula, weight,
@@ -49,6 +48,12 @@ class VerificationReport:
             "first_counterexample": self.first_counterexample,
             "elapsed_ms": self.elapsed_ms,
         }
+
+
+def _error(message, code: int = 2) -> int:
+    """Report one `error:` line on stderr; returns the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _parse_group(spec: str) -> FiniteMatrixGroup:
@@ -86,11 +91,9 @@ def cmd_signature(args) -> int:
     try:
         G = _parse_group(args.group)
     except (NotUnitary, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     except (ValueError, OSError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     methods = ["exact", "numeric"] if args.method == "both" else [args.method]
     t0 = time.monotonic()
     try:
@@ -101,11 +104,9 @@ def cmd_signature(args) -> int:
         records = [sig_mod.result_record(G, method=m, precision_bits=args.precision, poly=P)
                    for m in methods]
     except GroupTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     except sig_mod.InsufficientPrecision as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     if args.dump_poly:
         with open(args.dump_poly, "w", encoding="utf-8") as f:
             for row in P.csv_rows():
@@ -138,8 +139,9 @@ def cmd_fpq(args) -> int:
             print(row)
         return 0
     if args.p is None:
-        print("error: --p required unless --table/--table2", file=sys.stderr)
-        return 2
+        return _error("--p required unless --table/--table2")
+    if args.p < 1:
+        return _error(f"p must be at least 1, got {args.p}")
     poly = fpq(args.p, args.q)
     if args.format == "json":
         print(json.dumps({f"{r},{s}": c for (r, s), c in sorted(poly.items())}, sort_keys=True))
@@ -153,27 +155,29 @@ def cmd_fpq(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    least = {"dihedral": 3, "binary-dihedral": 1}.get(args.family)
+    if least and args.p is not None and args.p < least:
+        return _error(f"p must be at least {least}, got {args.p}")
     rows = []
     if args.family == "cyclic-T":
         for q in range(1, args.q_max + 1):
             rows.append((q, T_closed(q), None))
         header = "q,T(q),engine"
     elif args.family == "dihedral":
-        ps = [args.p] if args.p else list(range(3, args.p_max + 1))
+        ps = [args.p] if args.p is not None else list(range(3, args.p_max + 1))
         for p in ps:
             engine = sig_mod.positivity_ratio(dihedral(p)) if p <= args.engine_max else None
             rows.append((p, closedforms.delta_ratio(p), engine))
         header = "p,ratio,engine"
     elif args.family == "binary-dihedral":
-        ps = [args.p] if args.p else list(range(2, args.p_max + 1))
+        ps = [args.p] if args.p is not None else list(range(2, args.p_max + 1))
         for p in ps:
             np_, nm = closedforms.lambda_signature_closed(p)
             engine = sig_mod.positivity_ratio(binary_dihedral(p)) if p <= args.engine_max else None
             rows.append((p, Fraction(np_, np_ + nm), engine))
         header = "p,ratio,engine"
     else:
-        print(f"error: unknown family {args.family}", file=sys.stderr)
-        return 2
+        return _error(f"unknown family {args.family}")
     if args.format == "csv":
         print(header)
         for idx, val, eng in rows:
@@ -192,6 +196,8 @@ def cmd_ratio(args) -> int:
 def _family_csv(args) -> int:
     """(p, N, N+, N-, ratio) rows for a closed-form family."""
     fam = args.family
+    if args.p_min < 1:
+        return _error(f"p must be at least 1, got {args.p_min}")
     print("p,N,N_plus,N_minus,ratio")
     for p in range(args.p_min, args.p_max + 1):
         if fam == "dihedral":
@@ -465,11 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        precision_cap()
-    except InvalidPrecisionCap as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return args.func(args)
 
 

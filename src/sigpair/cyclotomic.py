@@ -21,7 +21,6 @@ everything is safe to share across threads.
 from __future__ import annotations
 
 import math
-import os
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -29,8 +28,6 @@ from itertools import zip_longest
 
 from . import intervals
 
-DEFAULT_PRECISION_CAP = 65536
-PRECISION_ENV = "SIG_MAX_PRECISION_BITS"
 # Largest field order a JSON element may name: Q(zeta_n) costs Phi_n and
 # about (n - phi(n)) phi(n) reduction-table entries before any arithmetic.
 MAX_JSON_ORDER = 4096
@@ -44,10 +41,6 @@ class NotReal(ValueError):
     """sign() applied to an element not fixed by conjugation."""
 
 
-class PrecisionExceeded(RuntimeError):
-    """Interval refinement hit the hard precision cap (internal bug)."""
-
-
 class IncompatibleOrder(ValueError):
     """promote() target is not a multiple of the element's order."""
 
@@ -56,30 +49,11 @@ class CyclotomicCheckFailed(ArithmeticError):
     """An exact computation broke an identity that holds in every cyclotomic field."""
 
 
-class InvalidPrecisionCap(ValueError):
-    """SIG_MAX_PRECISION_BITS is not an integer of at least 64 (the first
-    precision sign() tries)."""
-
-
 class MalformedJSON(ValueError):
     """A JSON value does not have the documented shape."""
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
-
-
-def precision_cap() -> int:
-    """The precision cap for sign(): SIG_MAX_PRECISION_BITS, else the default."""
-    raw = os.environ.get(PRECISION_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 64:
-        raise InvalidPrecisionCap(f"{PRECISION_ENV}={raw!r} is not an integer of at least 64")
-    return cap
 
 
 @lru_cache(maxsize=None)
@@ -346,10 +320,14 @@ class Cyclotomic:
     def sign(self) -> int:
         """Exact sign of a real element: -1, 0 or +1.
 
-        Zero is decided syntactically from canonical form; otherwise the value
-        is evaluated by interval arithmetic at doubling precision until the
-        enclosure excludes zero, which must happen since the value is nonzero.
-        It encloses the numerators' sum: den > 0 does not change the sign.
+        Zero is decided syntactically from canonical form.  Otherwise y =
+        den * self, a nonzero algebraic integer of the same sign, is enclosed
+        at 64 bits, doubling up to B = phi(order) L + 1 bits, L the bit length
+        of the sum S of the absolute numerators.  The norm of y, the product
+        of its phi(order) conjugates, each at most S < 2^L, is a nonzero
+        integer, so |y| > 2^(-L(phi-1)); an enclosure is narrower than
+        2^(L+1-bits) (`real_enclosure`), so at B bits it excludes zero, or
+        `CyclotomicCheckFailed` reports a broken invariant.
         """
         if not self.is_real():
             raise NotReal(f"sign() of non-real element {self}")
@@ -357,16 +335,17 @@ class Cyclotomic:
             return 0
         if self.order == 1:
             return 1 if self.items[0][1] > 0 else -1
-        cap = precision_cap()
+        bound = euler_phi(self.order) * sum(abs(v) for _, v in self.items).bit_length() + 1
         bits = 64
-        while bits <= cap:
+        while True:
             lo, hi = intervals.real_enclosure(self.order, self.items, bits)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            bits *= 2
-        raise PrecisionExceeded(f"sign undecided at {cap} bits for nonzero element")
+            if bits >= bound:
+                raise CyclotomicCheckFailed(f"{self} straddles zero at {bits} bits, bound {bound}")
+            bits = min(2 * bits, bound)
 
     def approx_float(self) -> float:
         """Float estimate of a real element, for pivot-size heuristics only."""
@@ -475,11 +454,21 @@ def one() -> Cyclotomic:
     return rational(1)
 
 
+@lru_cache(maxsize=None)
+def root_items(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The canonical numerators (den 1) of zeta_n^k in Q(zeta_n), indexed by
+    0 <= k < n: the basis vector k for k < phi(n), the reduction row of x^k
+    modulo Phi_n from there on."""
+    return tuple(((k, 1),) for k in range(euler_phi(n))) + tuple(
+        row for _, row in _reduction_rows(n))
+
+
 def root_of_unity(n: int, k: int) -> Cyclotomic:
     """zeta_n^k in canonical form."""
     if n < 1:
         raise ValueError("n must be positive")
-    return Cyclotomic(n, {k % n: 1})
+    items = root_items(n)[k % n]
+    return Cyclotomic._make(1 if items[0][0] == 0 and len(items) == 1 else n, items, 1)
 
 
 def multiplicative_order(a: Cyclotomic, bound: int = 10000) -> int:

@@ -1,11 +1,10 @@
 """Rigorous dyadic interval arithmetic for evaluating real cyclotomic numbers.
 
-Endpoints are Fractions whose denominators are powers of two, so every ring
-operation on endpoints is exact; rounding happens only when an endpoint is
-pushed onto a coarser dyadic grid, and it is always outward.  An enclosure
-computed here, a (lo, hi) pair of dyadic Fractions, therefore genuinely
-contains the real number it approximates, which is what makes the sign
-certification in `cyclotomic` a proof rather than a heuristic.
+Series are summed in fixed point on ints, every floor counted into an
+explicit error bound, and results are (lo, hi) pairs of dyadic Fractions
+rounded outward, so an enclosure computed here genuinely contains the real
+number it approximates, which is what makes the sign certification in
+`cyclotomic` a proof rather than a heuristic.
 """
 
 from __future__ import annotations
@@ -25,63 +24,79 @@ def ceil_dyadic(x: Fraction, bits: int) -> Fraction:
     return Fraction(-(((-x.numerator) << bits) // x.denominator), 1 << bits)
 
 
-def _atan_inv(x: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of atan(1/x) for an integer x >= 2 (alternating series)."""
-    tol = Fraction(1, 1 << (bits + 8))
+def _atan_inv(x: int, w: int) -> tuple[int, int]:
+    """(s, e) with |atan(1/x) 2^w - s| <= e, x >= 2: each p_j ~ 2^w / x^(2j+1) is
+    low by < 4/3, each term by < 7/3, and the tail from the first p_J = 0 is < 4/3."""
     x2 = x * x
-    pw = Fraction(1, x)
-    s = Fraction(0)
-    j = 0
-    while True:
-        term = pw / (2 * j + 1)
-        if term < tol:
-            # remainder of an alternating series with decreasing terms
-            return s - term, s + term
-        s += term if j % 2 == 0 else -term
-        pw = Fraction(pw.numerator, pw.denominator * x2)
+    p = (1 << w) // x
+    s = j = 0
+    while p:
+        t = p // (2 * j + 1)
+        s += -t if j & 1 else t
+        p //= x2
         j += 1
+    return s, 3 * j + 2
 
 
 @lru_cache(maxsize=None)
-def pi_interval(bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure of pi via Machin's formula."""
-    w = bits + 16
-    al, ah = _atan_inv(5, w)
-    bl, bh = _atan_inv(239, w)
-    lo = 16 * al - 4 * bh
-    hi = 16 * ah - 4 * bl
-    return floor_dyadic(lo, bits), ceil_dyadic(hi, bits)
+def _pi_fixed(w: int) -> tuple[int, int]:
+    """(lo, hi) ints with lo <= pi 2^w <= hi, by Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) at w + g bits, rounded outward."""
+    g = w.bit_length() + 8
+    s5, e5 = _atan_inv(5, w + g)
+    s239, e239 = _atan_inv(239, w + g)
+    mid, err = 16 * s5 - 4 * s239, 16 * e5 + 4 * e239
+    return (mid - err) >> g, -((-mid - err) >> g)
 
 
 @lru_cache(maxsize=None)
 def cos_2pi(num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure of cos(2*pi*num/den), 0 <= num < den, gcd(num, den) = 1.
+    """Dyadic enclosure (lo, hi) of cos(2*pi*num/den), 0 <= num < den,
+    gcd(num, den) = 1, with hi - lo < 3 * 2^-bits.
 
-    Taylor series at a dyadic midpoint; the Lagrange remainder after the
-    degree-(2J-1) partial sum is bounded by the first omitted term, and the
-    argument uncertainty contributes at most its own radius (|cos'| <= 1).
+    By symmetry x = 2 pi a/b lies in [0, pi/2], up to the sign of the result.
+    With x_m the midpoint of x's enclosure on the 2^-W grid, W = bits + G, and
+    q = floor(x_m^2 2^W), the Taylor terms m_j = floor(m_{j-1} q / ((2j-1)(2j)
+    2^W)), m_0 = 2^W, are each at most 1.25 * 2^W (x_m^2 < 2.5) and low by
+    less than 2; the alternating tail from the first m_J = 0 is below 2, and
+    |cos'| <= 1 adds the radius rad <= 3 of x's enclosure.  So the sum is
+    within err = 2J + 2 + rad units of 2^-W, J <= W, and G = bits.bit_length()
+    + 8 makes 2 err 2^-W < 2^-bits; rounding outward adds less than 2^(1-bits).
     """
-    w = bits + 16
-    pl, ph = pi_interval(w)
-    f = Fraction(2 * num, den)
-    tl, th = pl * f, ph * f
-    mid = floor_dyadic((tl + th) / 2, w)
-    rad = max(th - mid, mid - tl)
-    tol = Fraction(1, 1 << (bits + 8))
-    x2 = mid * mid
-    s = Fraction(0)
-    term = Fraction(1)
+    a, b, sign = num % den, den, 1
+    if 2 * a > b:
+        a = b - a
+    if 4 * a > b:
+        a, b, sign = b - 2 * a, 2 * b, -1
+    if a == 0:
+        return Fraction(sign), Fraction(sign)
+    g = bits.bit_length() + 8
+    w = bits + g
+    pl, ph = _pi_fixed(w)
+    xl, xh = (2 * a * pl) // b, -((-2 * a * ph) // b)
+    x = (xl + xh) >> 1
+    q = (x * x) >> w
+    s = m = 1 << w
     j = 0
-    while abs(term) >= tol:
-        s += term
+    while m:
         j += 1
-        term = -term * x2 / ((2 * j - 1) * (2 * j))
-    err = abs(term) + rad
-    return floor_dyadic(s - err, bits), ceil_dyadic(s + err, bits)
+        m = (m * q) // ((2 * j - 1) * (2 * j) << w)
+        s += -m if j & 1 else m
+    err = 2 * j + 2 + max(x - xl, xh - x)
+    lo, hi = (s - err) >> g, -((-s - err) >> g)
+    if sign < 0:
+        lo, hi = -hi, -lo
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
 def real_enclosure(order: int, items, bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of Re(sum a_k zeta_order^k) = sum a_k cos(2*pi*k/order)."""
+    """Enclosure (lo, hi) of Re(sum a_k zeta_order^k) = sum a_k cos(2*pi*k/order)
+    on the 2^-bits grid, items the (k, a_k) pairs.
+
+    Width: each cosine is enclosed at w >= bits + 12 bits, narrower than
+    3 * 2^-w, and the sum is rounded outward once, so hi - lo <
+    (S / 1024 + 2) 2^-bits, S = sum |a_k|; below 2^(L+1-bits) for S < 2^L.
+    """
     w = bits + 8 + max(4, order.bit_length())
     lo = Fraction(0)
     hi = Fraction(0)

@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, _reduction_rows, euler_phi, rational, reduce_vector
+from .cyclotomic import Cyclotomic, rational, reduce_vector, root_items
 from .group import FiniteMatrixGroup, Matrix2
 
 _SHIFT = (0, 16, 32, 48)
@@ -307,17 +307,12 @@ def _poly(*terms) -> HermitianPolynomial:
 
 def _root_exponents(n: int) -> dict:
     """The canonical numerators of every root of unity +-zeta_n^k in Q(zeta_n)
-    (den 1), mapped to the exponent a with value zeta_N^a, N = lcm(2, n).
-
-    zeta_n^k is the basis vector k for k < phi(n) and the reduction row of
-    x^k modulo Phi_n from there on; the rationals +-1, stored at order 1,
-    have the numerators of k = 0.
-    """
-    N, d = math.lcm(2, n), euler_phi(n)
-    rows = dict(_reduction_rows(n))
+    (den 1, `root_items`), mapped to the exponent a with value zeta_N^a,
+    N = lcm(2, n); the rationals +-1, stored at order 1, have the numerators
+    of k = 0."""
+    N = math.lcm(2, n)
     table = {}
-    for k in range(n):
-        items = ((k, 1),) if k < d else rows[k]
+    for k, items in enumerate(root_items(n)):
         a = k * (N // n)
         table[items] = a
         table[tuple((i, -c) for i, c in items)] = (a + N // 2) % N

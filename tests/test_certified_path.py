@@ -1,5 +1,7 @@
 """Every module of the package guards its results with exceptions:
-`python -O` strips `assert` statements, so none may stand anywhere in it."""
+`python -O` strips `assert` statements, so none may stand anywhere in it.
+Nor may any module read the environment: what a run computes depends on
+its arguments and inputs alone."""
 
 import ast
 from pathlib import Path
@@ -12,9 +14,28 @@ PACKAGE = Path(sigpair.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
+def _tree(module):
+    path = PACKAGE / f"{module}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_assert_on_the_certified_path(module):
-    path = PACKAGE / f"{module}.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    lines = [node.lineno for node in ast.walk(_tree(module)) if isinstance(node, ast.Assert)]
     assert not lines, f"{module}.py has assert statements on lines {lines}"
+
+
+def _reads_environment(node) -> bool:
+    """os.environ, os.getenv, os.environb, or those names imported from os."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    if isinstance(node, ast.Attribute):
+        return node.attr in names and isinstance(node.value, ast.Name) and node.value.id == "os"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in names for alias in node.names)
+    return False
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_environment_read(module):
+    lines = [node.lineno for node in ast.walk(_tree(module)) if _reads_environment(node)]
+    assert not lines, f"{module}.py reads the environment on lines {lines}"

@@ -6,7 +6,7 @@ import pytest
 
 from sigpair import cli, closedforms, invariant, signature
 from sigpair.cli import main
-from sigpair.group import (binary_polyhedral, diag, dihedral, dump_generators,
+from sigpair.group import (binary_dihedral, binary_polyhedral, diag, dihedral, dump_generators,
                            FiniteMatrixGroup, identity, Matrix2, springer_generators)
 
 
@@ -106,20 +106,8 @@ def conjugated_dihedral_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("raw", ["abc", "8"])
-def test_invalid_precision_cap_exit_2(capsys, monkeypatch, conjugated_dihedral_file, raw):
-    computed = []
-    monkeypatch.setattr(cli, "phi", lambda *args, **kwargs: computed.append(args))
-    monkeypatch.setenv("SIG_MAX_PRECISION_BITS", raw)
-    code, out, err = run_cli(capsys, "signature", "--group", f"file:{conjugated_dihedral_file}")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "SIG_MAX_PRECISION_BITS" in err
-    assert computed == []
-
-
-def test_default_precision_cap_certifies(capsys, monkeypatch, conjugated_dihedral_file):
-    monkeypatch.delenv("SIG_MAX_PRECISION_BITS", raising=False)
+def test_default_precision_cap_certifies(capsys, conjugated_dihedral_file):
+    # sign() derives its precision bound from each element; no setting caps it
     code, out, _ = run_cli(capsys, "signature", "--group", f"file:{conjugated_dihedral_file}",
                            "--stable-output")
     assert code == 0
@@ -253,6 +241,32 @@ def test_family_csv(capsys):
     assert lines[0] == "p,N,N_plus,N_minus,ratio"
     assert lines[1] == "3,6,3,3,1/2"
     assert lines[2] == "4,8,5,3,5/8"
+
+
+@pytest.mark.parametrize("argv", [
+    ("fpq", "--p", "0", "--q", "2"),
+    ("fpq", "--p", "-3", "--q", "2"),
+    ("ratio", "--family", "dihedral", "--p", "2"),
+    ("ratio", "--family", "binary-dihedral", "--p", "0"),
+    ("family-csv", "--family", "dihedral", "--p-min", "-5"),
+    ("family-csv", "--family", "binary-dihedral", "--p-min", "0"),
+])
+def test_p_out_of_range_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_family_csv_from_p_1_matches_the_engine(capsys):
+    for family, build in (("dihedral", dihedral), ("binary-dihedral", binary_dihedral)):
+        code, out, _ = run_cli(capsys, "family-csv", "--family", family,
+                               "--p-min", "1", "--p-max", "4")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [1, 2, 3, 4]
+        for p, _, npos, nneg, _ in rows:
+            assert signature.signature_pair(build(int(p))) == (int(npos), int(nneg))
 
 
 def test_verify_pass(capsys):

@@ -2,18 +2,25 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from sigpair import cyclotomic
-from sigpair.cyclotomic import (DEFAULT_PRECISION_CAP, Cyclotomic, CyclotomicCheckFailed,
+import sigpair
+from sigpair import cyclotomic, intervals
+from sigpair.cyclotomic import (Cyclotomic, CyclotomicCheckFailed,
                                 DivisionByZero, IncompatibleOrder,
-                                InvalidPrecisionCap, MAX_JSON_ORDER, MalformedJSON, NotReal,
+                                MAX_JSON_ORDER, MalformedJSON, NotReal,
                                 cyclotomic_polynomial, euler_phi,
-                                multiplicative_order, one, precision_cap,
+                                multiplicative_order, one,
                                 rational, root_of_unity, zero)
 
 
@@ -340,27 +347,125 @@ def test_rational_at_a_large_order_builds_no_table():
     assert cyclotomic.cyclotomic_polynomial.cache_info().misses == 0
 
 
-def test_precision_cap_env(monkeypatch):
-    # a generous cap still certifies an easy sign
-    monkeypatch.setenv("SIG_MAX_PRECISION_BITS", "256")
+def _psi():
+    """1 - golden ratio = (1 - sqrt5)/2 in Q(zeta_5), about -0.618."""
     z5 = root_of_unity(5, 1)
-    assert (z5 + z5 ** 4 + 1).sign() == 1
+    return 1 + z5 ** 2 + z5 ** 3
 
 
-@pytest.mark.parametrize("raw", ["abc", "8", "63", ""])
-def test_invalid_precision_cap_is_a_typed_error(monkeypatch, raw):
-    monkeypatch.setenv("SIG_MAX_PRECISION_BITS", raw)
-    with pytest.raises(InvalidPrecisionCap, match="at least 64"):
-        precision_cap()
+def _sign_bound(x: Cyclotomic) -> int:
+    """The last precision sign() may try: phi(order) * L + 1."""
+    return euler_phi(x.order) * sum(abs(v) for _, v in x.items).bit_length() + 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 51, 200, 999, 1000])
+def test_sign_of_tiny_powers(k):
+    # |psi^k| and (sqrt2 - 1)^k shrink like 2^(-0.69k) and 2^(-1.27k) while
+    # their numerators grow as fast: k = 1000 needs 2048 and 4096 bits
+    z8 = root_of_unity(8, 1)
+    cases = [(_psi() ** k, (-1) ** k), ((z8 + z8 ** 7 - 1).promote(40) ** k, 1)]
+    for x, expected in cases:
+        assert x.order in (5, 40)
+        assert x.sign() == expected
+        assert (-x).sign() == -expected
+
+
+def test_sign_of_large_powers_is_fast():
+    z8 = root_of_unity(8, 1)
+    elements = [_psi() ** 1000, (z8 + z8 ** 7 - 1).promote(40) ** 1000]
+    intervals.cos_2pi.cache_clear()
+    intervals._pi_fixed.cache_clear()
+    start = time.perf_counter()
+    assert [x.sign() for x in elements] == [1, 1]
+    assert time.perf_counter() - start < 2.0
+
+
+def _mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64, 200, 1024, 4096])
+def test_cos_2pi_contains_the_value(bits):
+    # mpmath at twice the precision: its value is within 2^(4 - 2 bits) of the truth
+    dens = range(1, 25) if bits <= 1024 else (1, 2, 3, 4, 5, 7, 8, 12, 24, 31, 40, 3795)
+    with mpmath.workprec(2 * bits + 16):
+        eps = mpmath.mpf(2) ** (4 - 2 * bits)
+        for den in dens:
+            nums = [n for n in range(den) if math.gcd(n, den) == 1]
+            for num in nums if den < 100 else nums[:12] + nums[-12:]:
+                lo, hi = intervals.cos_2pi(num, den, bits)
+                assert lo.denominator <= 1 << bits and hi.denominator <= 1 << bits
+                assert hi - lo < Fraction(3, 1 << bits)
+                val = mpmath.cos(2 * mpmath.pi * num / den)
+                assert _mp(lo) - eps <= val <= _mp(hi) + eps, (num, den, bits)
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
+def test_real_enclosure_contains_the_value(bits):
+    rng = random.Random(bits)
+    with mpmath.workprec(2 * bits + 64):
+        for order in (3, 5, 7, 8, 12, 15, 40, 120):
+            a = _random_element(rng, order) * rng.randrange(1, 10 ** 6)
+            x = a + a.conj()
+            if x.order == 1:
+                continue
+            lo, hi = intervals.real_enclosure(x.order, x.items, bits)
+            s = sum(abs(v) for _, v in x.items)
+            assert hi - lo < Fraction(s, 1 << (bits + 10)) + Fraction(2, 1 << bits)
+            val = sum(v * mpmath.cos(2 * mpmath.pi * k / x.order) for k, v in x.items)
+            eps = s * mpmath.mpf(2) ** (4 - 2 * bits)
+            assert _mp(lo) - eps <= val <= _mp(hi) + eps, (order, bits)
+
+
+def test_straddling_enclosure_fails_within_the_bound(monkeypatch):
+    # an enclosure that never excludes zero contradicts the norm bound: after
+    # at most ceil(log2(B / 64)) + 2 tries sign() refuses rather than guessing
+    calls = []
+
+    def straddle(order, items, bits):
+        calls.append(bits)
+        return Fraction(-1, 1 << bits), Fraction(1, 1 << bits)
+
+    monkeypatch.setattr(intervals, "real_enclosure", straddle)
     z5 = root_of_unity(5, 1)
-    with pytest.raises(ValueError, match="SIG_MAX_PRECISION_BITS"):
-        (z5 + z5 ** 4).sign()
+    for x in (z5 + z5 ** 4, _psi() ** 1000, (z5 + z5 ** 4) * Fraction(1, 3) + 5):
+        bound = _sign_bound(x)
+        calls.clear()
+        with pytest.raises(CyclotomicCheckFailed, match=f"bound {bound}"):
+            x.sign()
+        assert calls[0] == 64 and calls[-1] == max(64, bound)
+        assert len(calls) <= math.ceil(math.log2(max(bound, 64) / 64)) + 2
 
 
-def test_precision_cap_default_and_minimum(monkeypatch):
-    monkeypatch.delenv("SIG_MAX_PRECISION_BITS", raising=False)
-    assert precision_cap() == DEFAULT_PRECISION_CAP
-    monkeypatch.setenv("SIG_MAX_PRECISION_BITS", "64")
-    assert precision_cap() == 64
-    z5 = root_of_unity(5, 1)
-    assert (z5 + z5 ** 4).sign() == 1
+def test_straddling_enclosure_fails_under_python_O():
+    script = textwrap.dedent("""
+        from fractions import Fraction
+        from sigpair import cyclotomic, intervals
+        calls = []
+
+        def straddle(order, items, bits):
+            calls.append(bits)
+            return Fraction(-1), Fraction(1)
+
+        intervals.real_enclosure = straddle
+        z5 = cyclotomic.root_of_unity(5, 1)
+        try:
+            (1 + z5 ** 2 + z5 ** 3).__pow__(1000).sign()
+        except cyclotomic.CyclotomicCheckFailed as exc:
+            print("raised:", calls)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(sigpair.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    bound = _sign_bound(_psi() ** 1000)
+    assert done.stdout.splitlines() == [f"raised: [64, 128, 256, 512, 1024, 2048, {bound}]"]
+
+
+def test_root_of_unity_reads_the_shared_table():
+    for n in (1, 2, 3, 4, 8, 12, 15, 40):
+        for k in range(-n, 2 * n):
+            z = root_of_unity(n, k)
+            assert z.key() == Cyclotomic(n, {k % n: 1}).key()
+            assert z.den == 1
+    assert root_of_unity(6, 3).key() == (1, ((0, -1),), 1)
+    assert root_of_unity(7, 14).key() == one().key()
