@@ -8,9 +8,10 @@ Subcommands:
               dihedral families
 
 Results go to stdout (JSON, CSV, LaTeX or text); diagnostics go to stderr.
-Exit codes: 0 success, 2 bad arguments (including a malformed generator
-file, a --precision below the numeric oracle's floor, or a --p outside a
-family's range), 3 invalid group input, 4 failed verification.
+Exit codes: 0 success, 2 bad arguments (including a malformed group spec
+or generator file, a --precision below the numeric oracle's floor, a --p
+outside a family's range, or a verify --p-max that leaves no cases), 3
+invalid group input, 4 failed verification.
 """
 
 from __future__ import annotations
@@ -56,20 +57,26 @@ def _error(message, code: int = 2) -> int:
     return code
 
 
+_FAMILIES = {"cyclic": (cyclic_gamma, "cyclic:P,Q"), "dihedral": (dihedral, "dihedral:P"),
+             "binary-dihedral": (binary_dihedral, "binary-dihedral:P")}
+
+
 def _parse_group(spec: str) -> FiniteMatrixGroup:
     if spec in ("T", "O", "I"):
         return binary_polyhedral(spec)
-    if spec.startswith("cyclic:"):
-        p, q = (int(x) for x in spec.split(":", 1)[1].split(","))
-        return cyclic_gamma(p, q)
-    if spec.startswith("dihedral:"):
-        return dihedral(int(spec.split(":", 1)[1]))
-    if spec.startswith("binary-dihedral:"):
-        return binary_dihedral(int(spec.split(":", 1)[1]))
-    if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
-        with open(path, "r", encoding="utf-8") as f:
+    kind, colon, rest = spec.partition(":")
+    if kind == "file" and colon:
+        with open(rest, "r", encoding="utf-8") as f:
             return load_generators(json.load(f))
+    if kind in _FAMILIES and colon:
+        build, shape = _FAMILIES[kind]
+        try:
+            params = [int(x) for x in rest.split(",")]
+        except ValueError:
+            params = []
+        if len(params) != shape.count(",") + 1:
+            raise ValueError(f"malformed group spec {spec!r}: expected {shape} with integers")
+        return build(*params)
     raise ValueError(f"unrecognized group spec {spec!r}")
 
 
@@ -404,6 +411,8 @@ def cmd_verify(args) -> int:
     if args.p_max is None:
         args.p_max = default_pmax
     report = runner(args)
+    if report.cases_run == 0:
+        return _error(f"verify {args.theorem} --p-max {args.p_max} has no cases to run")
     out = report.to_dict()
     if args.stable_output:
         out.pop("elapsed_ms")

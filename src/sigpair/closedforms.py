@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .cyclotomic import Cyclotomic, _pmul, rational
 from .fpq import c_closed, even_binomial, fpq
+from .intervals import cos_2pi
 from .invariant import HermitianPolynomial, pack_key
 from .signature import Inertia, SignaturePair
 
@@ -254,21 +253,37 @@ def p_poly(p: int) -> list[int]:
 
 
 def p_poly_roots_check(p: int) -> bool:
-    """All roots of P are -tan((2j+1)pi/4p)^2 (numeric, 60 bits at 128-bit work),
-    and |P(x+iy)|^2 has positive coefficients everywhere on its support (exact)."""
+    """P has p simple real roots, one near each -tan((2j+1)pi/4p)^2, j < p, and
+    |P(x+iy)|^2 has positive coefficients everywhere on its support; both exact.
+
+    Roots: -tan^2 = (c - 1)/(c + 1) with c = cos(2 pi (2j+1)/(4p)) is increasing
+    in c, so `cos_2pi`'s 64-bit enclosure of c maps to an interval around it.
+    If the p intervals are disjoint and P, evaluated exactly at their rational
+    endpoints, changes sign across each, then each holds a root, and as P has
+    degree p these are all of its roots, each simple and real.  False means a
+    property fails or the roots were not located at 64 bits.
+    """
     poly = p_poly(p)
-    with mpmath.workprec(128):
-        coeffs = [mpmath.mpf(c) for c in reversed(poly)]
-        roots = sorted(mpmath.polyroots(coeffs, maxsteps=200, extraprec=64),
-                       key=lambda r: mpmath.re(r))
-        expected = sorted((-mpmath.tan((2 * j + 1) * mpmath.pi / (4 * p)) ** 2
-                           for j in range(p)), key=lambda r: mpmath.re(r))
-        tol = mpmath.mpf(2) ** -60
-        for got, want in zip(roots, expected):
-            if abs(mpmath.im(got)) > tol * (1 + abs(want)):
-                return False
-            if abs(mpmath.re(got) - want) > tol * (1 + abs(want)):
-                return False
+    if len(poly) != p + 1:
+        return False
+
+    def sign_at(x: Fraction) -> int:
+        v = 0
+        for c in reversed(poly):
+            v = v * x + c
+        return (v > 0) - (v < 0)
+
+    roots = []
+    for j in range(p):
+        lo, hi = cos_2pi(2 * j + 1, 4 * p, 64)
+        if lo <= -1:
+            return False
+        roots.append(((lo - 1) / (lo + 1), (hi - 1) / (hi + 1)))
+    roots.sort()
+    if any(a[1] >= b[0] for a, b in zip(roots, roots[1:])):
+        return False
+    if any(sign_at(lo) * sign_at(hi) >= 0 for lo, hi in roots):
+        return False
     # exact part: expand P(x+iy) over Z[i], then multiply by its conjugate
     gauss: dict[int, tuple[int, int]] = {}
     for k, c in enumerate(poly):

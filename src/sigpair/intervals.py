@@ -9,7 +9,6 @@ number it approximates, which is what makes the sign certification in
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,10 +50,12 @@ def _pi_fixed(w: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def cos_2pi(num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure (lo, hi) of cos(2*pi*num/den), 0 <= num < den,
-    gcd(num, den) = 1, with hi - lo < 3 * 2^-bits.
+    """Dyadic enclosure (lo, hi) of cos(2*pi*num/den), num any integer and
+    den > 0, with hi - lo < 3 * 2^-bits.
 
-    By symmetry x = 2 pi a/b lies in [0, pi/2], up to the sign of the result.
+    By symmetry x = 2 pi a/b lies in [0, pi/2], up to the sign of the result;
+    the fraction need not be in lowest terms, since scaling a and b by the same
+    factor leaves every floor below unchanged.
     With x_m the midpoint of x's enclosure on the 2^-W grid, W = bits + G, and
     q = floor(x_m^2 2^W), the Taylor terms m_j = floor(m_{j-1} q / ((2j-1)(2j)
     2^W)), m_0 = 2^W, are each at most 1.25 * 2^W (x_m^2 < 2.5) and low by
@@ -101,9 +102,7 @@ def real_enclosure(order: int, items, bits: int) -> tuple[Fraction, Fraction]:
     lo = Fraction(0)
     hi = Fraction(0)
     for k, v in items:
-        k %= order
-        g = math.gcd(k, order)
-        cl, ch = cos_2pi(k // g, order // g, w)
+        cl, ch = cos_2pi(k, order, w)
         if v >= 0:
             lo += v * cl
             hi += v * ch

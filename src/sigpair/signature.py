@@ -16,7 +16,7 @@ components partition the basis and that no nonzero entry joins two of them,
 but computes no eigenvalue: each block is reduced to a real tridiagonal
 matrix by Householder reflections in integer fixed point, and two Sturm
 counts per block give the eigenvalues above and below the zero threshold.
-mpmath only evaluates the roots of unity.
+The roots of unity come from the proven cosine enclosures of `intervals`.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
-import mpmath
-
 from .cyclotomic import Cyclotomic, rational
 from .group import FiniteMatrixGroup
+from .intervals import cos_2pi
 from .invariant import HermitianPolynomial, pack_key, unpack_key, phi
 
 
@@ -353,6 +353,15 @@ def _count_below(d: list[int], e2: list[int], x: int) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
+def _root_fixed(n: int, k: int, scale: int) -> tuple[int, int]:
+    """cos(2 pi k/n) and sin(2 pi k/n) = cos(2 pi (n - 4k)/(4n)) times 2^scale,
+    each the rounded midpoint of a `cos_2pi` enclosure narrower than 3 units,
+    so within 2 units of the true value."""
+    return tuple(round((lo + hi) * (1 << scale) / 2)
+                 for lo, hi in (cos_2pi(k, n, scale), cos_2pi(n - 4 * k, 4 * n, scale)))
+
+
 def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
                     zero_threshold: float = 1e-30) -> Inertia:
     """Numeric inertia oracle: advisory only, never used for certified results.
@@ -366,8 +375,8 @@ def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
     reflections in integer fixed point with precision_bits fraction bits,
     and two Sturm counts give the eigenvalues below -zero_threshold and at
     most +zero_threshold.  Each entry is converted once, its mirror being its
-    conjugate, from root-of-unity values that mpmath evaluates once per call
-    with at least 32 guard bits.
+    conjugate, from root-of-unity values on a grid with at least 32 guard
+    bits, each within 2 units of that grid (`_root_fixed`).
 
     Rounding grows with the entries, so it also raises
     `InsufficientPrecision`, before the reduction, unless precision_bits >=
@@ -388,29 +397,23 @@ def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
     guard = 32 + max([0] + [sum(abs(v) for _, v in c.items).bit_length() - c.den.bit_length()
                             for _, _, c in upper])
     scale = bits + guard
-    roots = {}
     re = [[[0] * len(comp) for _ in comp] for comp in comps]
     im = [[[0] * len(comp) for _ in comp] for comp in comps]
     size = 0.0  # log2(max(1, max |a_ij|)), from the entries before rounding to bits
-    with mpmath.workprec(scale + 16):
-        for i, j, c in upper:
-            zr = zi = 0
-            for k, v in c.items:
-                w = roots.get((c.order, k))
-                if w is None:
-                    z = mpmath.expjpi(mpmath.mpf(2 * k) / c.order)
-                    w = roots[(c.order, k)] = (int(mpmath.nint(mpmath.ldexp(z.real, scale))),
-                                               int(mpmath.nint(mpmath.ldexp(z.imag, scale))))
-                zr += v * w[0]
-                zi += v * w[1]
-            q = c.den << guard
-            if zr or zi:
-                size = max(size, math.log2(zr * zr + zi * zi) / 2 - math.log2(q) - bits)
-            zr, zi = _div(zr, q), (_div(zi, q) if i != j else 0)
-            b, p = where[i]
-            r = where[j][1]
-            re[b][p][r] = re[b][r][p] = zr
-            im[b][p][r], im[b][r][p] = zi, -zi
+    for i, j, c in upper:
+        zr = zi = 0
+        for k, v in c.items:
+            w = _root_fixed(c.order, k, scale)
+            zr += v * w[0]
+            zi += v * w[1]
+        q = c.den << guard
+        if zr or zi:
+            size = max(size, math.log2(zr * zr + zi * zi) / 2 - math.log2(q) - bits)
+        zr, zi = _div(zr, q), (_div(zi, q) if i != j else 0)
+        b, p = where[i]
+        r = where[j][1]
+        re[b][p][r] = re[b][r][p] = zr
+        im[b][p][r], im[b][r][p] = zi, -zi
     floor = 16 - math.log2(zero_threshold) + size
     if precision_bits < floor:
         raise InsufficientPrecision(

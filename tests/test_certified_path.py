@@ -1,7 +1,9 @@
 """Every module of the package guards its results with exceptions:
 `python -O` strips `assert` statements, so none may stand anywhere in it.
 Nor may any module read the environment: what a run computes depends on
-its arguments and inputs alone."""
+its arguments and inputs alone.  Nor may any import mpmath: the package
+evaluates cosines only through its proven integer enclosures, and mpmath
+stays a test-only oracle."""
 
 import ast
 from pathlib import Path
@@ -39,3 +41,18 @@ def _reads_environment(node) -> bool:
 def test_no_environment_read(module):
     lines = [node.lineno for node in ast.walk(_tree(module)) if _reads_environment(node)]
     assert not lines, f"{module}.py reads the environment on lines {lines}"
+
+
+def _imports_mpmath(node) -> bool:
+    """import mpmath[.x] or from mpmath[.x] import ..."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "mpmath" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "mpmath"
+    return False
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_mpmath_import(module):
+    lines = [node.lineno for node in ast.walk(_tree(module)) if _imports_mpmath(node)]
+    assert not lines, f"{module}.py imports mpmath on lines {lines}"

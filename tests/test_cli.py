@@ -182,6 +182,16 @@ def test_signature_bad_spec(capsys):
     assert err
 
 
+@pytest.mark.parametrize("spec, shape", [("cyclic:3", "cyclic:P,Q"), ("cyclic:1,2,3", "cyclic:P,Q"),
+                                         ("cyclic:3,x", "cyclic:P,Q"), ("dihedral:", "dihedral:P")])
+def test_malformed_group_spec_exit_2(capsys, spec, shape):
+    code, out, err = run_cli(capsys, "signature", "--group", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(spec) in err and shape in err
+
+
 def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["signature"])
@@ -276,6 +286,22 @@ def test_verify_pass(capsys):
     rep = json.loads(out)
     assert rep["cases_passed"] == rep["cases_run"] == 12
     assert rep["first_counterexample"] is None
+
+
+@pytest.mark.parametrize("theorem, p_max", [("thm3.1", "-1"), ("census", "0")])
+def test_verify_empty_sweep_exit_2(capsys, theorem, p_max):
+    code, out, err = run_cli(capsys, "verify", theorem, "--p-max", p_max, "--stable-output")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert theorem in err and f"--p-max {p_max}" in err
+
+
+def test_verify_fixed_cases_need_no_p_max(capsys):
+    # thm1.2-limit's default --p-max is 0, but its cases do not depend on it
+    code, out, _ = run_cli(capsys, "verify", "thm1.2-limit", "--stable-output")
+    assert code == 0
+    assert json.loads(out)["cases_run"] > 0
 
 
 def test_verify_quaternion(capsys):

@@ -170,6 +170,18 @@ def test_p_poly_roots():
         assert p_poly_roots_check(p), p
 
 
+@pytest.mark.parametrize("p", range(2, 9))
+def test_p_poly_roots_check_rejects_a_perturbed_coefficient(monkeypatch, p):
+    # |P(x+iy)|^2 keeps positive coefficients under each of these changes, so
+    # only the located roots can reject them
+    for i in range(p + 1):
+        for delta in (1, -1):
+            poly = p_poly(p)
+            poly[i] += delta
+            monkeypatch.setattr(closedforms, "p_poly", lambda _, poly=poly: poly)
+            assert not p_poly_roots_check(p), (i, delta)
+
+
 def test_sqrt5_block_sign_certificates():
     # eigenvalues of [[-4, -1], [-1, 0]] are -2 +- sqrt(5); certify the signs
     z5 = root_of_unity(5, 1)

@@ -400,6 +400,15 @@ def test_cos_2pi_contains_the_value(bits):
                 assert _mp(lo) - eps <= val <= _mp(hi) + eps, (num, den, bits)
 
 
+def test_cos_2pi_takes_any_fraction():
+    # num need not lie in [0, den) nor be coprime to den: the same enclosure
+    for den in (1, 3, 5, 8, 24):
+        for num in range(den):
+            for m, shift in ((1, -2), (2, 0), (3, 5), (6, -1)):
+                assert (intervals.cos_2pi(m * (num + shift * den), m * den, 64)
+                        == intervals.cos_2pi(num, den, 64)), (num, den, m, shift)
+
+
 @pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
 def test_real_enclosure_contains_the_value(bits):
     rng = random.Random(bits)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from sigpair import signature
 from sigpair.cyclotomic import Cyclotomic, rational, root_of_unity
 from sigpair.group import (binary_dihedral, binary_polyhedral, closure, conjugate,
                            cyclic_gamma, diag, dihedral, springer_generators,
@@ -316,6 +317,31 @@ def test_numeric_oracle_computes_no_eigenvalue(monkeypatch):
         monkeypatch.setattr(mpmath, name, refuse)
     M = coefficient_matrix(phi(binary_polyhedral("T")))
     assert inertia_numeric(M, 256, 1e-30) == Inertia(9, 5, 45)
+
+
+def test_oracle_roots_lie_within_2_units_of_mpmath(monkeypatch):
+    # the scales the oracle works at on T's matrix, for the field orders of
+    # T, O and I (8, 8 and 5)
+    root_fixed = signature._root_fixed
+    scales = set()
+
+    def spy(n, k, scale):
+        scales.add(scale)
+        return root_fixed(n, k, scale)
+
+    monkeypatch.setattr(signature, "_root_fixed", spy)
+    M = coefficient_matrix(phi(binary_polyhedral("T")))
+    for bits in (128, 256, 1024):
+        assert inertia_numeric(M, bits, 1e-30) == Inertia(9, 5, 45)
+    assert len(scales) == 3
+    for n in sorted({binary_polyhedral(name).field_order() for name in "TOI"}):
+        for scale in scales:
+            with mpmath.workprec(scale + 32):
+                for k in range(n):
+                    z = mpmath.expjpi(mpmath.mpf(2 * k) / n)
+                    c, s = root_fixed(n, k, scale)
+                    assert abs(c - mpmath.ldexp(z.real, scale)) < 2, (n, k, scale)
+                    assert abs(s - mpmath.ldexp(z.imag, scale)) < 2, (n, k, scale)
 
 
 def _conjugated_matrix(G):
