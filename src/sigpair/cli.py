@@ -128,9 +128,10 @@ def _progress(verbose: bool, G):
     if not verbose:
         return None
 
-    def report(done, total):
+    def report(done, total, terms, width):
         if done % 10 == 0 or done == total:
-            print(f"{G.label}: factor {done}/{total}", file=sys.stderr)
+            slots = "" if width is None else f", {width}-bit slots"
+            print(f"{G.label}: factor {done}/{total}, {terms} terms{slots}", file=sys.stderr)
 
     return report
 
@@ -438,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="omit timing fields so identical runs are byte-identical")
     sp.add_argument("--dump-poly", metavar="PATH", help="write the expanded polynomial as CSV")
     sp.add_argument("-v", "--verbose", action="store_true",
-                    help="report progress on stderr, one step per coset of the diagonal subgroup")
+                    help="report progress on stderr, one step per coset of the diagonal subgroup, "
+                         "with the product's term count and the fold's slot width")
     sp.set_defaults(func=cmd_signature)
 
     fp = sub.add_parser("fpq", help="the bivariate polynomials f_{p,q}")

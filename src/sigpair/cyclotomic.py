@@ -8,8 +8,9 @@ and denominator; operands of unequal order are promoted to the lcm order
 first.  Elements whose support is {0} are normalised to order 1, so
 rationals always live in Q(zeta_1) no matter how they arose.
 
-Ring operations run on ints and end in `reduce_vector`, the reduction the
-fold in `invariant` applies to its integer vectors too, and one gcd.
+Ring operations run on ints and end in `reduce_vector` and one gcd.  The
+fold in `invariant` reduces packed integers modulo Phi_n(2^w) instead and
+takes from `reduce_vector` the row norms that bound that step.
 Fractions appear only at the edges: the constructor, `coords`,
 `as_fraction`, JSON and the extended Euclid inside `inverse`.
 

@@ -33,14 +33,17 @@ terms with the zbar exponents dropped, summed.
 The fold runs on scaled integer coordinate vectors (n the common cyclotomic
 order of all matrix entries) and converts to canonical field elements once
 at the end: each factor is scaled by the lcm of its coefficients'
-denominators, multiplication of coefficients is a cyclic convolution of
-small integer vectors in Z[x]/(x^n - 1), and after every factor each vector
-is reduced modulo the cyclotomic polynomial Phi_n and dropped if it
-vanishes there.  The reduction keeps vectors short and drops monomials
-whose coefficient is zero in Q(zeta_n) but not in Z[x]/(x^n - 1); it is
-`cyclotomic.reduce_vector`, the one that canonical field elements are
-reduced with, so a reduced vector over the product of the scales becomes a
-field element by one gcd (`Cyclotomic.from_reduced`).  Group
+denominators, and after every factor each vector is reduced modulo the
+cyclotomic polynomial Phi_n and dropped if it vanishes there, so vectors
+stay phi(n) long and monomials whose coefficient is zero in Q(zeta_n) go at
+once.  Within a factor step each vector v travels as the one int v(2^w),
+w bits per signed slot (Kronecker substitution): multiplying two
+coefficients is one int product, and reducing a sum modulo Phi_n is one
+int remainder modulo Phi_n(2^w), after which its phi(n) slots are the
+reduced vector.  The width w is measured per step from the prefix's largest
+coordinate and the factor's l1 norm, a proven bound that makes both steps
+exact (`_fold_product`).  A reduced vector over the product of the scales
+becomes a field element by one gcd (`Cyclotomic.from_reduced`).  Group
 elements are compared with `Matrix2.key`, exact by value because a group
 stores all its entries at one field order.
 
@@ -55,8 +58,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import lshift
 
-from .cyclotomic import Cyclotomic, rational, reduce_vector, root_items
+from .cyclotomic import (Cyclotomic, cyclotomic_polynomial, euler_phi, rational,
+                         reduce_vector, root_items)
 from .group import FiniteMatrixGroup, Matrix2
 
 _SHIFT = (0, 16, 32, 48)
@@ -253,38 +259,87 @@ def _power_table(bases, pairs) -> dict:
     return {(a, b): p1[a] * p2[b] for a, b in pairs}
 
 
+@lru_cache(maxsize=None)
+def _reduction_norm(n: int, span: int) -> int:
+    """max_i sum_{k < span} |[x^k mod Phi_n]_i|: reducing modulo Phi_n a
+    polynomial of degree below `span` whose coefficients are at most B in
+    absolute value leaves coordinates at most B times this."""
+    norm = [0] * n
+    for k in range(span):
+        row = [0] * n
+        row[k % n] = 1
+        for i, c in enumerate(reduce_vector(row, n)):
+            norm[i] += abs(c)
+    return max(norm)
+
+
+def _slot_width(n: int, top: int, l1: int, span: int) -> int:
+    """The least w with 2^w > 2 A + C, A = top * l1 * `_reduction_norm` and
+    C the largest |coefficient| of Phi_n: the slot width that makes a fold
+    step exact (see `_fold_product`)."""
+    bound = top * l1 * _reduction_norm(n, span)
+    return (2 * bound + max(map(abs, cyclotomic_polynomial(n)))).bit_length()
+
+
 def _fold_product(factors, n: int, progress=None, prod=None):
     """prod (default 1) times the (d + sum of scaled monomial terms) factors.
 
-    Coefficients are integer vectors multiplied in Z[x]/(x^n - 1) and reduced
-    modulo Phi_n after every factor, so a vector is dropped exactly when its
-    coefficient vanishes in Q(zeta_n).
+    A coefficient, an integer vector v reduced modulo Phi_n, is packed into
+    the one int v(2^w), w bits per signed slot (Kronecker substitution), so a
+    term pair costs one int product.  After each factor every packed sum
+    s(2^w) is reduced modulo N = Phi_n(2^w): its balanced residue is r(2^w)
+    for r = s mod Phi_n, and the phi(n) slots of that residue are the reduced
+    vector r, dropped when it is zero.  Every coefficient of s is at most
+    top * l1 in absolute value, top the largest coordinate of the prefix
+    (read as its vectors are unpacked) and l1 = |d| + sum |c| the factor's
+    norm, because each factor term meets each output key at most once.  So
+    every |r_i| is at most A (`_slot_width`), and 2^w > 2 A + C gives
+    |r(2^w)| < N / 2 and |r_i| < 2^(w-1): the residue and its slots are
+    exact.  A packed sum outside the range of its signed w-bit slots raises
+    `InvariantCheckFailed`.  `progress(step, steps, terms, w)` follows each
+    factor with the prefix's term count and the slot width.
     """
     if prod is None:
         prod = {0: [1] + [0] * (n - 1)}
+    prod = {key: reduce_vector(list(vec), n) for key, vec in prod.items()}
+    phi = euler_phi(n)
+    pad = [0] * (n - phi)
+    modulus = cyclotomic_polynomial(n)
+    top = max((max(max(vec), -min(vec)) for vec in prod.values()), default=0)
     for idx, (d, terms) in enumerate(factors):
-        out: dict[int, list[int]] = {}
+        span = phi + max((e for _, coefs in terms for e, _ in coefs), default=0)
+        l1 = abs(d) + sum(abs(c) for _, coefs in terms for _, c in coefs)
+        w = _slot_width(n, top, l1, span)
+        packed = [(0, d)] + [(delta, sum(c << w * e for e, c in coefs)) for delta, coefs in terms]
+        shifts = range(0, w * phi, w)
+        out: dict[int, int] = {}
+        get = out.get
         for key, vec in prod.items():
-            nonzero = [(i, v) for i, v in enumerate(vec) if v]
-            acc = out.get(key)
-            if acc is None:
-                out[key] = [d * v for v in vec]
-            else:
-                for i, v in nonzero:
-                    acc[i] += d * v
-            for delta, coefs in terms:
+            x = sum(map(lshift, vec, shifts))
+            for delta, c in packed:
                 k2 = key + delta
-                acc = out.get(k2)
-                if acc is None:
-                    acc = [0] * n
-                    out[k2] = acc
-                for e, c in coefs:
-                    for i, v in nonzero:
-                        j = i + e
-                        acc[j if j < n else j - n] += c * v
-        prod = {key: vec for key, vec in out.items() if any(reduce_vector(vec, n))}
+                out[k2] = get(k2, 0) + x * c
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        # s(2^w) with every |s_k| < 2^(w-1) lies in [low, low + 2^(w span))
+        low = -sum(half << s for s in range(0, w * span, w))
+        high = low + (1 << w * span)
+        N = sum(c << w * i for i, c in enumerate(modulus))
+        half_n = N >> 1
+        bias = sum(half << s for s in shifts)
+        prod, top = {}, 0
+        for key, x in out.items():
+            if not low <= x < high:
+                raise InvariantCheckFailed(f"a packed sum overflows its {span} slots of {w} bits")
+            x %= N
+            if x:
+                if x > half_n:
+                    x -= N
+                x += bias
+                vec = [((x >> s) & mask) - half for s in shifts]
+                prod[key] = vec + pad
+                top = max(top, max(vec), -min(vec))
         if progress is not None:
-            progress(idx + 1, len(factors))
+            progress(idx + 1, len(factors), len(prod), w)
     return prod
 
 
@@ -380,7 +435,9 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None):
     the diagonal elements H, its term X^i Y^j the monomial z1^i z2^j zbar1^i
     zbar2^j.  Every other left coset gH contributes 1 - F_H(X_g, Y_g), with
     X_g = z1 (g.a zbar1 + g.c zbar2) and Y_g = z2 (g.b zbar1 + g.d zbar2).
-    `progress(done, [G:H])` follows each coset, the identity's first.
+    `progress(done, [G:H], terms, width)` follows each coset, the identity's
+    first with width None (its factor is not folded); terms is the product's
+    term count so far and width the fold step's slot width in bits.
     """
     H = [M for M in G.elements if _is_diagonal(M)]
     reps, covered = [], set()
@@ -394,7 +451,7 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None):
     identity_factor = _diagonal_product(H, n)
     prod = {pack_key(r, s, r, s): [c] + [0] * (n - 1) for (r, s), c in identity_factor.items()}
     if progress is not None:
-        progress(1, 1 + len(reps))
+        progress(1, 1 + len(reps), len(prod), None)
     if not reps:
         return prod, 1
     # (i, j) -> coefficient of X^i Y^j in -F_H, the non-constant part of 1 - F_H
@@ -408,7 +465,8 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None):
             for key, v in table[ij].terms.items():
                 _accumulate(factor, key, c * v)
         factors.append(_integer_factor(factor.items(), n))
-    report = None if progress is None else (lambda done, total: progress(1 + done, 1 + total))
+    report = None if progress is None else (
+        lambda done, total, terms, width: progress(1 + done, 1 + total, terms, width))
     prod = _fold_product(factors, n, report, prod)
     return prod, math.prod(d for d, _ in factors)
 

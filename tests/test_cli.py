@@ -92,7 +92,26 @@ def test_verbose_progress_counts_cosets(capsys, spec, last):
     # one step per coset of the diagonal subgroup, the diagonal product first
     code, _, err = run_cli(capsys, "signature", "--group", spec, "-v", "--stable-output")
     assert code == 0
-    assert err.splitlines()[-1] == f"{cli._parse_group(spec).label}: {last}"
+    assert err.splitlines()[-1].startswith(f"{cli._parse_group(spec).label}: {last}, ")
+
+
+@pytest.mark.parametrize("spec", ["cyclic:40,39", "O", "dihedral:6"])
+def test_verbose_progress_reports_terms_and_slot_width(capsys, spec):
+    # each line carries the product's term count and, once a coset factor is
+    # folded, the slot width of that fold step; stdout does not change
+    G = cli._parse_group(spec)
+    steps = []
+    invariant.phi(G, progress=lambda *step: steps.append(step))
+    code, out, err = run_cli(capsys, "signature", "--group", spec, "-v", "--stable-output")
+    assert code == 0
+    expect = [f"{G.label}: factor {done}/{total}, {terms} terms"
+              + ("" if width is None else f", {width}-bit slots")
+              for done, total, terms, width in steps if done % 10 == 0 or done == total]
+    assert err.splitlines() == expect
+    # the product's constant 1 is the one term that Phi drops
+    assert steps[-1][2] == invariant.phi(G).term_count() + 1
+    assert [width is None for *_, width in steps] == [True] + [False] * (len(steps) - 1)
+    assert run_cli(capsys, "signature", "--group", spec, "--stable-output") == (0, out, "")
 
 
 @pytest.fixture

@@ -9,10 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigpair
 from sigpair import invariant
-from sigpair.cyclotomic import Cyclotomic, rational, root_of_unity
+from sigpair.cyclotomic import (Cyclotomic, euler_phi, rational, reduce_vector,
+                                root_of_unity)
 from sigpair.fpq import fpq
 from sigpair.group import (FiniteMatrixGroup, antidiag, binary_dihedral,
                            binary_polyhedral, closure, conjugate, cyclic_gamma,
@@ -172,12 +175,47 @@ def _polarized_row(M):
     return [(pack_key(1, 0, 0, 0), M.a + M.c), (pack_key(0, 1, 0, 0), M.b + M.d)]
 
 
+def _reference_fold(factors, n, prod=None):
+    """`invariant._fold_product` by list convolution: the oracle for its
+    packed kernel.
+
+    Coefficients are integer vectors multiplied in Z[x]/(x^n - 1) and reduced
+    modulo Phi_n after every factor, so a vector is dropped exactly when its
+    coefficient vanishes in Q(zeta_n).
+    """
+    if prod is None:
+        prod = {0: [1] + [0] * (n - 1)}
+    for d, terms in factors:
+        out = {}
+        for key, vec in prod.items():
+            nonzero = [(i, v) for i, v in enumerate(vec) if v]
+            acc = out.get(key)
+            if acc is None:
+                out[key] = [d * v for v in vec]
+            else:
+                for i, v in nonzero:
+                    acc[i] += d * v
+            for delta, coefs in terms:
+                k2 = key + delta
+                acc = out.get(k2)
+                if acc is None:
+                    acc = [0] * n
+                    out[k2] = acc
+                for e, c in coefs:
+                    for i, v in nonzero:
+                        j = i + e
+                        acc[j if j < n else j - n] += c * v
+        prod = {key: vec for key, vec in out.items() if any(reduce_vector(vec, n))}
+    return prod
+
+
 def _elementwise(G, row):
     """1 - prod_{g in G}(1 - row(g)) with one linear factor per element.
 
-    The oracle for the coset engine: no subgroup, no cosets, only the fold
-    kernel.  Diagonal elements go first, which keeps the intermediates of the
-    monomial groups small; the product does not depend on the order.
+    The oracle for the coset engine: no subgroup, no cosets, and the list
+    convolution `_reference_fold` in place of the packed kernel.  Diagonal
+    elements go first, which keeps the intermediates of the monomial groups
+    small; the product does not depend on the order.
     """
     n = G.field_order()
     factors = []
@@ -188,7 +226,7 @@ def _elementwise(G, row):
                             for key, items in placed]))
     scale = math.prod(d for d, _ in factors)
     out = {key: Cyclotomic(n, {e: Fraction(-v, scale) for e, v in enumerate(vec) if v})
-           for key, vec in invariant._fold_product(factors, n).items()}
+           for key, vec in _reference_fold(factors, n).items()}
     out[0] = out.get(0, rational(0)) + 1
     return HermitianPolynomial({key: c for key, c in out.items() if not c.is_zero()})
 
@@ -226,6 +264,108 @@ def _oracle_groups():
 def test_coset_fold_matches_elementwise_fold(G):
     assert phi(G) == _elementwise(G, _phi_row)
     assert polarized_at_ones(G) == _elementwise(G, _polarized_row)
+
+
+# 5, 7 and 9 are the orders whose products reach past x^n (2 phi(n) - 1 > n)
+KERNEL_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 24, 30, 40)
+_COEFFICIENT = st.one_of(st.integers(-3, 3), st.integers(-2 ** 256, 2 ** 256))
+
+
+@st.composite
+def _fold_inputs(draw):
+    """(factors, n, prefix) with small keys, so that products meet on one key.
+
+    A drawn term may come with its negation at the same key, and a factor may
+    be zero, so sums cancel exactly; a random prefix may replace the default 1.
+    """
+    n = draw(st.sampled_from(KERNEL_ORDERS))
+    phi = euler_phi(n)
+    coefs = st.lists(st.tuples(st.integers(0, phi - 1), _COEFFICIENT), min_size=1, max_size=3)
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.lists(st.tuples(st.integers(0, 6), coefs), max_size=4))
+        if terms and draw(st.booleans()):
+            delta, cs = terms[0]
+            terms.append((delta, [(e, -c) for e, c in cs]))
+        factors.append((draw(st.one_of(st.just(0), _COEFFICIENT)), terms))
+    prefix = None
+    if draw(st.booleans()):
+        vectors = st.lists(_COEFFICIENT, min_size=n, max_size=n)
+        prefix = draw(st.dictionaries(st.integers(0, 6), vectors, min_size=1, max_size=4))
+    return factors, n, prefix
+
+
+def _copy(prefix):
+    return None if prefix is None else {key: list(vec) for key, vec in prefix.items()}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_fold_inputs())
+def test_packed_fold_matches_reference_fold(case):
+    factors, n, prefix = case
+    got = invariant._fold_product(factors, n, prod=_copy(prefix))
+    assert got == _reference_fold(factors, n, _copy(prefix))
+
+
+def test_mod_phi_cancellation_drops_the_term():
+    # x * x + 1 vanishes in Q(i) but not in Z[x]/(x^4 - 1)
+    prefix = {0: [0, 1, 0, 0], 1: [1, 0, 0, 0]}
+    factors = [(1, [(1, [(1, 1)])])]
+    expect = {0: [0, 1, 0, 0], 2: [0, 1, 0, 0]}
+    assert invariant._fold_product(factors, 4, prod=_copy(prefix)) == expect
+    assert _reference_fold(factors, 4, _copy(prefix)) == expect
+
+
+def _at(n, e, v):
+    """v x^e as a coefficient vector of length n."""
+    vec = [0] * n
+    vec[e] = v
+    return vec
+
+
+@pytest.mark.parametrize("n, prefix, factor", [
+    # the reduced coordinate is top * l1 itself, the bound A at n = 1 and 2
+    (1, {0: [2 ** 70 - 1]}, (2 ** 40 + 1, [])),
+    (2, {0: _at(2, 0, -(2 ** 70 - 1))}, (0, [(1, [(0, 2 ** 40 + 1)])])),
+    # both terms meet on key 2 with one sign: the top slot, 2 (phi(n) - 1), of
+    # the product is top * l1; at n = 5 it wraps onto x
+    (5, {0: _at(5, 3, 2 ** 64 + 3), 1: _at(5, 3, 2 ** 64 + 3)},
+     (0, [(2, [(3, 5)]), (1, [(3, 7), (3, 11)])])),
+    (40, {0: _at(40, 15, -(2 ** 50)), 1: _at(40, 15, -(2 ** 50))},
+     (0, [(2, [(15, -9)]), (1, [(15, -4), (15, -6)])])),
+])
+def test_slot_at_the_bound_unpacks_exactly(n, prefix, factor):
+    factors = [factor]
+    got = invariant._fold_product(factors, n, prod=_copy(prefix))
+    assert got == _reference_fold(factors, n, _copy(prefix))
+    top = max(abs(v) for vec in prefix.values() for v in vec)
+    l1 = abs(factor[0]) + sum(abs(c) for _, coefs in factor[1] for _, c in coefs)
+    assert max(abs(v) for vec in got.values() for v in vec) == top * l1
+
+
+def test_narrow_slots_raise(monkeypatch):
+    # one slot holding top * l1 = 2^110 - 1 (n = 1) overflows a slot one bit short
+    slot_width = invariant._slot_width
+    factors = [(2 ** 40 + 1, [])]
+    monkeypatch.setattr(invariant, "_slot_width", lambda *args: slot_width(*args) - 1)
+    with pytest.raises(InvariantCheckFailed, match="overflows"):
+        invariant._fold_product(factors, 1, prod={0: [2 ** 70 - 1]})
+    # slots too narrow for T's coefficients break the fold or a check behind it
+    monkeypatch.setattr(invariant, "_slot_width", lambda *args: slot_width(*args) // 2)
+    with pytest.raises(InvariantCheckFailed):
+        phi(binary_polyhedral("T"))
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_reduction_norm_matches_root_coordinates(n):
+    # the coordinates of zeta_n^k in the power basis, read from canonical elements
+    phi_n = euler_phi(n)
+    span = 2 * phi_n - 1
+    norm = [0] * phi_n
+    for k in range(span):
+        for i, v in root_of_unity(n, k).promote(n).items:
+            norm[i] += abs(v)
+    assert invariant._reduction_norm(n, span) == max(norm)
 
 
 def _diagonal_groups():
