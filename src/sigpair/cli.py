@@ -108,12 +108,17 @@ def cmd_signature(args) -> int:
             sig_mod.check_numeric_precision(args.precision)  # before the expansion
         P = phi(G, progress=_progress(args.verbose, G))
         expand_ms = int((time.monotonic() - t0) * 1000)
-        records = [sig_mod.result_record(G, method=m, precision_bits=args.precision, poly=P)
+        stats = {}
+        records = [sig_mod.result_record(G, method=m, precision_bits=args.precision, poly=P,
+                                         stats=stats)
                    for m in methods]
     except GroupTooLarge as exc:
         return _error(exc, 3)
     except sig_mod.InsufficientPrecision as exc:
         return _error(exc)
+    if args.verbose and stats:
+        print(f"{G.label}: elimination, {stats['blocks']} blocks, largest {stats['max_block']}, "
+              f"{stats['pivots_1x1']} 1x1 and {stats['pivots_2x2']} 2x2 pivots", file=sys.stderr)
     if args.dump_poly:
         with open(args.dump_poly, "w", encoding="utf-8") as f:
             for row in P.csv_rows():
@@ -440,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dump-poly", metavar="PATH", help="write the expanded polynomial as CSV")
     sp.add_argument("-v", "--verbose", action="store_true",
                     help="report progress on stderr, one step per coset of the diagonal subgroup, "
-                         "with the product's term count and the fold's slot width")
+                         "with the product's term count and the fold's slot width, then the "
+                         "exact elimination's blocks and pivot counts")
     sp.set_defaults(func=cmd_signature)
 
     fp = sub.add_parser("fpq", help="the bivariate polynomials f_{p,q}")

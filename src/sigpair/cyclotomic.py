@@ -8,11 +8,16 @@ and denominator; operands of unequal order are promoted to the lcm order
 first.  Elements whose support is {0} are normalised to order 1, so
 rationals always live in Q(zeta_1) no matter how they arose.
 
-Ring operations run on ints and end in `reduce_vector` and one gcd.  The
-fold in `invariant` reduces packed integers modulo Phi_n(2^w) instead and
-takes from `reduce_vector` the row norms that bound that step.
-Fractions appear only at the edges: the constructor, `coords`,
-`as_fraction`, JSON and the extended Euclid inside `inverse`.
+Ring operations run on ints and end in one gcd.  Sums and `promote` reduce
+a dense length-n vector with `reduce_vector`.  Products, `__mul__` and the
+fused `sub_mul` (a - b*c, the update of both eliminations in `signature`),
+collect into one phi(n)-long vector and send only the product slots at or
+above phi(n) through their cached `root_items` rows (`_mul_into`).  `conj`
+maps exponents through the same rows and takes no gcd, and `inverse` runs
+an extended Euclid on int polynomials.  The fold in `invariant` reduces
+packed integers modulo Phi_n(2^w) instead and takes from `reduce_vector`
+the row norms that bound that step.  Fractions appear only at the edges:
+the constructor, `coords`, `as_fraction` and JSON.
 
 Values are immutable and operations are pure; the module-level caches of
 cyclotomic polynomials and reduction rows are read-only after first use, so
@@ -25,7 +30,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 
 from . import intervals
 
@@ -129,6 +133,34 @@ def _pdivmod(a: list[Fraction], b: list[Fraction]):
     return q, a
 
 
+def _prem(r0: list[int], s0: list[int], r1: list[int], s1: list[int]):
+    """One step of the extended Euclid on int polynomials: (r, s) = (f r0 -
+    q r1, f s0 - q s1) / g, f a power of r1's leading coefficient and q the
+    pseudo-quotient, so deg r < deg r1, and g the content of r and s together.
+    s0 and s1 are phi(n)-long cofactors; s fits in phi(n) slots too, since
+    its degree is phi(n) - deg r1 < phi(n)."""
+    d1 = _pdeg(r1)
+    lead = r1[d1]
+    top = [(k, v) for k, v in enumerate(s1) if v]
+    r, s = list(r0), list(s0)
+    for i in range(_pdeg(r0), d1 - 1, -1):
+        t = r[i]
+        if t:
+            if lead != 1:
+                r = [lead * x for x in r]
+                s = [lead * x for x in s]
+            shift = i - d1
+            for k in range(d1 + 1):
+                r[k + shift] -= t * r1[k]
+            for k, v in top:
+                s[k + shift] -= t * v
+    g = math.gcd(*r, *s)
+    if g > 1:
+        r = [x // g for x in r]
+        s = [x // g for x in s]
+    return r, s
+
+
 class Cyclotomic:
     """An exact element of Q(zeta_order) in canonical form.
 
@@ -170,16 +202,16 @@ class Cyclotomic:
     def from_reduced(cls, order: int, vec: list[int], den: int) -> "Cyclotomic":
         """sum(vec[k] * zeta_order^k) / den, for an int vector already reduced
         modulo Phi_order (see `reduce_vector`) and a nonzero int den."""
-        items = tuple((k, v) for k, v in enumerate(vec) if v)
+        items = [(k, v) for k, v in enumerate(vec) if v]
         if not items:
             return zero()
-        g = math.gcd(den, *(v for _, v in items))
+        g = math.gcd(den, *vec)
         if den < 0:
             g = -g
         if g != 1:
             den //= g
-            items = tuple((k, v // g) for k, v in items)
-        return cls._make(1 if len(items) == 1 and items[0][0] == 0 else order, items, den)
+            items = [(k, v // g) for k, v in items]
+        return cls._make(1 if len(items) == 1 and items[0][0] == 0 else order, tuple(items), den)
 
     # -- inspection ------------------------------------------------------
 
@@ -251,39 +283,33 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         m = math.lcm(self.order, other.order)
-        sa, sb = m // self.order, m // other.order
-        vec = [0] * m
-        for ka, va in self.items:
-            ka *= sa
-            for kb, vb in other.items:
-                k = ka + kb * sb
-                vec[k if k < m else k - m] += va * vb
-        return _canonical(m, vec, self.den * other.den)
+        vec = _mul_into([0] * euler_phi(m), m, self, other, 1)
+        return Cyclotomic.from_reduced(m, vec, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/self by the extended Euclid of Phi_n and the numerators on int
+        polynomials: each step is a pseudo-remainder with its cofactor
+        (`_prem`), so at the end s * numerators == c (mod Phi_n) for an int
+        c, and 1/self = den * s / c."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.order == 1:
             return rational(Fraction(self.den, self.items[0][1]))
         n = self.order
-        a = [Fraction(0)] * euler_phi(n)
+        phi = euler_phi(n)
+        r0, s0 = list(cyclotomic_polynomial(n)), [0] * phi
+        r1, s1 = [0] * phi, [1] + [0] * (phi - 1)
         for k, v in self.items:
-            a[k] = Fraction(v)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        # extended Euclid on the numerators: s1 * a == r1 (mod Phi_n); Phi_n irreducible over Q
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
+            r1[k] = v
+        # s_i * numerators == r_i (mod Phi_n) throughout; Phi_n is irreducible over Q
         while _pdeg(r1) > 0:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            qs = _pmul(q, s1)
-            s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
+            r0, s0, (r1, s1) = r1, s1, _prem(r0, s0, r1, s1)
         c = r1[0]
         if not c:
             raise CyclotomicCheckFailed(f"gcd of {self} with the irreducible Phi_{n} vanished")
-        return Cyclotomic(n, {i: v * self.den / c for i, v in enumerate(s1) if v})
+        return Cyclotomic.from_reduced(n, [v * self.den for v in s1], c)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -307,14 +333,21 @@ class Cyclotomic:
         return acc
 
     def conj(self) -> "Cyclotomic":
-        """Complex conjugation, zeta^k -> zeta^(n-k); an involution."""
+        """Complex conjugation, zeta^k -> zeta^(n-k); an involution.
+
+        Each exponent n - k goes through its `root_items` row onto the
+        phi(n) slots.  Conjugation is an automorphism of the Z-module
+        Z[zeta_n], so the numerators keep their gcd with `den` and no gcd is
+        taken."""
         if self.order == 1:
             return self
         n = self.order
-        vec = [0] * n
+        roots = root_items(n)
+        vec = [0] * euler_phi(n)
         for k, v in self.items:
-            vec[(n - k) % n] = v
-        return _canonical(n, vec, self.den)
+            for i, r in roots[n - k if k else 0]:
+                vec[i] += v * r
+        return Cyclotomic._make(n, tuple((k, v) for k, v in enumerate(vec) if v), self.den)
 
     # -- real evaluation -------------------------------------------------
 
@@ -349,12 +382,13 @@ class Cyclotomic:
             bits = min(2 * bits, bound)
 
     def approx_float(self) -> float:
-        """Float estimate of a real element, for pivot-size heuristics only."""
+        """Float estimate of a real element, for pivot-size heuristics only:
+        the midpoint of a 64-bit enclosure of the integer numerators, over den."""
         if self.order == 1:
             mid = self.as_fraction()
         else:
-            lo, hi = intervals.real_enclosure(self.order, self.coords.items(), 64)
-            mid = (lo + hi) / 2
+            lo, hi = intervals.real_enclosure(self.order, self.items, 64)
+            mid = (lo + hi) / (2 * self.den)
         try:
             return float(mid)
         except OverflowError:
@@ -422,6 +456,49 @@ def _canonical(order: int, vec: list[int], den: int) -> Cyclotomic:
     return Cyclotomic.from_reduced(order, reduce_vector(vec, order), den)
 
 
+def _mul_into(vec: list[int], m: int, b: Cyclotomic, c: Cyclotomic, scale: int) -> list[int]:
+    """vec += scale * b.numerators * c.numerators modulo Phi_m, vec a
+    phi(m)-long int vector and b.order, c.order dividing m.  A product slot
+    below phi(m) is added in place; one at or above goes through its
+    `root_items` row.  Returns vec."""
+    phi = len(vec)
+    roots = root_items(m)
+    sb, sc = m // b.order, m // c.order
+    citems = [(kc * sc, vc) for kc, vc in c.items]
+    for kb, vb in b.items:
+        kb *= sb
+        vb *= scale
+        for kc, vc in citems:
+            k = kb + kc
+            if k >= m:
+                k -= m
+            if k < phi:
+                vec[k] += vb * vc
+            else:
+                x = vb * vc
+                for i, r in roots[k]:
+                    vec[i] += x * r
+    return vec
+
+
+def sub_mul(a: Cyclotomic, b: Cyclotomic, c: Cyclotomic) -> Cyclotomic:
+    """a - b*c in canonical form, the same element and key as `a - b * c`.
+
+    One phi(m)-long vector at m = lcm of the three orders collects the
+    product and a's numerators (a times 1) over the common denominator, both
+    by `_mul_into`; one gcd follows.  `a` itself comes back when b or c is zero."""
+    if not (b.items and c.items):
+        return a
+    m = math.lcm(a.order, b.order, c.order)
+    bc_den = b.den * c.den
+    den = math.lcm(a.den, bc_den)
+    vec = _mul_into([0] * euler_phi(m), m, b, c, -(den // bc_den))
+    if m != a.order and not any(vec[1:]):
+        # a rational b*c leaves a - b*c at a's order
+        return a + Cyclotomic.from_reduced(1, vec[:1], den)
+    return Cyclotomic.from_reduced(m, _mul_into(vec, m, a, _ONE, den // a.den), den)
+
+
 def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Product of dense coefficient lists; integer inputs stay integer."""
     out = [0] * (len(a) + len(b) - 1)
@@ -453,6 +530,9 @@ def zero() -> Cyclotomic:
 
 def one() -> Cyclotomic:
     return rational(1)
+
+
+_ONE = one()
 
 
 @lru_cache(maxsize=None)

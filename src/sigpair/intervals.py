@@ -13,16 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-def floor_dyadic(x: Fraction, bits: int) -> Fraction:
-    """Largest multiple of 2^-bits that is <= x."""
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
-
-
-def ceil_dyadic(x: Fraction, bits: int) -> Fraction:
-    """Smallest multiple of 2^-bits that is >= x."""
-    return Fraction(-(((-x.numerator) << bits) // x.denominator), 1 << bits)
-
-
 def _atan_inv(x: int, w: int) -> tuple[int, int]:
     """(s, e) with |atan(1/x) 2^w - s| <= e, x >= 2: each p_j ~ 2^w / x^(2j+1) is
     low by < 4/3, each term by < 7/3, and the tail from the first p_J = 0 is < 4/3."""
@@ -90,23 +80,30 @@ def cos_2pi(num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
+@lru_cache(maxsize=None)
+def _cos_units(num: int, den: int, bits: int) -> tuple[int, int]:
+    """`cos_2pi(num, den, bits)` as ints in units of 2^-bits."""
+    return tuple(c.numerator << (bits + 1 - c.denominator.bit_length())
+                 for c in cos_2pi(num, den, bits))
+
+
 def real_enclosure(order: int, items, bits: int) -> tuple[Fraction, Fraction]:
     """Enclosure (lo, hi) of Re(sum a_k zeta_order^k) = sum a_k cos(2*pi*k/order)
-    on the 2^-bits grid, items the (k, a_k) pairs.
+    on the 2^-bits grid, items the (k, a_k) pairs with int a_k.
 
     Width: each cosine is enclosed at w >= bits + 12 bits, narrower than
-    3 * 2^-w, and the sum is rounded outward once, so hi - lo <
-    (S / 1024 + 2) 2^-bits, S = sum |a_k|; below 2^(L+1-bits) for S < 2^L.
+    3 * 2^-w, the sum is taken exactly in units of 2^-w and rounded outward
+    once, so hi - lo < (S / 1024 + 2) 2^-bits, S = sum |a_k|; below
+    2^(L+1-bits) for S < 2^L.
     """
     w = bits + 8 + max(4, order.bit_length())
-    lo = Fraction(0)
-    hi = Fraction(0)
+    lo = hi = 0
     for k, v in items:
-        cl, ch = cos_2pi(k, order, w)
+        cl, ch = _cos_units(k, order, w)
         if v >= 0:
             lo += v * cl
             hi += v * ch
         else:
             lo += v * ch
             hi += v * cl
-    return floor_dyadic(lo, bits), ceil_dyadic(hi, bits)
+    return Fraction(lo >> (w - bits), 1 << bits), Fraction(-(-hi >> (w - bits)), 1 << bits)

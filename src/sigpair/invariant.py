@@ -157,9 +157,14 @@ class HermitianPolynomial:
         return True
 
     def check_hermitian(self) -> bool:
-        for key, c in self.terms.items():
-            a1, a2, b1, b2 = unpack_key(key)
-            mirror = self.terms.get(pack_key(b1, b2, a1, a2))
+        """c(beta, alpha) == conj(c(alpha, beta)) for every stored term,
+        each unordered pair compared once."""
+        terms = self.terms
+        for key, c in terms.items():
+            mirror_key = (key >> _SHIFT[2]) | ((key & _Z_SLOTS) << _SHIFT[2])  # (beta, alpha)
+            if mirror_key < key and mirror_key in terms:
+                continue  # the pair was compared from its mirror
+            mirror = terms.get(mirror_key)
             if mirror is None or mirror != c.conj():
                 return False
         return True

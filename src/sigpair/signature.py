@@ -7,7 +7,13 @@ nonzero block vanishes, an off-diagonal 2x2 pivot [[0, a], [conj(a), 0]]
 contributes one eigenvalue of each sign (its determinant -a*conj(a) is
 negative).  All arithmetic stays in the cyclotomic field.  Matrices arising
 from invariant polynomials split into many small connected components, which
-the elimination exploits; inertia is additive across components.
+the elimination exploits; inertia is additive across components.  Each
+component's dense block is built in turn from one pass over the entries.
+The elimination stores only the upper triangle of a block, reading a
+pivot's row and column once per pivot, and each update of the Schur
+complement is one fused field operation, `sub_mul(a, b, c)` = a - b*c.
+`gauss_rank`, the independent rank route, eliminates full rows with the
+same fused update.
 
 A numeric oracle (inertia_numeric) stands in for the original
 high-precision eigenvalue workflow; it is advisory only and never feeds
@@ -28,7 +34,7 @@ from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
-from .cyclotomic import Cyclotomic, rational
+from .cyclotomic import Cyclotomic, rational, sub_mul
 from .group import FiniteMatrixGroup
 from .intervals import cos_2pi
 from .invariant import HermitianPolynomial, pack_key, unpack_key, phi
@@ -81,6 +87,8 @@ class HermitianMatrix:
         self.basis = list(basis)
         self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
         for (i, j), c in self.entries.items():
+            if j < i and (j, i) in self.entries:
+                continue  # the pair was checked from (j, i)
             mirror = self.entries.get((j, i))
             if mirror is None or mirror != c.conj():
                 raise NotHermitian(f"entry ({i},{j}) has no conjugate partner")
@@ -112,15 +120,6 @@ class HermitianMatrix:
             groups.setdefault(find(i), []).append(i)
         return [sorted(g) for g in sorted(groups.values())]
 
-    def dense_block(self, idxs: list[int]) -> list[list[Cyclotomic]]:
-        z = rational(0)
-        pos = {g: i for i, g in enumerate(idxs)}
-        block = [[z] * len(idxs) for _ in idxs]
-        for (i, j), c in self.entries.items():
-            if i in pos and j in pos:
-                block[pos[i]][pos[j]] = c
-        return block
-
     def permuted(self, perm: list[int]) -> "HermitianMatrix":
         """Same matrix with rows/columns reordered by perm (for invariance tests)."""
         inv = {old: new for new, old in enumerate(perm)}
@@ -145,10 +144,49 @@ def _magnitude(c: Cyclotomic) -> float:
     return est if est > 0.0 else 5e-324
 
 
-def _eliminate_block(block: list[list[Cyclotomic]]) -> Inertia:
+def _dense_blocks(M: HermitianMatrix):
+    """The dense block of each component of M, in `components()` order, built
+    one at a time after one pass that buckets the entries by component."""
+    comps = M.components()
+    where = {i: (b, at) for b, comp in enumerate(comps) for at, i in enumerate(comp)}
+    buckets = [[] for _ in comps]
+    for (i, j), c in M.entries.items():
+        b, p = where[i]
+        buckets[b].append((p, where[j][1], c))
+    z = rational(0)
+    for comp, bucket in zip(comps, buckets):
+        block = [[z] * len(comp) for _ in comp]
+        for p, r, c in bucket:
+            block[p][r] = c
+        yield block
+
+
+def _pivot_line(block, p: int, active: list[int]) -> list[tuple[int, Cyclotomic, Cyclotomic]]:
+    """(j, block[j][p], block[p][j]) for the active j whose entry is nonzero,
+    ascending j, each pair read from the upper triangle with one conj."""
+    line = []
+    for j in active:
+        if j < p:
+            c = block[j][p]
+            if not c.is_zero():
+                line.append((j, c, c.conj()))
+        else:
+            c = block[p][j]
+            if not c.is_zero():
+                line.append((j, c.conj(), c))
+    return line
+
+
+def _eliminate_block(block: list[list[Cyclotomic]]) -> tuple[Inertia, int]:
+    """Inertia of a dense Hermitian block and its number of 2x2 pivots.
+
+    Only the upper triangle, block[i][j] with i <= j, is read or written; an
+    entry below it is the conj of its mirror.  Each pivot's row and column
+    are read once (`_pivot_line`), and each update of the Schur complement is
+    one fused `sub_mul`, so a pivot costs O(m) conj, not O(m^2)."""
     m = len(block)
     active = list(range(m))
-    pos = neg = 0
+    pos = neg = pairs = 0
     while active:
         piv = None
         best = -1.0
@@ -165,19 +203,14 @@ def _eliminate_block(block: list[list[Cyclotomic]]) -> Inertia:
             else:
                 neg += 1
             active.remove(piv)
-            cols = [i for i in active if not block[i][piv].is_zero()]
-            if cols:
+            line = _pivot_line(block, piv, active)
+            if line:
                 dinv = d.inverse()
-                ratio = {i: block[i][piv] * dinv for i in cols}
-                for x, i in enumerate(cols):
-                    ri = ratio[i]
-                    row_p = block[piv]
-                    for j in cols[x:]:
-                        upd = ri * row_p[j]
-                        val = block[i][j] - upd
-                        block[i][j] = val
-                        if i != j:
-                            block[j][i] = val.conj()
+                for x, (i, col, _) in enumerate(line):
+                    ratio = col * dinv
+                    row_i = block[i]
+                    for j, _, row in line[x:]:
+                        row_i[j] = sub_mul(row_i[j], ratio, row)
         else:
             pair = None
             for x, i in enumerate(active):
@@ -192,42 +225,52 @@ def _eliminate_block(block: list[list[Cyclotomic]]) -> Inertia:
             i0, j0 = pair
             pos += 1
             neg += 1
+            pairs += 1
             active.remove(i0)
             active.remove(j0)
-            a = block[i0][j0]
-            inv_a = a.inverse()
-            inv_ac = a.conj().inverse()
-            ks = [k for k in active
-                  if not block[k][i0].is_zero() or not block[k][j0].is_zero()]
-            for x, k in enumerate(ks):
-                bi = block[k][i0]
-                bj = block[k][j0]
-                for l in ks[x:]:
-                    upd = bj * block[i0][l] * inv_a + bi * block[j0][l] * inv_ac
-                    val = block[k][l] - upd
-                    block[k][l] = val
-                    if k != l:
-                        block[l][k] = val.conj()
-    return Inertia(pos, neg, m - pos - neg)
+            # pivot [[0, a], [conj(a), 0]]: subtract (b_kj0 / a) row i0 + (b_ki0 / conj(a)) row j0
+            inv_a = block[i0][j0].inverse()
+            inv_ac = inv_a.conj()
+            z = rational(0)
+            lines = [{j: (col, row) for j, col, row in _pivot_line(block, p, active)}
+                     for p in (i0, j0)]
+            coefs = []
+            for k in sorted(lines[0].keys() | lines[1].keys()):
+                bi, ri = lines[0].get(k, (z, z))
+                bj, rj = lines[1].get(k, (z, z))
+                coefs.append((k, bj * inv_a, ri, bi * inv_ac, rj))
+            for x, (k, u, _, w, _) in enumerate(coefs):
+                row_k = block[k]
+                for l, _, ri, _, rj in coefs[x:]:
+                    row_k[l] = sub_mul(sub_mul(row_k[l], u, ri), w, rj)
+    return Inertia(pos, neg, m - pos - neg), pairs
 
 
-def inertia_exact(M: HermitianMatrix) -> Inertia:
-    """Certified inertia by Hermitian congruence elimination."""
-    pos = neg = zero_ct = 0
-    for comp in M.components():
-        block = M.dense_block(comp)
-        res = _eliminate_block(block)
+def inertia_exact(M: HermitianMatrix, stats: dict | None = None) -> Inertia:
+    """Certified inertia by Hermitian congruence elimination.
+
+    When given, `stats` receives deterministic counters of the run:
+    `blocks`, `max_block` (the largest component's size), `pivots_1x1` and
+    `pivots_2x2`."""
+    pos = neg = pairs = blocks = largest = 0
+    for block in _dense_blocks(M):
+        res, p2 = _eliminate_block(block)
         pos += res.n_plus
         neg += res.n_minus
-        zero_ct += res.n_zero
-    return Inertia(pos, neg, zero_ct)
+        pairs += p2
+        blocks += 1
+        largest = max(largest, len(block))
+    if stats is not None:
+        stats.update(blocks=blocks, max_block=largest, pivots_1x1=pos + neg - 2 * pairs,
+                     pivots_2x2=pairs)
+    return Inertia(pos, neg, M.dimension - pos - neg)
 
 
 def gauss_rank(M: HermitianMatrix) -> int:
-    """Rank by ordinary (non-symmetric) Gaussian elimination; independent of inertia_exact."""
+    """Rank by ordinary (non-symmetric) Gaussian elimination on full rows;
+    independent of inertia_exact, with which it shares only the field kernel."""
     rank = 0
-    for comp in M.components():
-        block = M.dense_block(comp)
+    for block in _dense_blocks(M):
         m = len(block)
         row = 0
         for col in range(m):
@@ -239,11 +282,12 @@ def gauss_rank(M: HermitianMatrix) -> int:
             if pr is None:
                 continue
             block[row], block[pr] = block[pr], block[row]
-            inv = block[row][col].inverse()
+            prow = block[row]
+            inv = prow[col].inverse()
             for i in range(row + 1, m):
                 if not block[i][col].is_zero():
                     factor = block[i][col] * inv
-                    block[i] = [block[i][j] - factor * block[row][j] for j in range(m)]
+                    block[i] = [sub_mul(a, factor, p) for a, p in zip(block[i], prow)]
             row += 1
             rank += 1
             if row == m:
@@ -449,16 +493,18 @@ def positivity_ratio(G: FiniteMatrixGroup) -> Fraction:
 
 
 def result_record(G: FiniteMatrixGroup, method: str = "exact",
-                  precision_bits: int = 256, poly: HermitianPolynomial | None = None) -> dict:
+                  precision_bits: int = 256, poly: HermitianPolynomial | None = None,
+                  stats: dict | None = None) -> dict:
     """The JSON result record for a single group computation.
 
     `poly` is Phi_G when the caller has already expanded it; `elapsed_ms` then
-    leaves the expansion out.
+    leaves the expansion out.  `stats` goes to `inertia_exact` when method
+    is "exact".
     """
     t0 = time.monotonic()
     M = coefficient_matrix(phi(G) if poly is None else poly)
     if method == "exact":
-        inertia = inertia_exact(M)
+        inertia = inertia_exact(M, stats)
     elif method == "numeric":
         inertia = inertia_numeric(M, precision_bits)
     else:

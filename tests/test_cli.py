@@ -89,10 +89,20 @@ def test_signature_expands_phi_once(capsys, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("spec, last", [("cyclic:40,39", "factor 1/1"), ("O", "factor 6/6")])
 def test_verbose_progress_counts_cosets(capsys, spec, last):
-    # one step per coset of the diagonal subgroup, the diagonal product first
+    # one step per coset of the diagonal subgroup, the diagonal product first;
+    # the elimination's line follows the last step
     code, _, err = run_cli(capsys, "signature", "--group", spec, "-v", "--stable-output")
     assert code == 0
-    assert err.splitlines()[-1].startswith(f"{cli._parse_group(spec).label}: {last}, ")
+    label = cli._parse_group(spec).label
+    assert err.splitlines()[-2].startswith(f"{label}: {last}, ")
+    assert err.splitlines()[-1].startswith(f"{label}: elimination, ")
+
+
+def _elimination_line(G):
+    stats = {}
+    signature.inertia_exact(signature.coefficient_matrix(invariant.phi(G)), stats)
+    return (f"{G.label}: elimination, {stats['blocks']} blocks, largest {stats['max_block']}, "
+            f"{stats['pivots_1x1']} 1x1 and {stats['pivots_2x2']} 2x2 pivots")
 
 
 @pytest.mark.parametrize("spec", ["cyclic:40,39", "O", "dihedral:6"])
@@ -107,11 +117,26 @@ def test_verbose_progress_reports_terms_and_slot_width(capsys, spec):
     expect = [f"{G.label}: factor {done}/{total}, {terms} terms"
               + ("" if width is None else f", {width}-bit slots")
               for done, total, terms, width in steps if done % 10 == 0 or done == total]
-    assert err.splitlines() == expect
+    assert err.splitlines() == expect + [_elimination_line(G)]
     # the product's constant 1 is the one term that Phi drops
     assert steps[-1][2] == invariant.phi(G).term_count() + 1
     assert [width is None for *_, width in steps] == [True] + [False] * (len(steps) - 1)
     assert run_cli(capsys, "signature", "--group", spec, "--stable-output") == (0, out, "")
+
+
+@pytest.mark.parametrize("spec, line", [
+    ("T", "T: elimination, 13 blocks, largest 7, 14 1x1 and 0 2x2 pivots"),
+    ("dihedral:3", "Delta(3): elimination, 5 blocks, largest 3, 4 1x1 and 1 2x2 pivots"),
+])
+def test_verbose_reports_the_elimination(capsys, spec, line):
+    # one stderr line after the exact elimination; stdout is the same as without -v
+    code, out, err = run_cli(capsys, "signature", "--group", spec, "--method", "both",
+                             "-v", "--stable-output")
+    assert code == 0
+    assert err.splitlines()[-1] == line
+    assert [ln for ln in err.splitlines() if ": elimination, " in ln] == [line]
+    assert run_cli(capsys, "signature", "--group", spec, "--method", "both",
+                   "--stable-output") == (0, out, "")
 
 
 @pytest.fixture

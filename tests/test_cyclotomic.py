@@ -9,10 +9,13 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigpair
 from sigpair import cyclotomic, intervals
@@ -21,7 +24,7 @@ from sigpair.cyclotomic import (Cyclotomic, CyclotomicCheckFailed,
                                 MAX_JSON_ORDER, MalformedJSON, NotReal,
                                 cyclotomic_polynomial, euler_phi,
                                 multiplicative_order, one,
-                                rational, root_of_unity, zero)
+                                rational, root_of_unity, sub_mul, zero)
 
 
 def test_cyclotomic_polynomials():
@@ -176,6 +179,74 @@ def test_kernel_matches_fraction_reference(orders):
             assert _reference(n1, _times(a.coords, _lifted(inv, n1))) == {0: 1}
 
 
+def _reference_inverse(c):
+    """1/c by the extended Euclid on Fraction polynomials."""
+    if c.order == 1:
+        return rational(1 / c.as_fraction())
+    n = c.order
+    a = [Fraction(0)] * euler_phi(n)
+    for k, v in c.items:
+        a[k] = Fraction(v)
+    r0, r1 = [Fraction(x) for x in cyclotomic_polynomial(n)], a
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while cyclotomic._pdeg(r1) > 0:
+        q, r = cyclotomic._pdivmod(r0, r1)
+        r0, r1 = r1, r
+        qs = cyclotomic._pmul(q, s1)
+        s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
+    return Cyclotomic(n, {i: v * c.den / r1[0] for i, v in enumerate(s1) if v})
+
+
+def _reference_conj(c):
+    """Conjugation with a gcd: zeta^k -> zeta^(n-k) in a length-n vector,
+    reduced by `reduce_vector`."""
+    if c.order == 1:
+        return c
+    n = c.order
+    vec = [0] * n
+    for k, v in c.items:
+        vec[(n - k) % n] = v
+    return cyclotomic._canonical(n, vec, c.den)
+
+
+@st.composite
+def _elements(draw):
+    n = draw(st.sampled_from((1, 2, 3, 4, 5, 8, 12, 30, 40)))
+    exps = draw(st.lists(st.integers(0, n - 1), max_size=min(n, 6), unique=True))
+    return Cyclotomic(n, {k: Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from((1, 2, 3, 12))))
+                          for k in exps})
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(a=_elements(), b=_elements(), c=_elements(),
+       shape=st.sampled_from(("any", "zero b", "zero c", "rational b*c", "zero result",
+                              "rational result")))
+def test_kernel_matches_the_reference_operations(a, b, c, shape):
+    # sub_mul against a - b*c, conj and inverse against their former
+    # routes: mixed orders, order 1, zero operands, and results that collapse
+    # to a rational or to zero, compared by key
+    if shape == "zero b":
+        b = zero()
+    elif shape == "zero c":
+        c = zero()
+    elif shape == "rational b*c" and not b.is_zero():
+        c = b.inverse() * Fraction(-3, 7)
+    elif shape == "zero result":
+        a = b * c
+    elif shape == "rational result":
+        a = b * c + Fraction(5, 2)
+    got = sub_mul(a, b, c)
+    _assert_canonical(got)
+    assert got.key() == (a - b * c).key()
+    if b.is_zero() or c.is_zero():
+        assert got is a
+    for x in (a, b, c, got):
+        assert x.conj().key() == _reference_conj(x).key()
+        _assert_canonical(x.conj())
+        if not x.is_zero():
+            assert x.inverse().key() == _reference_inverse(x).key()
+
+
 def test_json_strings_are_stable():
     z5 = root_of_unity(5, 1)
     elts = [
@@ -249,7 +320,8 @@ def test_inexact_cyclotomic_division_is_a_typed_error(monkeypatch):
 
 
 def test_vanishing_inverse_gcd_is_a_typed_error(monkeypatch):
-    monkeypatch.setattr(cyclotomic, "_pdivmod", lambda a, b: ([Fraction(0)], [Fraction(0)]))
+    # a Euclid step whose remainder vanishes means a common factor with Phi_n
+    monkeypatch.setattr(cyclotomic, "_prem", lambda r0, s0, r1, s1: ([0] * len(r0), s0))
     with pytest.raises(CyclotomicCheckFailed, match="gcd"):
         root_of_unity(5, 1).inverse()
 

@@ -79,6 +79,23 @@ def test_hermitian_symmetry_all_builtins():
         assert phi(g).check_hermitian()
 
 
+@pytest.mark.parametrize("terms", [
+    {pack_key(1, 0, 0, 1): rational(2)},                   # the larger key of its pair, alone
+    {pack_key(0, 1, 1, 0): rational(2)},                   # the smaller key, alone
+    {pack_key(1, 1, 1, 1): root_of_unity(8, 1)},           # a non-real diagonal entry
+    {pack_key(1, 0, 0, 1): root_of_unity(8, 1),
+     pack_key(0, 1, 1, 0): root_of_unity(8, 1)},           # a mirror that is not the conjugate
+], ids=["larger-key-alone", "smaller-key-alone", "diagonal-not-real", "mirror-not-conjugate"])
+def test_non_hermitian_terms_are_rejected(terms):
+    from sigpair.signature import NotHermitian, coefficient_matrix
+
+    assert pack_key(1, 0, 0, 1) > pack_key(0, 1, 1, 0)
+    P = HermitianPolynomial(dict(terms))
+    assert not P.check_hermitian()
+    with pytest.raises(NotHermitian):
+        coefficient_matrix(P)
+
+
 def test_degree_bound():
     g = binary_dihedral(3)
     P = phi(g)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigpair import signature
 from sigpair.cyclotomic import Cyclotomic, rational, root_of_unity
@@ -473,3 +475,220 @@ def test_result_record_schema():
     assert rec["ratio"] == "3/4"
     assert rec["method"] == "exact"
     assert isinstance(rec["elapsed_ms"], int)
+
+
+def test_inertia_exact_reports_blocks_and_pivots():
+    for G in (binary_polyhedral("T"), dihedral(3), binary_dihedral(3)):
+        M = coefficient_matrix(phi(G))
+        stats = {}
+        res = inertia_exact(M, stats)
+        comps = M.components()
+        assert stats["blocks"] == len(comps)
+        assert stats["max_block"] == max(map(len, comps))
+        assert stats["pivots_1x1"] + 2 * stats["pivots_2x2"] == res.rank
+    stats = {}
+    inertia_exact(_hm(diag_vals=(0, 0, 5), offdiag=[(0, 1, 2)]), stats)
+    assert stats == {"blocks": 2, "max_block": 2, "pivots_1x1": 1, "pivots_2x2": 1}
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 1): rational(1)},                                     # (1, 0) missing
+    {(1, 0): rational(1)},                                     # (0, 1) missing: the larger key alone
+    {(0, 0): root_of_unity(4, 1)},                             # a non-real diagonal entry
+    {(0, 1): root_of_unity(8, 1), (1, 0): root_of_unity(8, 1)},  # mirror not the conjugate
+], ids=["smaller-key-alone", "larger-key-alone", "diagonal-not-real", "mirror-not-conjugate"])
+def test_hermitian_matrix_rejects(entries):
+    with pytest.raises(NotHermitian):
+        HermitianMatrix([(0, 0), (1, 0)], entries)
+
+
+# -- the eliminations before the upper-triangle storage and the fused update,
+#    kept as the oracles of the current ones
+
+
+def _reference_dense_block(M, idxs):
+    z = rational(0)
+    pos = {g: i for i, g in enumerate(idxs)}
+    block = [[z] * len(idxs) for _ in idxs]
+    for (i, j), c in M.entries.items():
+        if i in pos and j in pos:
+            block[pos[i]][pos[j]] = c
+    return block
+
+
+def _reference_eliminate(block):
+    """Congruence elimination on the full block, one conj per update."""
+    m = len(block)
+    active = list(range(m))
+    pos = neg = 0
+    while active:
+        piv = None
+        best = -1.0
+        for i in active:
+            d = block[i][i]
+            if not d.is_zero():
+                est = signature._magnitude(d)
+                if est > best:
+                    best, piv = est, i
+        if piv is not None:
+            d = block[piv][piv]
+            if d.sign() > 0:
+                pos += 1
+            else:
+                neg += 1
+            active.remove(piv)
+            cols = [i for i in active if not block[i][piv].is_zero()]
+            if cols:
+                dinv = d.inverse()
+                ratio = {i: block[i][piv] * dinv for i in cols}
+                for x, i in enumerate(cols):
+                    ri = ratio[i]
+                    row_p = block[piv]
+                    for j in cols[x:]:
+                        upd = ri * row_p[j]
+                        val = block[i][j] - upd
+                        block[i][j] = val
+                        if i != j:
+                            block[j][i] = val.conj()
+        else:
+            pair = None
+            for x, i in enumerate(active):
+                for j in active[x + 1:]:
+                    if not block[i][j].is_zero():
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                break  # remaining block is zero
+            i0, j0 = pair
+            pos += 1
+            neg += 1
+            active.remove(i0)
+            active.remove(j0)
+            a = block[i0][j0]
+            inv_a = a.inverse()
+            inv_ac = a.conj().inverse()
+            ks = [k for k in active
+                  if not block[k][i0].is_zero() or not block[k][j0].is_zero()]
+            for x, k in enumerate(ks):
+                bi = block[k][i0]
+                bj = block[k][j0]
+                for l in ks[x:]:
+                    upd = bj * block[i0][l] * inv_a + bi * block[j0][l] * inv_ac
+                    val = block[k][l] - upd
+                    block[k][l] = val
+                    if k != l:
+                        block[l][k] = val.conj()
+    return Inertia(pos, neg, m - pos - neg)
+
+
+def _reference_inertia(M):
+    pos = neg = zero_ct = 0
+    for comp in M.components():
+        res = _reference_eliminate(_reference_dense_block(M, comp))
+        pos += res.n_plus
+        neg += res.n_minus
+        zero_ct += res.n_zero
+    return Inertia(pos, neg, zero_ct)
+
+
+def _reference_gauss_rank(M):
+    """Gaussian elimination with the row update as three field operations."""
+    rank = 0
+    for comp in M.components():
+        block = _reference_dense_block(M, comp)
+        m = len(block)
+        row = 0
+        for col in range(m):
+            pr = None
+            for i in range(row, m):
+                if not block[i][col].is_zero():
+                    pr = i
+                    break
+            if pr is None:
+                continue
+            block[row], block[pr] = block[pr], block[row]
+            inv = block[row][col].inverse()
+            for i in range(row + 1, m):
+                if not block[i][col].is_zero():
+                    factor = block[i][col] * inv
+                    block[i] = [block[i][j] - factor * block[row][j] for j in range(m)]
+            row += 1
+            rank += 1
+            if row == m:
+                break
+    return rank
+
+
+@st.composite
+def _hermitian_rows(draw):
+    """A dense Hermitian matrix: random entries or a sum of 1-3 terms
+    s v v*, entries with denominators, and some or all diagonals set to
+    zero, so that 2x2 pivots with complex entries occur."""
+    order = draw(st.sampled_from((1, 4, 5, 8, 30, 40)))
+    n = draw(st.integers(1, 12))
+
+    def element(p_zero):
+        if draw(st.floats(0, 1)) < p_zero:
+            return rational(0)
+        exps = draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=3, unique=True))
+        return Cyclotomic(order, {k: Fraction(draw(st.integers(-3, 3)),
+                                              draw(st.sampled_from((1, 1, 2, 3))))
+                                  for k in exps})
+
+    rows = [[rational(0)] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = rational(Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 4)))))
+            for j in range(i + 1, n):
+                rows[i][j] = element(0.4)
+                rows[j][i] = rows[i][j].conj()
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            s = Fraction(draw(st.sampled_from((1, -1, 2, -3))), draw(st.sampled_from((1, 5))))
+            v = [element(0.3) for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] = rows[i][j] + s * v[i] * v[j].conj()
+    zeros = draw(st.sampled_from(("some", "all")))
+    for i in range(n) if zeros == "all" else draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        rows[i][i] = rational(0)
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(rows=_hermitian_rows())
+def test_elimination_matches_reference_routes(rows):
+    M = _dense(rows)
+    expected = _reference_inertia(M)
+    assert inertia_exact(M) == expected
+    assert gauss_rank(M) == _reference_gauss_rank(M) == expected.rank
+    # the elimination never touches the lower triangle
+    upper = [[c if i <= j else None for j, c in enumerate(row)] for i, row in enumerate(rows)]
+    assert signature._eliminate_block(upper)[0] == expected
+
+
+@pytest.mark.parametrize("build", [lambda: binary_polyhedral("T"), lambda: dihedral(6),
+                                   lambda: binary_dihedral(3), lambda: cyclic_gamma(8, 3)],
+                         ids=["T", "Delta_6", "Lambda_3", "Gamma_8_3"])
+def test_elimination_conj_count_is_linear_per_pivot(monkeypatch, build):
+    # a pivot of a size-m block reads its row with at most m conj (2m for a
+    # 2x2 pivot, which adds 2 to the rank), and sign() takes one more: at most
+    # largest block x (rank + 1) in all, a bound the full-matrix route, with
+    # its conj per update, exceeds (T: 246 against 2030, bound 375)
+    M = _conjugated_matrix(build())
+    calls = []
+    conj = Cyclotomic.conj
+
+    def counted(self):
+        calls.append(self)
+        return conj(self)
+
+    monkeypatch.setattr(Cyclotomic, "conj", counted)
+    res = inertia_exact(M)
+    bound = max(map(len, M.components())) * (res.rank + 1)
+    assert len(calls) <= bound
+    calls.clear()
+    assert _reference_inertia(M) == res
+    assert len(calls) > bound
