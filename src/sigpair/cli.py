@@ -106,8 +106,13 @@ def cmd_signature(args) -> int:
     try:
         if "numeric" in methods:
             sig_mod.check_numeric_precision(args.precision)  # before the expansion
-        P = phi(G, progress=_progress(args.verbose, G))
+        fold = {}
+        P = phi(G, progress=_progress(args.verbose, G), stats=fold)
         expand_ms = int((time.monotonic() - t0) * 1000)
+        if args.verbose:
+            print(f"{G.label}: fold, {fold['cosets']} cosets in {fold['orbits']} orbits, "
+                  f"peak {fold['peak_terms']} terms, {fold['term_pairs']} term pairs",
+                  file=sys.stderr)
         stats = {}
         records = [sig_mod.result_record(G, method=m, precision_bits=args.precision, poly=P,
                                          stats=stats)
@@ -446,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-v", "--verbose", action="store_true",
                     help="report progress on stderr, one step per coset of the diagonal subgroup, "
                          "with the product's term count and the fold's slot width, then the "
+                         "fold's cosets, orbits, peak term count and term products, then the "
                          "exact elimination's blocks and pivot counts")
     sp.set_defaults(func=cmd_signature)
 

@@ -26,7 +26,24 @@ sum_h alpha_h^i beta_h^j = |H| on the weight lattice of H and 0 off it, so
 and the Euler operator turns the exponential into an integer recurrence
 (D'Angelo-Lichtblau; `fpq` runs the cyclic case on its own).  The fold
 continues from that factor over the other cosets.  H = {I} gives
-F_H = X + Y, the element-wise fold.  The polarization
+F_H = X + Y, the element-wise fold.
+
+The product is commutative, so the coset order changes no coefficient, only
+how large the partial products grow.  H permutes the non-identity cosets by
+left multiplication, gH -> hgH, and the fold takes them orbit by orbit
+(the double cosets HgH), largest orbit first, so the singletons (cosets in
+the normalizer of H), whose factors are sparse, come last.  The substitution
+z -> kz, k in H, maps the factor of gH to that of k^-1 gH, since
+<x k z, k z> = <k^-1 x k z, z> and k^-1 x k ranges over k^-1 gH as x ranges
+over gH.  A product over a whole orbit of a subgroup K of H is therefore
+invariant under z -> kz: a term z^a zbar^b with k = diag(alpha, beta)
+gains alpha^(a1-b1) beta^(a2-b2), so the product's support lies on K's
+weight lattice, and the factors after it multiply fewer terms.  Inside an
+H-orbit the cosets follow a chain {I} = K_0 < K_1 < ... = H, each step of
+least index, with every orbit of every K_t contiguous (`_coset_orbits`): the
+prefix completes a K_1-orbit, then a K_2-orbit, and so on.  Taking `O`'s
+five cosets this way halves its term products (146,600 -> 75,649) and
+matches the least over all 120 orders.  The polarization
 1 - prod_{g in G}(1 - (gz)_1 - (gz)_2) is Phi_G at zbar = (1, 1): its
 terms with the zbar exponents dropped, summed.
 
@@ -57,8 +74,10 @@ of 65535.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from operator import lshift
 
 from .cyclotomic import (Cyclotomic, cyclotomic_polynomial, euler_phi, rational,
@@ -390,18 +409,10 @@ def _log_weights(exponents: set, N: int, order: int) -> dict:
             if all((a * i + b * (d - i)) % N == 0 for a, b in chars)}
 
 
-def _diagonal_product(H: list[Matrix2], n: int) -> dict[tuple[int, int], int]:
-    """prod_{h in H}(1 - alpha_h X - beta_h Y) as {(r, s): int}, zero terms
-    omitted, for H a group of diag(alpha_h, beta_h) with entries in Q(zeta_n).
-
-    Each entry is read exactly as zeta_N^a, N = lcm(2, n); then the Euler
-    recurrence (r+s) P[r, s] = sum_{(i,j)} w(i, j) P[r-i, s-j] over the
-    weight lattice rebuilds the product in plain ints.  The recurrence holds
-    only for a group, so an entry that is not a root of unity, a repeated
-    element, a set not closed under products or an inexact division raises
-    `InvariantCheckFailed`.
-    """
-    N = math.lcm(2, n)
+def _diagonal_exponents(H: list[Matrix2], n: int) -> list[tuple[int, int]]:
+    """(a, b) with h = diag(zeta_N^a, zeta_N^b), N = lcm(2, n), for each h in
+    H, whose entries lie in Q(zeta_n); an entry that is not a root of unity
+    raises `InvariantCheckFailed`."""
     table = _root_exponents(n)
 
     def exponent(e: Cyclotomic) -> int:
@@ -410,12 +421,26 @@ def _diagonal_product(H: list[Matrix2], n: int) -> dict[tuple[int, int], int]:
             raise InvariantCheckFailed(f"diagonal entry {e} is not a root of unity in Q(zeta_{n})")
         return a
 
-    exponents = {(exponent(h.a), exponent(h.d)) for h in H}
-    _require(len(exponents) == len(H)
-             and all(((a + c) % N, (b + d) % N) in exponents
-                     for a, b in exponents for c, d in exponents),
-             f"the {len(H)} diagonal elements are not a group")
-    weights = _log_weights(exponents, N, len(H))
+    return [(exponent(h.a), exponent(h.d)) for h in H]
+
+
+def _diagonal_product(exponents: list[tuple[int, int]], n: int) -> dict[tuple[int, int], int]:
+    """prod_{h in H}(1 - alpha_h X - beta_h Y) as {(r, s): int}, zero terms
+    omitted, for H a group of diag(alpha_h, beta_h) = diag(zeta_N^a, zeta_N^b)
+    over the (a, b) in `exponents` (`_diagonal_exponents`), N = lcm(2, n).
+
+    The Euler recurrence (r+s) P[r, s] = sum_{(i,j)} w(i, j) P[r-i, s-j] over
+    the weight lattice rebuilds the product in plain ints.  The recurrence
+    holds only for a group, so a repeated element, a set not closed under
+    products or an inexact division raises `InvariantCheckFailed`.
+    """
+    N = math.lcm(2, n)
+    distinct = set(exponents)
+    _require(len(distinct) == len(exponents)
+             and all(((a + c) % N, (b + d) % N) in distinct
+                     for a, b in distinct for c, d in distinct),
+             f"the {len(exponents)} diagonal elements are not a group")
+    weights = _log_weights(distinct, N, len(exponents))
     prod = {(0, 0): 1}
     for r, s in weights:
         acc = 0
@@ -433,55 +458,132 @@ def _diagonal_product(H: list[Matrix2], n: int) -> dict[tuple[int, int], int]:
     return prod
 
 
-def _product(G: FiniteMatrixGroup, n: int, progress=None):
+def _cosets(G: FiniteMatrixGroup):
+    """(H, reps, coset): the diagonal elements H of G, one representative g
+    of each non-identity left coset gH in enumeration order, and the map from
+    each element key of those cosets to its representative's index."""
+    H = [M for M in G.elements if _is_diagonal(M)]
+    reps, coset = [], {}
+    for g in G.elements:
+        if not _is_diagonal(g) and g.key() not in coset:
+            coset.update(((g * h).key(), len(reps)) for h in H)
+            reps.append(g)
+    _require((1 + len(reps)) * len(H) == G.order,
+             f"Lagrange identity: {1 + len(reps)} cosets of the {len(H)} diagonal "
+             f"elements do not make up {G.order} elements")
+    return H, reps, coset
+
+
+def _chain(exponents: list[tuple[int, int]], N: int) -> list[int]:
+    """Indices i_1, i_2, ... into `exponents`, the group H of exponent pairs
+    modulo N, with K_0 = {0} < K_1 < ... = H for K_t generated by K_(t-1)
+    and exponents[i_t], each step of least index [K_t : K_(t-1)] (the first
+    such element in order)."""
+    K, chain = {(0, 0)}, []
+    while len(K) < len(exponents):
+        best = None
+        for i, (a, b) in enumerate(exponents):
+            m, x = 1, (a, b)
+            while x not in K:
+                m, x = m + 1, ((x[0] + a) % N, (x[1] + b) % N)
+            if m > 1 and (best is None or m < best[0]):
+                best = (m, i)
+        m, i = best
+        a, b = exponents[i]
+        K = {((x + k * a) % N, (y + k * b) % N) for x, y in K for k in range(m)}
+        chain.append(i)
+    return chain
+
+
+def _coset_orbits(H: list[Matrix2], exponents: list[tuple[int, int]], n: int,
+                  reps: list[Matrix2], coset: dict) -> list[list[int]]:
+    """The orbits of H, acting by left multiplication, on the non-identity
+    cosets (indices into `reps`), in fold order: largest orbit first, ties in
+    enumeration order.  Inside an orbit the cosets are sorted so that every
+    orbit of every subgroup K_t of `_chain` is contiguous.
+
+    A generator h of the chain permutes the cosets by gH -> hgH, one matrix
+    product per coset; the K_t-orbit of a coset is the union of the
+    K_(t-1)-orbits along its cycle under h_t, because H is abelian.  A scalar
+    fixes every coset, so an H of scalars, or at most one coset, keeps the
+    enumeration order.
+    """
+    if len(reps) <= 1 or all(a == b for a, b in exponents):
+        return [[j] for j in range(len(reps))]
+    label = list(range(len(reps)))  # the least coset of each orbit of K_t
+    levels = []
+    for i in _chain(exponents, math.lcm(2, n)):
+        perm = [coset[(H[i] * g).key()] for g in reps]
+        new = []
+        for j, least in enumerate(label):
+            k = perm[j]
+            while k != j:
+                least, k = min(least, label[k]), perm[k]
+            new.append(least)
+        label = new
+        levels.append(label)
+    size = Counter(label)
+    order = sorted(range(len(reps)), key=lambda j: (-size[label[j]],) + tuple(
+        level[j] for level in reversed(levels)) + (j,))
+    return [list(orbit) for _, orbit in groupby(order, key=label.__getitem__)]
+
+
+def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
     """prod_{g in G}(1 - <gz, z>) as (integer vectors, scale), folded by cosets.
 
     The identity coset's factor 1 - F_H(X_I, Y_I) is `_diagonal_product` of
     the diagonal elements H, its term X^i Y^j the monomial z1^i z2^j zbar1^i
     zbar2^j.  Every other left coset gH contributes 1 - F_H(X_g, Y_g), with
-    X_g = z1 (g.a zbar1 + g.c zbar2) and Y_g = z2 (g.b zbar1 + g.d zbar2).
+    X_g = z1 (g.a zbar1 + g.c zbar2) and Y_g = z2 (g.b zbar1 + g.d zbar2),
+    folded in the order of `_coset_orbits`.
     `progress(done, [G:H], terms, width)` follows each coset, the identity's
     first with width None (its factor is not folded); terms is the product's
-    term count so far and width the fold step's slot width in bits.
+    term count so far and width the fold step's slot width in bits.  `stats`,
+    a dict, receives `cosets` (the factors folded), `orbits` (their H-orbits),
+    `peak_terms` (the largest prefix) and `term_pairs` (the fold's int
+    products, prefix terms times factor terms plus one, summed over steps).
     """
-    H = [M for M in G.elements if _is_diagonal(M)]
-    reps, covered = [], set()
-    for g in G.elements:
-        if not _is_diagonal(g) and g.key() not in covered:
-            reps.append(g)
-            covered.update((g * h).key() for h in H)
-    _require((1 + len(reps)) * len(H) == G.order,
-             f"Lagrange identity: {1 + len(reps)} cosets of the {len(H)} diagonal "
-             f"elements do not make up {G.order} elements")
-    identity_factor = _diagonal_product(H, n)
+    H, reps, coset = _cosets(G)
+    exponents = _diagonal_exponents(H, n)
+    identity_factor = _diagonal_product(exponents, n)
     prod = {pack_key(r, s, r, s): [c] + [0] * (n - 1) for (r, s), c in identity_factor.items()}
+    orbits = _coset_orbits(H, exponents, n, reps, coset)
+    prefix = [len(prod)]
+
+    def report(done, total, terms, width):
+        prefix.append(terms)
+        if progress is not None:
+            progress(done + 1, total + 1, terms, width)
+
     if progress is not None:
         progress(1, 1 + len(reps), len(prod), None)
-    if not reps:
-        return prod, 1
-    # (i, j) -> coefficient of X^i Y^j in -F_H, the non-constant part of 1 - F_H
-    minus_f = {ij: rational(c) for ij, c in identity_factor.items() if ij != (0, 0)}
     factors = []
-    for g in reps:
-        table = _power_table([_poly((_Z1W1, g.a), (_Z1W2, g.c)),
-                              _poly((_Z2W1, g.b), (_Z2W2, g.d))], minus_f)
-        factor: dict[int, Cyclotomic] = {}
-        for ij, c in minus_f.items():
-            for key, v in table[ij].terms.items():
-                _accumulate(factor, key, c * v)
-        factors.append(_integer_factor(factor.items(), n))
-    report = None if progress is None else (
-        lambda done, total, terms, width: progress(1 + done, 1 + total, terms, width))
-    prod = _fold_product(factors, n, report, prod)
+    if reps:
+        # (i, j) -> coefficient of X^i Y^j in -F_H, the non-constant part of 1 - F_H
+        minus_f = {ij: rational(c) for ij, c in identity_factor.items() if ij != (0, 0)}
+        for g in (reps[j] for orbit in orbits for j in orbit):
+            table = _power_table([_poly((_Z1W1, g.a), (_Z1W2, g.c)),
+                                  _poly((_Z2W1, g.b), (_Z2W2, g.d))], minus_f)
+            factor: dict[int, Cyclotomic] = {}
+            for ij, c in minus_f.items():
+                for key, v in table[ij].terms.items():
+                    _accumulate(factor, key, c * v)
+            factors.append(_integer_factor(factor.items(), n))
+        prod = _fold_product(factors, n, report, prod)
+    if stats is not None:
+        stats.update(cosets=len(reps), orbits=len(orbits), peak_terms=max(prefix),
+                     term_pairs=sum(p * (1 + len(terms)) for p, (_, terms) in zip(prefix, factors)))
     return prod, math.prod(d for d, _ in factors)
 
 
-def phi(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:
-    """Exact expansion of Phi_G = 1 - prod_{g in G}(1 - <gz, z>)."""
+def phi(G: FiniteMatrixGroup, progress=None, stats=None) -> HermitianPolynomial:
+    """Exact expansion of Phi_G = 1 - prod_{g in G}(1 - <gz, z>).
+
+    `progress` and `stats` follow the fold as `_product` describes."""
     if G.order > _MASK:
         raise GroupTooLarge(f"group order {G.order} exceeds the packed-exponent limit {_MASK}")
     n = G.field_order()
-    prod, scale = _product(G, n, progress)
+    prod, scale = _product(G, n, progress, stats)
     terms = {key: Cyclotomic.from_reduced(n, vec, -scale) for key, vec in prod.items()}
     _accumulate(terms, 0, rational(1))
     _require(0 not in terms, "constant term must vanish")

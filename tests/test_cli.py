@@ -74,9 +74,9 @@ def test_signature_group_too_large_exit_3(capsys, monkeypatch):
 def test_signature_expands_phi_once(capsys, monkeypatch, tmp_path):
     calls = []
 
-    def counted(G, progress=None):
+    def counted(G, progress=None, stats=None):
         calls.append(G.label)
-        return invariant.phi(G, progress=progress)
+        return invariant.phi(G, progress=progress, stats=stats)
 
     monkeypatch.setattr(cli, "phi", counted)
     monkeypatch.setattr(signature, "phi", counted)
@@ -87,14 +87,18 @@ def test_signature_expands_phi_once(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("spec, last", [("cyclic:40,39", "factor 1/1"), ("O", "factor 6/6")])
-def test_verbose_progress_counts_cosets(capsys, spec, last):
+@pytest.mark.parametrize("spec, last, fold", [
+    ("cyclic:40,39", "factor 1/1", "0 cosets in 0 orbits, peak 23 terms, 0 term pairs"),
+    ("O", "factor 6/6", "5 cosets in 2 orbits, peak 1585 terms, 75649 term pairs"),
+], ids=["cyclic:40,39-factor 1/1", "O-factor 6/6"])
+def test_verbose_progress_counts_cosets(capsys, spec, last, fold):
     # one step per coset of the diagonal subgroup, the diagonal product first;
-    # the elimination's line follows the last step
+    # the fold's counters follow the last step, and the elimination's line them
     code, _, err = run_cli(capsys, "signature", "--group", spec, "-v", "--stable-output")
     assert code == 0
     label = cli._parse_group(spec).label
-    assert err.splitlines()[-2].startswith(f"{label}: {last}, ")
+    assert err.splitlines()[-3].startswith(f"{label}: {last}, ")
+    assert err.splitlines()[-2] == f"{label}: fold, {fold}"
     assert err.splitlines()[-1].startswith(f"{label}: elimination, ")
 
 
@@ -110,13 +114,15 @@ def test_verbose_progress_reports_terms_and_slot_width(capsys, spec):
     # each line carries the product's term count and, once a coset factor is
     # folded, the slot width of that fold step; stdout does not change
     G = cli._parse_group(spec)
-    steps = []
-    invariant.phi(G, progress=lambda *step: steps.append(step))
+    steps, fold = [], {}
+    invariant.phi(G, progress=lambda *step: steps.append(step), stats=fold)
     code, out, err = run_cli(capsys, "signature", "--group", spec, "-v", "--stable-output")
     assert code == 0
     expect = [f"{G.label}: factor {done}/{total}, {terms} terms"
               + ("" if width is None else f", {width}-bit slots")
               for done, total, terms, width in steps if done % 10 == 0 or done == total]
+    expect.append(f"{G.label}: fold, {fold['cosets']} cosets in {fold['orbits']} orbits, "
+                  f"peak {fold['peak_terms']} terms, {fold['term_pairs']} term pairs")
     assert err.splitlines() == expect + [_elimination_line(G)]
     # the product's constant 1 is the one term that Phi drops
     assert steps[-1][2] == invariant.phi(G).term_count() + 1
@@ -182,7 +188,7 @@ def test_numeric_precision_floor_certifies(capsys):
 
 def test_numeric_precision_below_the_matrix_floor_exit_2(capsys, monkeypatch):
     scaled = invariant.phi(binary_polyhedral("T")) * 2 ** 60
-    monkeypatch.setattr(cli, "phi", lambda G, progress=None: scaled)
+    monkeypatch.setattr(cli, "phi", lambda G, progress=None, stats=None: scaled)
     code, out, err = run_cli(capsys, "signature", "--group", "T", "--method", "numeric",
                              "--precision", "128")
     assert code == 2

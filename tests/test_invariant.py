@@ -283,6 +283,97 @@ def test_coset_fold_matches_elementwise_fold(G):
     assert polarized_at_ones(G) == _elementwise(G, _polarized_row)
 
 
+def _mu3_octahedral():
+    r, s, t = springer_generators("O")
+    z3 = root_of_unity(3, 1)
+    return closure([r * t, t, diag(z3, z3)], label="mu3O")
+
+
+def _fold_order(G):
+    """(H, exponents, reps, coset, orbits) of G's coset fold."""
+    n = G.field_order()
+    H, reps, coset = invariant._cosets(G)
+    exponents = invariant._diagonal_exponents(H, n)
+    return H, exponents, reps, coset, invariant._coset_orbits(H, exponents, n, reps, coset)
+
+
+def _enumeration_order(H, exponents, n, reps, coset):
+    return [[j] for j in range(len(reps))]
+
+
+def _orbit(K, j, reps, coset):
+    """The cosets k g_j H, k in K, of the coset g_j H."""
+    return {coset[(k * reps[j]).key()] for k in K}
+
+
+@pytest.mark.parametrize("G", list(_oracle_groups()) + [_mu3_octahedral()], ids=lambda G: G.label)
+def test_coset_order_keeps_every_chain_orbit_contiguous(G):
+    H, exponents, reps, coset, orbits = _fold_order(G)
+    order = [j for orbit in orbits for j in orbit]
+    assert sorted(order) == list(range(len(reps)))
+    # the H-orbits, largest first
+    assert [set(orbit) for orbit in orbits] == [_orbit(H, orbit[0], reps, coset) for orbit in orbits]
+    sizes = [len(orbit) for orbit in orbits]
+    assert sizes == sorted(sizes, reverse=True)
+    # K_t is generated by the first t chain elements; each index [K_t : K_(t-1)]
+    # is the least prime dividing |H| / |K_(t-1)|
+    N = math.lcm(2, G.field_order())
+    K = {(0, 0)}
+    for i in invariant._chain(exponents, N):
+        a, b = exponents[i]
+        grown = {((x + k * a) % N, (y + k * b) % N) for x, y in K for k in range(len(H))}
+        rest = len(H) // len(K)
+        assert len(grown) // len(K) == min(p for p in range(2, rest + 1) if rest % p == 0)
+        K = grown
+        members = [h for h, e in zip(H, exponents) if e in K]
+        for j in range(len(reps)):
+            at = sorted(order.index(k) for k in _orbit(members, j, reps, coset))
+            assert at == list(range(at[0], at[0] + len(at))), (G.label, len(K), j)
+    assert len(K) == len(H)
+
+
+def test_central_diagonal_subgroups_keep_the_enumeration_order():
+    # the conjugates by a non-monomial element have H = {+-1}, swap has H = {I}
+    groups = [G for G in _oracle_groups() if G.label == "swap" or G.label.endswith(("^u0", "^u2"))]
+    assert len(groups) == 9
+    for G in groups:
+        *_, reps, _, orbits = _fold_order(G)
+        assert orbits == [[j] for j in range(len(reps))], G.label
+
+
+@pytest.mark.parametrize("G", list(_oracle_groups()), ids=lambda G: G.label)
+def test_enumeration_order_folds_the_same_phi_with_no_fewer_term_pairs(G, monkeypatch):
+    stats, plain = {}, {}
+    P = phi(G, stats=stats)
+    monkeypatch.setattr(invariant, "_coset_orbits", _enumeration_order)
+    assert phi(G, stats=plain).key() == P.key()
+    assert plain["term_pairs"] >= stats["term_pairs"]
+    assert plain["cosets"] == stats["cosets"]
+
+
+@pytest.mark.parametrize("label, counters", [
+    ("T", {"cosets": 5, "orbits": 3, "peak_terms": 471, "term_pairs": 11621}),
+    ("O", {"cosets": 5, "orbits": 2, "peak_terms": 1585, "term_pairs": 75649}),
+])
+def test_fold_counters_of_the_binary_polyhedral_groups(label, counters):
+    # enumeration order: T 772 peak terms and 19,027 term pairs, O 2,745 and 146,600
+    stats = {}
+    phi(binary_polyhedral(label), stats=stats)
+    assert stats == counters
+
+
+@pytest.mark.slow
+def test_mu3_octahedral_same_phi_in_orbit_and_enumeration_order(monkeypatch):
+    # H has order 24 and a chain of four steps, two of them scalar
+    G = _mu3_octahedral()
+    stats, plain = {}, {}
+    P = phi(G, stats=stats)
+    assert stats["peak_terms"] <= 13591
+    monkeypatch.setattr(invariant, "_coset_orbits", _enumeration_order)
+    assert phi(G, stats=plain).key() == P.key()
+    assert plain["term_pairs"] >= stats["term_pairs"]
+
+
 # 5, 7 and 9 are the orders whose products reach past x^n (2 phi(n) - 1 > n)
 KERNEL_ORDERS = (1, 2, 3, 4, 5, 7, 8, 9, 12, 24, 30, 40)
 _COEFFICIENT = st.one_of(st.integers(-3, 3), st.integers(-2 ** 256, 2 ** 256))
@@ -392,7 +483,8 @@ def _diagonal_groups():
 
 def test_diagonal_product_matches_elementwise_fold():
     for G in _diagonal_groups():
-        prod = invariant._diagonal_product(G.elements, G.field_order())
+        n = G.field_order()
+        prod = invariant._diagonal_product(invariant._diagonal_exponents(G.elements, n), n)
         got = HermitianPolynomial({pack_key(r, s, r, s): rational(c) for (r, s), c in prod.items()})
         assert got == HermitianPolynomial({0: rational(1)}) - _elementwise(G, _phi_row), G.label
 
