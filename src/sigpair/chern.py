@@ -74,10 +74,10 @@ def alternating_sum(classes: list[HermitianPolynomial]) -> HermitianPolynomial:
     return out
 
 
-def verify_chern_identity(G: FiniteMatrixGroup, use_multiset: bool = True) -> bool:
+def verify_chern_identity(G: FiniteMatrixGroup) -> bool:
     """sum_j (-1)^(j-1) c_j of the orbit of z1+z2 equals the polarized invariant."""
     orb = orbit(G, HermitianPolynomial.holomorphic({(1, 0): 1, (0, 1): 1}))
-    lhs = alternating_sum(chern_classes(orb, use_multiset=use_multiset))
+    lhs = alternating_sum(chern_classes(orb))
     return lhs == polarized_at_ones(G)
 
 

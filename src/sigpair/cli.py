@@ -30,7 +30,7 @@ from .fpq import (T_closed, even_odd_table, f_closed_pminus1, family_table,
                   weight_census)
 from .group import (CapExceeded, FiniteMatrixGroup, NotUnitary, binary_dihedral,
                     binary_polyhedral, cyclic_gamma, dihedral, load_generators)
-from .invariant import GroupTooLarge, phi
+from .invariant import GroupTooLarge, check_order, phi
 
 
 @dataclass
@@ -57,8 +57,9 @@ def _error(message, code: int = 2) -> int:
     return code
 
 
-_FAMILIES = {"cyclic": (cyclic_gamma, "cyclic:P,Q"), "dihedral": (dihedral, "dihedral:P"),
-             "binary-dihedral": (binary_dihedral, "binary-dihedral:P")}
+# constructor, spec shape, and the group's order as a multiple of P
+_FAMILIES = {"cyclic": (cyclic_gamma, "cyclic:P,Q", 1), "dihedral": (dihedral, "dihedral:P", 2),
+             "binary-dihedral": (binary_dihedral, "binary-dihedral:P", 4)}
 
 
 def _parse_group(spec: str) -> FiniteMatrixGroup:
@@ -69,13 +70,14 @@ def _parse_group(spec: str) -> FiniteMatrixGroup:
         with open(rest, "r", encoding="utf-8") as f:
             return load_generators(json.load(f))
     if kind in _FAMILIES and colon:
-        build, shape = _FAMILIES[kind]
+        build, shape, per_p = _FAMILIES[kind]
         try:
             params = [int(x) for x in rest.split(",")]
         except ValueError:
             params = []
         if len(params) != shape.count(",") + 1:
             raise ValueError(f"malformed group spec {spec!r}: expected {shape} with integers")
+        check_order(per_p * params[0])  # before building a group phi cannot expand
         return build(*params)
     raise ValueError(f"unrecognized group spec {spec!r}")
 
@@ -97,7 +99,7 @@ def _emit_record(rec: dict, fmt: str, stable: bool):
 def cmd_signature(args) -> int:
     try:
         G = _parse_group(args.group)
-    except (NotUnitary, CapExceeded) as exc:
+    except (NotUnitary, CapExceeded, GroupTooLarge) as exc:
         return _error(exc, 3)
     except (ValueError, OSError, RecursionError) as exc:
         return _error(exc)

@@ -381,19 +381,6 @@ class Cyclotomic:
                 raise CyclotomicCheckFailed(f"{self} straddles zero at {bits} bits, bound {bound}")
             bits = min(2 * bits, bound)
 
-    def approx_float(self) -> float:
-        """Float estimate of a real element, for pivot-size heuristics only:
-        the midpoint of a 64-bit enclosure of the integer numerators, over den."""
-        if self.order == 1:
-            mid = self.as_fraction()
-        else:
-            lo, hi = intervals.real_enclosure(self.order, self.items, 64)
-            mid = (lo + hi) / (2 * self.den)
-        try:
-            return float(mid)
-        except OverflowError:
-            return math.inf if mid > 0 else -math.inf
-
     def approx_complex(self) -> complex:
         """Uncertified complex float value (debugging and float cross-checks)."""
         z = 0j

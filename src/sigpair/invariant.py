@@ -478,17 +478,15 @@ def _chain(exponents: list[tuple[int, int]], N: int) -> list[int]:
     """Indices i_1, i_2, ... into `exponents`, the group H of exponent pairs
     modulo N, with K_0 = {0} < K_1 < ... = H for K_t generated by K_(t-1)
     and exponents[i_t], each step of least index [K_t : K_(t-1)] (the first
-    such element in order)."""
+    such element in order).  The least index is the least prime m dividing
+    [H : K_(t-1)] (Cauchy), so the step is the first element outside K_(t-1)
+    whose m-th multiple lies in it: one pass over H per step."""
     K, chain = {(0, 0)}, []
     while len(K) < len(exponents):
-        best = None
-        for i, (a, b) in enumerate(exponents):
-            m, x = 1, (a, b)
-            while x not in K:
-                m, x = m + 1, ((x[0] + a) % N, (x[1] + b) % N)
-            if m > 1 and (best is None or m < best[0]):
-                best = (m, i)
-        m, i = best
+        q = len(exponents) // len(K)
+        m = next(p for p in range(2, q + 1) if q % p == 0)
+        i = next(i for i, (a, b) in enumerate(exponents)
+                 if (a, b) not in K and (m * a % N, m * b % N) in K)
         a, b = exponents[i]
         K = {((x + k * a) % N, (y + k * b) % N) for x, y in K for k in range(m)}
         chain.append(i)
@@ -506,10 +504,8 @@ def _coset_orbits(H: list[Matrix2], exponents: list[tuple[int, int]], n: int,
     product per coset; the K_t-orbit of a coset is the union of the
     K_(t-1)-orbits along its cycle under h_t, because H is abelian.  A scalar
     fixes every coset, so an H of scalars, or at most one coset, keeps the
-    enumeration order.
+    enumeration order without a case of its own.
     """
-    if len(reps) <= 1 or all(a == b for a, b in exponents):
-        return [[j] for j in range(len(reps))]
     label = list(range(len(reps)))  # the least coset of each orbit of K_t
     levels = []
     for i in _chain(exponents, math.lcm(2, n)):
@@ -576,12 +572,17 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
     return prod, math.prod(d for d, _ in factors)
 
 
+def check_order(order: int) -> None:
+    """Raise `GroupTooLarge` unless `phi` can expand a group of this order."""
+    if order > _MASK:
+        raise GroupTooLarge(f"group order {order} exceeds the packed-exponent limit {_MASK}")
+
+
 def phi(G: FiniteMatrixGroup, progress=None, stats=None) -> HermitianPolynomial:
     """Exact expansion of Phi_G = 1 - prod_{g in G}(1 - <gz, z>).
 
     `progress` and `stats` follow the fold as `_product` describes."""
-    if G.order > _MASK:
-        raise GroupTooLarge(f"group order {G.order} exceeds the packed-exponent limit {_MASK}")
+    check_order(G.order)
     n = G.field_order()
     prod, scale = _product(G, n, progress, stats)
     terms = {key: Cyclotomic.from_reduced(n, vec, -scale) for key, vec in prod.items()}

@@ -1,17 +1,21 @@
 """Coefficient matrices of Hermitian polynomials and their exact inertia.
 
 The inertia (n+, n-, n0) is computed by congruence elimination, never by
-characteristic polynomials: a nonzero real diagonal entry gives a 1x1 pivot
-contributing its certified sign; if every remaining diagonal entry of a
-nonzero block vanishes, an off-diagonal 2x2 pivot [[0, a], [conj(a), 0]]
-contributes one eigenvalue of each sign (its determinant -a*conj(a) is
-negative).  All arithmetic stays in the cyclotomic field.  Matrices arising
-from invariant polynomials split into many small connected components, which
-the elimination exploits; inertia is additive across components.  Each
-component's dense block is built in turn from one pass over the entries.
-The elimination stores only the upper triangle of a block, reading a
-pivot's row and column once per pivot, and each update of the Schur
-complement is one fused field operation, `sub_mul(a, b, c)` = a - b*c.
+characteristic polynomials: the first remaining index whose diagonal entry
+is nonzero gives a 1x1 pivot contributing its certified sign; if every
+remaining diagonal entry of a nonzero block vanishes, an off-diagonal 2x2
+pivot [[0, a], [conj(a), 0]] contributes one eigenvalue of each sign (its
+determinant -a*conj(a) is negative).  All arithmetic stays in the
+cyclotomic field, where every congruence is exact, so by Sylvester's law
+any nonzero pivot keeps the inertia and none is chosen by size: the
+elimination evaluates no real number except through `Cyclotomic.sign`.
+Matrices arising from invariant polynomials split into many small connected
+components, which the elimination exploits; inertia is additive across
+components.  Each component's dense block is built in turn from one pass
+over the entries.  The elimination stores only the upper triangle of a
+block, reading a pivot's row and column once per pivot, and each update of
+the Schur complement is one fused field operation, `sub_mul(a, b, c)` =
+a - b*c.
 `gauss_rank`, the independent rank route, eliminates full rows with the
 same fused update.
 
@@ -139,11 +143,6 @@ def coefficient_matrix(P: HermitianPolynomial) -> HermitianMatrix:
     return HermitianMatrix(basis, entries)
 
 
-def _magnitude(c: Cyclotomic) -> float:
-    est = abs(c.approx_float())
-    return est if est > 0.0 else 5e-324
-
-
 def _dense_blocks(M: HermitianMatrix):
     """The dense block of each component of M, in `components()` order, built
     one at a time after one pass that buckets the entries by component."""
@@ -188,14 +187,7 @@ def _eliminate_block(block: list[list[Cyclotomic]]) -> tuple[Inertia, int]:
     active = list(range(m))
     pos = neg = pairs = 0
     while active:
-        piv = None
-        best = -1.0
-        for i in active:
-            d = block[i][i]
-            if not d.is_zero():
-                est = _magnitude(d)
-                if est > best:
-                    best, piv = est, i
+        piv = next((i for i in active if not block[i][i].is_zero()), None)
         if piv is not None:
             d = block[piv][piv]
             if d.sign() > 0:

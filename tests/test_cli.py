@@ -71,6 +71,23 @@ def test_signature_group_too_large_exit_3(capsys, monkeypatch):
     assert "65535" in err
 
 
+@pytest.mark.parametrize("spec, order", [("cyclic:70000,1", 70000), ("dihedral:40000", 80000),
+                                         ("binary-dihedral:20000", 80000),
+                                         ("dihedral:32768", 65536)])
+def test_family_spec_above_the_order_limit_exit_3_unbuilt(capsys, monkeypatch, spec, order):
+    # the order is read from the spec, so no group is built
+    kind = spec.partition(":")[0]
+    _, shape, per_p = cli._FAMILIES[kind]
+
+    def unbuilt(*params):
+        raise AssertionError(f"{spec} was built")
+
+    monkeypatch.setitem(cli._FAMILIES, kind, (unbuilt, shape, per_p))
+    code, out, err = run_cli(capsys, "signature", "--group", spec)
+    assert (code, out) == (3, "")
+    assert err == f"error: group order {order} exceeds the packed-exponent limit 65535\n"
+
+
 def test_signature_expands_phi_once(capsys, monkeypatch, tmp_path):
     calls = []
 

@@ -281,7 +281,7 @@ def test_sign_examples():
     z5 = root_of_unity(5, 1)
     sqrt5 = 2 * (z5 + z5 ** 4) + 1
     assert sqrt5.sign() == 1
-    assert abs(sqrt5.approx_float() - math.sqrt(5)) < 1e-9
+    assert abs(sqrt5.approx_complex() - math.sqrt(5)) < 1e-9
     assert rational(Fraction(-3, 7)).sign() == -1
     z3 = root_of_unity(3, 1)
     reduced = z3 + z3 ** 2

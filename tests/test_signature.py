@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigpair import signature
+from sigpair import intervals, signature
 from sigpair.cyclotomic import Cyclotomic, rational, root_of_unity
 from sigpair.group import (binary_dihedral, binary_polyhedral, closure, conjugate,
                            cyclic_gamma, diag, dihedral, springer_generators,
@@ -464,6 +464,31 @@ def test_irrational_pivot_signs():
     assert inertia_exact(M) == Inertia(1, 1, 0)
 
 
+def test_elimination_evaluates_reals_only_through_sign(monkeypatch):
+    # pivots are taken in index order, not ranked by size, so no real number
+    # is enclosed outside the certified sign of each pivot
+    M = _conjugated_matrix(binary_polyhedral("T"))
+    depth, inside, outside = [0], [0], [0]
+    sign, enclosure = Cyclotomic.sign, intervals.real_enclosure
+
+    def counted_sign(self):
+        depth[0] += 1
+        try:
+            return sign(self)
+        finally:
+            depth[0] -= 1
+
+    def counted_enclosure(*args):
+        (inside if depth[0] else outside)[0] += 1
+        return enclosure(*args)
+
+    monkeypatch.setattr(Cyclotomic, "sign", counted_sign)
+    monkeypatch.setattr(intervals, "real_enclosure", counted_enclosure)
+    assert inertia_exact(M) == Inertia(9, 5, 135)
+    assert outside[0] == 0
+    assert inside[0] > 0  # the pivots include irrational ones
+
+
 def test_result_record_schema():
     from sigpair.signature import result_record
 
@@ -527,7 +552,7 @@ def _reference_eliminate(block):
         for i in active:
             d = block[i][i]
             if not d.is_zero():
-                est = signature._magnitude(d)
+                est = abs(d.approx_complex())
                 if est > best:
                     best, piv = est, i
         if piv is not None:
@@ -676,7 +701,7 @@ def test_elimination_conj_count_is_linear_per_pivot(monkeypatch, build):
     # a pivot of a size-m block reads its row with at most m conj (2m for a
     # 2x2 pivot, which adds 2 to the rank), and sign() takes one more: at most
     # largest block x (rank + 1) in all, a bound the full-matrix route, with
-    # its conj per update, exceeds (T: 246 against 2030, bound 375)
+    # its conj per update, exceeds (T: 243 against 2030, bound 375)
     M = _conjugated_matrix(build())
     calls = []
     conj = Cyclotomic.conj
