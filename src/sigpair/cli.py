@@ -20,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chern, closedforms, signature as sig_mod
@@ -31,24 +30,6 @@ from .fpq import (T_closed, even_odd_table, f_closed_pminus1, family_table,
 from .group import (CapExceeded, FiniteMatrixGroup, NotUnitary, binary_dihedral,
                     binary_polyhedral, cyclic_gamma, dihedral, load_generators)
 from .invariant import GroupTooLarge, check_order, phi
-
-
-@dataclass
-class VerificationReport:
-    theorem: str
-    cases_run: int
-    cases_passed: int
-    first_counterexample: str | None
-    elapsed_ms: int
-
-    def to_dict(self):
-        return {
-            "theorem": self.theorem,
-            "cases_run": self.cases_run,
-            "cases_passed": self.cases_passed,
-            "first_counterexample": self.first_counterexample,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 def _error(message, code: int = 2) -> int:
@@ -232,8 +213,10 @@ def _family_csv(args) -> int:
 # -- verification sweeps -------------------------------------------------------
 
 
-def _sweep(name, cases, check):
-    """Run check(case) over cases; stop counting passes at first failure."""
+def _sweep(name, cases, check) -> dict:
+    """Run check(case) over cases: the report {theorem, cases_run,
+    cases_passed, first_counterexample, elapsed_ms}, the first failing case
+    (with the exception a crash raised) as the counterexample."""
     t0 = time.monotonic()
     passed = 0
     first = None
@@ -249,11 +232,11 @@ def _sweep(name, cases, check):
             passed += 1
         elif first is None:
             first = repr(case)
-    return VerificationReport(name, done, passed,
-                              first, int((time.monotonic() - t0) * 1000))
+    return {"theorem": name, "cases_run": done, "cases_passed": passed,
+            "first_counterexample": first, "elapsed_ms": int((time.monotonic() - t0) * 1000)}
 
 
-def _verify_thm_su2(args) -> VerificationReport:
+def _verify_thm_su2(args) -> dict:
     cases = []
     for p in range(2, args.p_max + 1):
         cases.append(("cyclic", p))
@@ -283,7 +266,7 @@ def _verify_thm_su2(args) -> VerificationReport:
     return _sweep("thm-su2-signatures", cases, check)
 
 
-def _verify_limit(args) -> VerificationReport:
+def _verify_limit(args) -> dict:
     listed = [Fraction(x) for x in
               (1, 1, Fraction(5, 6), Fraction(5, 6), Fraction(4, 5), Fraction(4, 5),
                Fraction(11, 14), Fraction(11, 14), Fraction(7, 9))]
@@ -315,7 +298,7 @@ def _verify_limit(args) -> VerificationReport:
     return _sweep("asymptotic-ratio", cases, check)
 
 
-def _verify_dihedral(args) -> VerificationReport:
+def _verify_dihedral(args) -> dict:
     def check(p):
         if p <= 12:
             if sig_mod.signature_pair(dihedral(p)) != closedforms.delta_signature_closed(p):
@@ -328,7 +311,7 @@ def _verify_dihedral(args) -> VerificationReport:
     return _sweep("thm-dihedral", list(range(3, max(args.p_max, 12) + 1)), check)
 
 
-def _verify_cyclic_closed(args) -> VerificationReport:
+def _verify_cyclic_closed(args) -> dict:
     def check(p):
         if not verify_exact_formula(p):
             return False
@@ -339,7 +322,7 @@ def _verify_cyclic_closed(args) -> VerificationReport:
     return _sweep("thm-cyclic-closed", list(range(1, args.p_max + 1)), check)
 
 
-def _verify_lww(args) -> VerificationReport:
+def _verify_lww(args) -> dict:
     cases = [(p, q) for p in range(1, args.p_max + 1) for q in (2, 3, 4, 5, 7, 8)]
 
     def check(case):
@@ -354,7 +337,7 @@ def _verify_lww(args) -> VerificationReport:
     return _sweep("lww-signs", cases, check)
 
 
-def _verify_census(args) -> VerificationReport:
+def _verify_census(args) -> dict:
     cases = [(p, q) for p in range(1, args.p_max + 1) for q in range(2, 13)]
 
     def check(case):
@@ -364,21 +347,21 @@ def _verify_census(args) -> VerificationReport:
     return _sweep("weight-census", cases, check)
 
 
-def _verify_quaternion(args) -> VerificationReport:
+def _verify_quaternion(args) -> dict:
     def check(p):
         return closedforms.phi_lambda_decomposed(p) == phi(binary_dihedral(p))
 
     return _sweep("quaternion-decomp", list(range(1, 7)), check)
 
 
-def _verify_dihedral_decomp(args) -> VerificationReport:
+def _verify_dihedral_decomp(args) -> dict:
     def check(p):
         return closedforms.phi_delta_decomposed(p) == phi(dihedral(p))
 
     return _sweep("dihedral-decomp", list(range(1, 11)), check)
 
 
-def _verify_dk(args) -> VerificationReport:
+def _verify_dk(args) -> dict:
     cases = [("dk", p) for p in range(1, 13)]
     cases += [("ek", p) for p in range(3, 21)]
     cases += [("ppoly", p) for p in range(1, 9)]
@@ -394,7 +377,7 @@ def _verify_dk(args) -> VerificationReport:
     return _sweep("dk-signs", cases, check)
 
 
-def _verify_chern(args) -> VerificationReport:
+def _verify_chern(args) -> dict:
     cases = [(p, q) for p in range(1, 9) for q in range(1, p + 1)]
 
     def check(case):
@@ -424,14 +407,13 @@ def cmd_verify(args) -> int:
     if args.p_max is None:
         args.p_max = default_pmax
     report = runner(args)
-    if report.cases_run == 0:
+    if report["cases_run"] == 0:
         return _error(f"verify {args.theorem} --p-max {args.p_max} has no cases to run")
-    out = report.to_dict()
     if args.stable_output:
-        out.pop("elapsed_ms")
-    print(json.dumps(out, sort_keys=True))
-    if report.cases_passed != report.cases_run:
-        print(f"counterexample: {report.first_counterexample}", file=sys.stderr)
+        report.pop("elapsed_ms")
+    print(json.dumps(report, sort_keys=True))
+    if report["cases_passed"] != report["cases_run"]:
+        print(f"counterexample: {report['first_counterexample']}", file=sys.stderr)
         return 4
     return 0
 

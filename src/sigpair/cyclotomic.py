@@ -8,19 +8,21 @@ and denominator; operands of unequal order are promoted to the lcm order
 first.  Elements whose support is {0} are normalised to order 1, so
 rationals always live in Q(zeta_1) no matter how they arose.
 
-Ring operations run on ints and end in one gcd.  Sums and `promote` reduce
-a dense length-n vector with `reduce_vector`.  Products, `__mul__` and the
-fused `sub_mul` (a - b*c, the update of both eliminations in `signature`),
-collect into one phi(n)-long vector and send only the product slots at or
-above phi(n) through their cached `root_items` rows (`_mul_into`).  `conj`
-maps exponents through the same rows and takes no gcd, and `inverse` runs
-an extended Euclid on int polynomials.  The fold in `invariant` reduces
-packed integers modulo Phi_n(2^w) instead and takes from `reduce_vector`
-the row norms that bound that step.  Fractions appear only at the edges:
-the constructor, `coords`, `as_fraction` and JSON.
+Ring operations run on ints and end in one gcd.  The one reduction table is
+`root_items(n)`, the canonical numerators of zeta_n^k for 0 <= k < n: a
+basis vector below phi(n), the row of x^k mod Phi_n from there on.  Every
+result collects into one phi(n)-long vector, and only an exponent at or
+above phi(n) goes through its row: linearly in `_place` (the constructor,
+`promote`, sums and `conj`, which takes no gcd) and bilinearly in
+`_mul_into` (`__mul__` and the fused `sub_mul`, a - b*c, the update of both
+eliminations in `signature`).  `inverse` runs an extended Euclid on int
+polynomials.  The fold in `invariant` reduces packed integers modulo
+Phi_n(2^w) instead and takes from the same rows the norms that bound that
+step.  Fractions appear only at the edges: the constructor, `coords`,
+`as_fraction` and JSON.
 
 Values are immutable and operations are pure; the module-level caches of
-cyclotomic polynomials and reduction rows are read-only after first use, so
+cyclotomic polynomials and root rows are read-only after first use, so
 everything is safe to share across threads.
 """
 
@@ -80,35 +82,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
-
-
-@lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """(j, x^j mod Phi_n) for phi(n) <= j < n, ascending j, each residue a
-    sparse integer row ((i, c), ...) with i < phi(n)."""
-    phi = cyclotomic_polynomial(n)
-    d = len(phi) - 1
-    cur = base = [-c for c in phi[:-1]]
-    rows = []
-    for j in range(d, n):
-        rows.append((j, tuple((i, c) for i, c in enumerate(cur) if c)))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [c + top * b for c, b in zip(cur, base)]
-    return tuple(rows)
-
-
-def reduce_vector(vec: list[int], n: int) -> list[int]:
-    """Reduce vec, vec[k] the int coefficient of zeta_n^k for k < n, modulo
-    Phi_n in place: every entry from phi(n) on becomes zero.  Returns vec."""
-    for j, row in _reduction_rows(n):
-        v = vec[j]
-        if v:
-            vec[j] = 0
-            for i, c in row:
-                vec[i] += v * c
-    return vec
 
 
 def _pdeg(p: list[Fraction]) -> int:
@@ -184,10 +157,9 @@ class Cyclotomic:
             c = rational(sum(raw.values()))
         else:
             den = math.lcm(1, *(v.denominator for v in raw.values()))
-            vec = [0] * order
-            for k, v in raw.items():
-                vec[k % order] += v.numerator * (den // v.denominator)
-            c = _canonical(order, vec, den)
+            vec = _place([0] * euler_phi(order), order, order, (
+                (k % order, v.numerator * (den // v.denominator)) for k, v in raw.items()), 1)
+            c = Cyclotomic.from_reduced(order, vec, den)
         self.order, self.items, self.den = c.order, c.items, c.den
 
     @classmethod
@@ -201,7 +173,8 @@ class Cyclotomic:
     @classmethod
     def from_reduced(cls, order: int, vec: list[int], den: int) -> "Cyclotomic":
         """sum(vec[k] * zeta_order^k) / den, for an int vector already reduced
-        modulo Phi_order (see `reduce_vector`) and a nonzero int den."""
+        modulo Phi_order (phi(order) long, as `_place` and `_mul_into` leave
+        it, or zero from there on) and a nonzero int den."""
         items = [(k, v) for k, v in enumerate(vec) if v]
         if not items:
             return zero()
@@ -236,18 +209,12 @@ class Cyclotomic:
 
     # -- ring/field structure -------------------------------------------
 
-    def _add_to(self, vec: list[int], scale: int = 1) -> list[int]:
-        """vec += scale * numerators, vec a dense vector at an order that self.order divides."""
-        step = len(vec) // self.order
-        for k, v in self.items:
-            vec[k * step] += v * scale
-        return vec
-
     def promote(self, m: int) -> "Cyclotomic":
         """The same value represented in Q(zeta_m); requires order | m."""
         if m % self.order:
             raise IncompatibleOrder(f"order {self.order} does not divide {m}")
-        return _canonical(m, self._add_to([0] * m), self.den)
+        return Cyclotomic.from_reduced(
+            m, _place([0] * euler_phi(m), m, self.order, self.items, 1), self.den)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -264,8 +231,9 @@ class Cyclotomic:
             return NotImplemented
         m = math.lcm(self.order, other.order)
         den = math.lcm(self.den, other.den)
-        vec = other._add_to(self._add_to([0] * m, den // self.den), den // other.den)
-        return _canonical(m, vec, den)
+        vec = _place([0] * euler_phi(m), m, self.order, self.items, den // self.den)
+        return Cyclotomic.from_reduced(
+            m, _place(vec, m, other.order, other.items, den // other.den), den)
 
     __radd__ = __add__
 
@@ -335,18 +303,13 @@ class Cyclotomic:
     def conj(self) -> "Cyclotomic":
         """Complex conjugation, zeta^k -> zeta^(n-k); an involution.
 
-        Each exponent n - k goes through its `root_items` row onto the
-        phi(n) slots.  Conjugation is an automorphism of the Z-module
-        Z[zeta_n], so the numerators keep their gcd with `den` and no gcd is
-        taken."""
+        Each exponent n - k is placed onto the phi(n) slots (`_place`).
+        Conjugation is an automorphism of the Z-module Z[zeta_n], so the
+        numerators keep their gcd with `den` and no gcd is taken."""
         if self.order == 1:
             return self
         n = self.order
-        roots = root_items(n)
-        vec = [0] * euler_phi(n)
-        for k, v in self.items:
-            for i, r in roots[n - k if k else 0]:
-                vec[i] += v * r
+        vec = _place([0] * euler_phi(n), n, n, (((n - k) % n, v) for k, v in self.items), 1)
         return Cyclotomic._make(n, tuple((k, v) for k, v in enumerate(vec) if v), self.den)
 
     # -- real evaluation -------------------------------------------------
@@ -437,10 +400,23 @@ class Cyclotomic:
         return " + ".join(parts)
 
 
-def _canonical(order: int, vec: list[int], den: int) -> Cyclotomic:
-    """sum(vec[k] * zeta_order^k) / den in canonical form, for a dense int
-    vector of length order (reduced in place) and a nonzero int den."""
-    return Cyclotomic.from_reduced(order, reduce_vector(vec, order), den)
+def _place(vec: list[int], m: int, order: int, items, scale: int) -> list[int]:
+    """vec += scale * sum(v * zeta_order^k for k, v in items) modulo Phi_m,
+    vec a phi(m)-long int vector, order dividing m and 0 <= k < order.  A
+    slot below phi(m) is added in place; one at or above goes through its
+    `root_items` row.  Returns vec."""
+    phi = len(vec)
+    roots = root_items(m)
+    step = m // order
+    for k, v in items:
+        k *= step
+        if k < phi:
+            vec[k] += v * scale
+        else:
+            v *= scale
+            for i, r in roots[k]:
+                vec[i] += v * r
+    return vec
 
 
 def _mul_into(vec: list[int], m: int, b: Cyclotomic, c: Cyclotomic, scale: int) -> list[int]:
@@ -472,8 +448,8 @@ def sub_mul(a: Cyclotomic, b: Cyclotomic, c: Cyclotomic) -> Cyclotomic:
     """a - b*c in canonical form, the same element and key as `a - b * c`.
 
     One phi(m)-long vector at m = lcm of the three orders collects the
-    product and a's numerators (a times 1) over the common denominator, both
-    by `_mul_into`; one gcd follows.  `a` itself comes back when b or c is zero."""
+    product (`_mul_into`) and a's numerators (`_place`) over the common
+    denominator; one gcd follows.  `a` itself comes back when b or c is zero."""
     if not (b.items and c.items):
         return a
     m = math.lcm(a.order, b.order, c.order)
@@ -483,7 +459,7 @@ def sub_mul(a: Cyclotomic, b: Cyclotomic, c: Cyclotomic) -> Cyclotomic:
     if m != a.order and not any(vec[1:]):
         # a rational b*c leaves a - b*c at a's order
         return a + Cyclotomic.from_reduced(1, vec[:1], den)
-    return Cyclotomic.from_reduced(m, _mul_into(vec, m, a, _ONE, den // a.den), den)
+    return Cyclotomic.from_reduced(m, _place(vec, m, a.order, a.items, den // a.den), den)
 
 
 def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -519,16 +495,23 @@ def one() -> Cyclotomic:
     return rational(1)
 
 
-_ONE = one()
-
-
 @lru_cache(maxsize=None)
 def root_items(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The canonical numerators (den 1) of zeta_n^k in Q(zeta_n), indexed by
-    0 <= k < n: the basis vector k for k < phi(n), the reduction row of x^k
-    modulo Phi_n from there on."""
-    return tuple(((k, 1),) for k in range(euler_phi(n))) + tuple(
-        row for _, row in _reduction_rows(n))
+    0 <= k < n: the basis vector k for k < phi(n), and from there on the
+    sparse row ((i, c), ...) of x^k mod Phi_n, each row the one before times
+    x, reduced once.  The only reduction table of the package."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    rows = [((k, 1),) for k in range(d)]
+    cur = base = [-c for c in phi[:-1]]
+    for _ in range(d, n):
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c + top * b for c, b in zip(cur, base)]
+    return tuple(rows)
 
 
 def root_of_unity(n: int, k: int) -> Cyclotomic:

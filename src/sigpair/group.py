@@ -18,7 +18,7 @@ import json
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, MalformedJSON, rational, root_of_unity
+from .cyclotomic import Cyclotomic, MAX_JSON_ORDER, MalformedJSON, rational, root_of_unity
 
 
 class NotUnitary(ValueError):
@@ -284,7 +284,9 @@ def load_generators(data) -> FiniteMatrixGroup:
 
     Format: {"generators": [[[c, c], [c, c]], ...], "cap": n} where each c is
     a Cyclotomic JSON object {"order": n, "coords": [[k, "num/den"], ...]} and
-    cap > 0 is optional.  Data of another shape raises `MalformedJSON`.
+    cap > 0 is optional.  Data of another shape, or entries whose common field
+    order (the lcm `closure` promotes them to) exceeds `MAX_JSON_ORDER`, raises
+    `MalformedJSON`.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
@@ -297,6 +299,10 @@ def load_generators(data) -> FiniteMatrixGroup:
                 and all(isinstance(row, list) and len(row) == 2 for row in rows)):
             raise MalformedJSON(f"generator {i} is not a 2x2 matrix")
         gens.append(Matrix2(*(Cyclotomic.from_json_dict(x) for row in rows for x in row)))
+    n = math.lcm(1, *(g.field_order() for g in gens))
+    if n > MAX_JSON_ORDER:
+        raise MalformedJSON(f"the generators' common field order must be at most "
+                            f"{MAX_JSON_ORDER}, got {n}")
     cap = data.get("cap", 10000)
     if type(cap) is not int or cap < 1:
         raise MalformedJSON(f"\"cap\" must be a positive integer, got {cap!r}")

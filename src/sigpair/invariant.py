@@ -80,8 +80,8 @@ from functools import lru_cache
 from itertools import groupby
 from operator import lshift
 
-from .cyclotomic import (Cyclotomic, cyclotomic_polynomial, euler_phi, rational,
-                         reduce_vector, root_items)
+from .cyclotomic import (Cyclotomic, _place, cyclotomic_polynomial, euler_phi, rational,
+                         root_items)
 from .group import FiniteMatrixGroup, Matrix2
 
 _SHIFT = (0, 16, 32, 48)
@@ -287,12 +287,12 @@ def _power_table(bases, pairs) -> dict:
 def _reduction_norm(n: int, span: int) -> int:
     """max_i sum_{k < span} |[x^k mod Phi_n]_i|: reducing modulo Phi_n a
     polynomial of degree below `span` whose coefficients are at most B in
-    absolute value leaves coordinates at most B times this."""
-    norm = [0] * n
+    absolute value leaves coordinates at most B times this.  x^k mod Phi_n is
+    the `root_items` row of zeta_n^(k mod n)."""
+    roots = root_items(n)
+    norm = [0] * euler_phi(n)
     for k in range(span):
-        row = [0] * n
-        row[k % n] = 1
-        for i, c in enumerate(reduce_vector(row, n)):
+        for i, c in roots[k % n]:
             norm[i] += abs(c)
     return max(norm)
 
@@ -325,9 +325,10 @@ def _fold_product(factors, n: int, progress=None, prod=None):
     """
     if prod is None:
         prod = {0: [1] + [0] * (n - 1)}
-    prod = {key: reduce_vector(list(vec), n) for key, vec in prod.items()}
     phi = euler_phi(n)
     pad = [0] * (n - phi)
+    prod = {key: _place([0] * phi, n, n, [(k, v) for k, v in enumerate(vec) if v], 1) + pad
+            for key, vec in prod.items()}
     modulus = cyclotomic_polynomial(n)
     top = max((max(max(vec), -min(vec)) for vec in prod.values()), default=0)
     for idx, (d, terms) in enumerate(factors):
@@ -595,10 +596,10 @@ def phi(G: FiniteMatrixGroup, progress=None, stats=None) -> HermitianPolynomial:
     return out
 
 
-def polarized_at_ones(G: FiniteMatrixGroup, progress=None) -> HermitianPolynomial:
+def polarized_at_ones(G: FiniteMatrixGroup) -> HermitianPolynomial:
     """1 - prod_{g in G}(1 - (gz)_1 - (gz)_2), a holomorphic polynomial:
     Phi_G at zbar = (1, 1)."""
     out: dict[int, Cyclotomic] = {}
-    for key, c in phi(G, progress).terms.items():
+    for key, c in phi(G).terms.items():
         _accumulate(out, key & _Z_SLOTS, c)
     return HermitianPolynomial(out)

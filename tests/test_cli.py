@@ -1,6 +1,7 @@
 """CLI contract: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -217,6 +218,12 @@ _ONE = {"order": 1, "coords": [[0, "1/1"]]}
 _ZERO = {"order": 1, "coords": []}
 
 
+def _diag_roots(p, q):
+    """diag(zeta_p, 1) and diag(1, zeta_q) as a generator file."""
+    root = [{"order": m, "coords": [[1, "1/1"]]} for m in (p, q)]
+    return {"generators": [[[root[0], _ZERO], [_ZERO, _ONE]], [[_ONE, _ZERO], [_ZERO, root[1]]]]}
+
+
 @pytest.mark.parametrize("data, fault", [
     ({"generators": [[1, 2]]}, "2x2"),
     ({"generators": [[[{"order": 1, "coords": [[0, "1/0"]]}, _ZERO], [_ZERO, _ONE]]]},
@@ -231,12 +238,20 @@ _ZERO = {"order": 1, "coords": []}
     # diag(1, 1) written in Q(zeta_55440): building that field took minutes
     ({"generators": [[[{"order": 55440, "coords": [[0, "1/1"]]}, _ZERO],
                       [_ZERO, _ONE]]]}, "order must be at most 4096, got 55440"),
+    # each order is allowed alone, but closure would promote both generators
+    # to Q(zeta_pq): unchecked, (101, 103) ran 99 s before exiting 3, and
+    # (997, 991) was still building Phi_988027 after 60 s
+    (_diag_roots(101, 103), "common field order must be at most 4096, got 10403"),
+    (_diag_roots(997, 991), "common field order must be at most 4096, got 988027"),
 ], ids=["row-not-a-matrix", "zero-denominator", "top-level-array", "null-cap",
-        "fractional-order", "repeated-exponent", "deep-nesting", "huge-order"])
+        "fractional-order", "repeated-exponent", "deep-nesting", "huge-order",
+        "common-order-10403", "common-order-988027"])
 def test_malformed_generator_file_exit_2(capsys, tmp_path, data, fault):
     path = tmp_path / "gens.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
+    t0 = time.monotonic()
     code, out, err = run_cli(capsys, "signature", "--group", f"file:{path}")
+    assert time.monotonic() - t0 < 1  # rejected before any group is built
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and fault in err

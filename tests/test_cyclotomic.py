@@ -197,34 +197,53 @@ def _reference_inverse(c):
     return Cyclotomic(n, {i: v * c.den / r1[0] for i, v in enumerate(s1) if v})
 
 
+def _reference_element(n, raw):
+    """sum(v * zeta_n^k for k, v in raw.items()) with a gcd, reduced by long
+    division by Phi_n (`_reference`), so no reduction row of the kernel is
+    read: the constructor sees exponents below phi(n) only."""
+    return Cyclotomic(n, _reference(n, raw))
+
+
 def _reference_conj(c):
-    """Conjugation with a gcd: zeta^k -> zeta^(n-k) in a length-n vector,
-    reduced by `reduce_vector`."""
+    """Conjugation with a gcd: zeta^k -> zeta^(n-k), reduced by long division."""
     if c.order == 1:
         return c
     n = c.order
-    vec = [0] * n
-    for k, v in c.items:
-        vec[(n - k) % n] = v
-    return cyclotomic._canonical(n, vec, c.den)
+    return _reference_element(n, {(n - k) % n: v for k, v in c.coords.items()})
+
+
+_ORDERS = (1, 2, 3, 4, 5, 8, 12, 30, 40)
+
+
+def _coords(draw, top):
+    exps = draw(st.lists(st.integers(0, top), max_size=min(top + 1, 6), unique=True))
+    return {k: Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from((1, 2, 3, 12))))
+            for k in exps}
 
 
 @st.composite
 def _elements(draw):
-    n = draw(st.sampled_from((1, 2, 3, 4, 5, 8, 12, 30, 40)))
-    exps = draw(st.lists(st.integers(0, n - 1), max_size=min(n, 6), unique=True))
-    return Cyclotomic(n, {k: Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from((1, 2, 3, 12))))
-                          for k in exps})
+    n = draw(st.sampled_from(_ORDERS))
+    return Cyclotomic(n, _coords(draw, n - 1))
+
+
+@st.composite
+def _raw_coords(draw):
+    """(n, coords) with exponents up to 3n - 1, most past phi(n) and many past n."""
+    n = draw(st.sampled_from(_ORDERS))
+    return n, _coords(draw, 3 * n - 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(a=_elements(), b=_elements(), c=_elements(),
        shape=st.sampled_from(("any", "zero b", "zero c", "rational b*c", "zero result",
-                              "rational result")))
-def test_kernel_matches_the_reference_operations(a, b, c, shape):
-    # sub_mul against a - b*c, conj and inverse against their former
-    # routes: mixed orders, order 1, zero operands, and results that collapse
-    # to a rational or to zero, compared by key
+                              "rational result")),
+       raw=_raw_coords())
+def test_kernel_matches_the_reference_operations(a, b, c, shape, raw):
+    # sub_mul against a - b*c; conj, sums, promote and the constructor against
+    # long division by Phi_n; inverse against the Euclid on Fractions: mixed
+    # orders, order 1, zero operands, and results that collapse to a rational
+    # or to zero, compared by key
     if shape == "zero b":
         b = zero()
     elif shape == "zero c":
@@ -245,6 +264,15 @@ def test_kernel_matches_the_reference_operations(a, b, c, shape):
         _assert_canonical(x.conj())
         if not x.is_zero():
             assert x.inverse().key() == _reference_inverse(x).key()
+    m = math.lcm(a.order, b.order)
+    summed = _lifted(a, m)
+    for k, v in _lifted(b, m).items():
+        summed[k] = summed.get(k, 0) + v
+    assert (a + b).key() == _reference_element(m, summed).key()
+    m = math.lcm(a.order, b.order, c.order)
+    assert a.promote(m).key() == _reference_element(m, _lifted(a, m)).key()
+    n, coords = raw
+    assert Cyclotomic(n, coords).key() == _reference_element(n, coords).key()
 
 
 def test_json_strings_are_stable():
@@ -408,14 +436,14 @@ def test_json_order_bound():
 
 
 def test_rational_at_a_large_order_builds_no_table():
-    # 3795 = 3 * 5 * 11 * 23: Phi_3795 and its reduction rows take 0.6 s and 230 MB (2-core VM)
-    cyclotomic._reduction_rows.cache_clear()
+    # 3795 = 3 * 5 * 11 * 23: Phi_3795 and its root rows take 0.6 s and 230 MB (2-core VM)
+    cyclotomic.root_items.cache_clear()
     cyclotomic.cyclotomic_polynomial.cache_clear()
     for coords in ({0: 1}, {3795: Fraction(-2, 3)}, {0: 1, 7590: -1}):
         x = Cyclotomic(3795, coords)
         assert x.order == 1 and x == sum(coords.values())
     assert Cyclotomic.from_json_dict({"order": 3795, "coords": [[0, "1"]]}) == 1
-    assert cyclotomic._reduction_rows.cache_info().misses == 0
+    assert cyclotomic.root_items.cache_info().misses == 0
     assert cyclotomic.cyclotomic_polynomial.cache_info().misses == 0
 
 

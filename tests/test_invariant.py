@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import sigpair
 from sigpair import invariant
-from sigpair.cyclotomic import (Cyclotomic, euler_phi, rational, reduce_vector,
-                                root_of_unity)
+from sigpair.cyclotomic import (Cyclotomic, _pdivmod, cyclotomic_polynomial, euler_phi,
+                                rational, root_of_unity)
 from sigpair.fpq import fpq
 from sigpair.group import (FiniteMatrixGroup, antidiag, binary_dihedral,
                            binary_polyhedral, closure, conjugate, cyclic_gamma,
@@ -197,8 +197,8 @@ def _reference_fold(factors, n, prod=None):
     packed kernel.
 
     Coefficients are integer vectors multiplied in Z[x]/(x^n - 1) and reduced
-    modulo Phi_n after every factor, so a vector is dropped exactly when its
-    coefficient vanishes in Q(zeta_n).
+    modulo Phi_n by long division after every factor, so a vector is dropped
+    exactly when its coefficient vanishes in Q(zeta_n).
     """
     if prod is None:
         prod = {0: [1] + [0] * (n - 1)}
@@ -222,7 +222,11 @@ def _reference_fold(factors, n, prod=None):
                     for i, v in nonzero:
                         j = i + e
                         acc[j if j < n else j - n] += c * v
-        prod = {key: vec for key, vec in out.items() if any(reduce_vector(vec, n))}
+        prod = {}
+        for key, vec in out.items():
+            _, rem = _pdivmod(vec, cyclotomic_polynomial(n))
+            if any(rem):
+                prod[key] = rem
     return prod
 
 
