@@ -15,15 +15,14 @@ recovers the multiset one (`set_multiset_relation`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .group import FiniteMatrixGroup, Matrix2
 from .invariant import (HermitianPolynomial, InvariantCheckFailed, polarized_at_ones,
                         unpack_key)
 
 
-@dataclass
-class Orbit:
+class Orbit(NamedTuple):
     """Group translates of a polynomial: full multiset, distinct set, stabilizer."""
 
     elements: list[HermitianPolynomial]

@@ -10,8 +10,8 @@ Subcommands:
 Results go to stdout (JSON, CSV, LaTeX or text); diagnostics go to stderr.
 Exit codes: 0 success, 2 bad arguments (including a malformed group spec
 or generator file, a --precision below the numeric oracle's floor, a --p
-outside a family's range, or a verify --p-max that leaves no cases), 3
-invalid group input, 4 failed verification.
+outside a family's range, or a verify --p-max that leaves no cases or is
+given to a sweep with no p), 3 invalid group input, 4 failed verification.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def _verify_dihedral(args) -> dict:
             return False
         return closedforms.delta_ratio(p) == Fraction(npos, n)
 
-    return _sweep("thm-dihedral", list(range(3, max(args.p_max, 12) + 1)), check)
+    return _sweep("thm-dihedral", list(range(3, args.p_max + 1)), check)
 
 
 def _verify_cyclic_closed(args) -> dict:
@@ -351,14 +351,14 @@ def _verify_quaternion(args) -> dict:
     def check(p):
         return closedforms.phi_lambda_decomposed(p) == phi(binary_dihedral(p))
 
-    return _sweep("quaternion-decomp", list(range(1, 7)), check)
+    return _sweep("quaternion-decomp", list(range(1, args.p_max + 1)), check)
 
 
 def _verify_dihedral_decomp(args) -> dict:
     def check(p):
         return closedforms.phi_delta_decomposed(p) == phi(dihedral(p))
 
-    return _sweep("dihedral-decomp", list(range(1, 11)), check)
+    return _sweep("dihedral-decomp", list(range(1, args.p_max + 1)), check)
 
 
 def _verify_dk(args) -> dict:
@@ -378,7 +378,7 @@ def _verify_dk(args) -> dict:
 
 
 def _verify_chern(args) -> dict:
-    cases = [(p, q) for p in range(1, 9) for q in range(1, p + 1)]
+    cases = [(p, q) for p in range(1, args.p_max + 1) for q in range(1, p + 1)]
 
     def check(case):
         p, q = case
@@ -388,16 +388,17 @@ def _verify_chern(args) -> dict:
     return _sweep("chern-identity", cases, check)
 
 
+# theorem -> (sweep, default --p-max); None for a sweep with no p to bound
 _VERIFIERS = {
     "thm1.1": (_verify_thm_su2, 40),
-    "thm1.2-limit": (_verify_limit, 0),
+    "thm1.2-limit": (_verify_limit, None),
     "thm1.3": (_verify_dihedral, 200),
     "thm3.1": (_verify_cyclic_closed, 40),
     "lww": (_verify_lww, 60),
     "census": (_verify_census, 200),
     "quaternion-decomp": (_verify_quaternion, 6),
     "dihedral-decomp": (_verify_dihedral_decomp, 10),
-    "dk-signs": (_verify_dk, 12),
+    "dk-signs": (_verify_dk, None),
     "chern": (_verify_chern, 8),
 }
 
@@ -406,6 +407,8 @@ def cmd_verify(args) -> int:
     runner, default_pmax = _VERIFIERS[args.theorem]
     if args.p_max is None:
         args.p_max = default_pmax
+    elif default_pmax is None:
+        return _error(f"verify {args.theorem} has no p to bound; drop --p-max {args.p_max}")
     report = runner(args)
     if report["cases_run"] == 0:
         return _error(f"verify {args.theorem} --p-max {args.p_max} has no cases to run")
@@ -450,7 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run a verification sweep")
     vp.add_argument("theorem", choices=sorted(_VERIFIERS))
-    vp.add_argument("--p-max", type=int, default=None)
+    vp.add_argument("--p-max", type=int, default=None,
+                    help="largest p of the sweep (for thm1.1 it bounds only the cyclic cases); "
+                         "dk-signs and thm1.2-limit have no p and refuse it")
     vp.add_argument("--include-slow", action="store_true",
                     help="include the order-120 exact computation")
     vp.add_argument("--stable-output", action="store_true")

@@ -21,8 +21,8 @@ both the d_k generating identity and the auxiliary polynomial P(z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, _pmul, rational
 from .fpq import c_closed, even_binomial, fpq
@@ -42,8 +42,7 @@ def _trim(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-@dataclass
-class DiagonalBlockSummary:
+class DiagonalBlockSummary(NamedTuple):
     """One block of the nearly-diagonal invariant matrix and its inertia share."""
 
     label: str

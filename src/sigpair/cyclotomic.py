@@ -8,7 +8,9 @@ and denominator; operands of unequal order are promoted to the lcm order
 first.  Elements whose support is {0} are normalised to order 1, so
 rationals always live in Q(zeta_1) no matter how they arose.
 
-Ring operations run on ints and end in one gcd.  The one reduction table is
+Ring operations run on ints and end in one gcd; a sum or product with a
+zero operand, always the canonical order-1 zero, returns at once with the
+same value and key.  The one reduction table is
 `root_items(n)`, the canonical numerators of zeta_n^k for 0 <= k < n: a
 basis vector below phi(n), the row of x^k mod Phi_n from there on.  Every
 result collects into one phi(n)-long vector, and only an exponent at or
@@ -229,6 +231,10 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.items:
+            return self
+        if not self.items:
+            return other
         m = math.lcm(self.order, other.order)
         den = math.lcm(self.den, other.den)
         vec = _place([0] * euler_phi(m), m, self.order, self.items, den // self.den)
@@ -250,6 +256,8 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.items and other.items):
+            return zero()
         m = math.lcm(self.order, other.order)
         vec = _mul_into([0] * euler_phi(m), m, self, other, 1)
         return Cyclotomic.from_reduced(m, vec, self.den * other.den)
@@ -483,6 +491,8 @@ def _coerce(x):
 
 def rational(x) -> Cyclotomic:
     """Embed an int or Fraction as an order-1 element."""
+    if type(x) is int:
+        return Cyclotomic._make(1, ((0, x),) if x else (), 1)
     f = Fraction(x)
     return Cyclotomic._make(1, ((0, f.numerator),) if f else (), f.denominator)
 

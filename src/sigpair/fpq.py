@@ -26,8 +26,8 @@ asymptotic positivity ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .signature import SignaturePair
 
@@ -152,8 +152,7 @@ def verify_exact_formula(p: int) -> bool:
     return {m: c for m, c in expect.items() if c} == fpq(p, p - 1)
 
 
-@dataclass
-class WeightReport:
+class WeightReport(NamedTuple):
     """Per-weight term counts of f_{p,q} plus the per-term sign records."""
 
     p: int
@@ -162,7 +161,7 @@ class WeightReport:
     n_odd: int
     n_even: int
     n_total: int
-    records: list[tuple[int, int, int, int]] = field(default_factory=list)  # (r, s, weight, sign)
+    records: list[tuple[int, int, int, int]]  # (r, s, weight, sign)
 
 
 def weight_census(p: int, q: int) -> WeightReport:

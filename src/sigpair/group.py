@@ -14,7 +14,6 @@ products, apart by value.  All values are immutable.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -289,6 +288,8 @@ def load_generators(data) -> FiniteMatrixGroup:
     `MalformedJSON`.
     """
     if isinstance(data, (str, bytes)):
+        import json
+
         data = json.loads(data)
     matrices = data.get("generators") if isinstance(data, dict) else None
     if not isinstance(matrices, list):

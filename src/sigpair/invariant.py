@@ -24,7 +24,17 @@ sum_h alpha_h^i beta_h^j = |H| on the weight lattice of H and 0 off it, so
     log prod_h (1 - alpha_h X - beta_h Y) = sum_lattice -|H| C(i+j, i) X^i Y^j / (i+j),
 
 and the Euler operator turns the exponential into an integer recurrence
-(D'Angelo-Lichtblau; `fpq` runs the cyclic case on its own).  The fold
+(D'Angelo-Lichtblau; `fpq` runs the cyclic case on its own).  The weight
+lattice L = {(i, j): a i + b j = 0 mod N for every (a, b) in H} needs only
+generators of H.  `_group_generators` checks that the diagonal elements form
+a group by growing <S> one new element e at a time through the cosets
+K + t e, each element made once, so O(|H|) set lookups, and the elements
+that grew K are the generators.  Z^2 / L is the character group of H, so L
+has index |H| and the basis (d1, c), (0, d2) with d1 d2 = |H|: d2 comes from
+the generators' second exponents and c from at most d2 membership tests,
+and `_log_weights` lists the about |H| / 2 lattice points of degree at most
+|H| from that basis instead of filtering all |H|^2 / 2 candidates.  The
+recurrence itself stays quadratic in the number of lattice points.  The fold
 continues from that factor over the other cosets.  H = {I} gives
 F_H = X + Y, the element-wise fold.
 
@@ -385,11 +395,12 @@ def _poly(*terms) -> HermitianPolynomial:
     return HermitianPolynomial({key: c for key, c in terms if not c.is_zero()})
 
 
+@lru_cache(maxsize=None)
 def _root_exponents(n: int) -> dict:
     """The canonical numerators of every root of unity +-zeta_n^k in Q(zeta_n)
     (den 1, `root_items`), mapped to the exponent a with value zeta_N^a,
     N = lcm(2, n); the rationals +-1, stored at order 1, have the numerators
-    of k = 0."""
+    of k = 0.  Cached per order and read-only."""
     N = math.lcm(2, n)
     table = {}
     for k, items in enumerate(root_items(n)):
@@ -399,15 +410,28 @@ def _root_exponents(n: int) -> dict:
     return table
 
 
-def _log_weights(exponents: set, N: int, order: int) -> dict:
+def _log_weights(gens: list[tuple[int, int]], N: int, order: int) -> dict:
     """(i, j) -> (i + j) [log P](i, j) = -order C(i+j, i) for P the product
-    over the group of exponent pairs `exponents`, on its weight lattice
-    {(i, j): 0 < i + j <= order, a i + b j = 0 mod N for every (a, b)},
-    in ascending degree; off the lattice the power sums vanish."""
-    chars = [(a, b) for a, b in exponents if a or b]
-    return {(i, d - i): -order * math.comb(d, i)
-            for d in range(1, order + 1) for i in range(d, -1, -1)
-            if all((a * i + b * (d - i)) % N == 0 for a, b in chars)}
+    over the group H of exponent pairs modulo N generated by `gens`, of
+    `order` elements, on its weight lattice
+    L = {(i, j): 0 < i + j <= order, a i + b j = 0 mod N for every (a, b)},
+    in ascending degree, then descending i; off L the power sums vanish.
+
+    Z^2 / L is the character group of H, of `order` elements, so L has the
+    basis (d1, c), (0, d2) with d1 d2 = order: d2 the least j > 0 with
+    (0, j) in L, the lcm of N / gcd(N, b) over the generators, and c the one
+    residue modulo d2 with (d1, c) in L, found in at most d2 membership tests.
+    A generator set whose lattice has no such basis raises
+    `InvariantCheckFailed`."""
+    d2 = math.lcm(1, *(N // math.gcd(N, b) for _, b in gens))
+    d1 = order // d2
+    c = next((c for c in range(d2) if all((a * d1 + b * c) % N == 0 for a, b in gens)), None)
+    _require(d1 * d2 == order and c is not None,
+             f"no weight lattice of index {order} for the generators {gens}")
+    points = [(i, j) for k in range(order // d1 + 1) for i in (k * d1,)
+              for j in range(c * k % d2, order - i + 1, d2) if i or j]
+    points.sort(key=lambda ij: (ij[0] + ij[1], -ij[0]))
+    return {(i, j): -order * math.comb(i + j, i) for i, j in points}
 
 
 def _diagonal_exponents(H: list[Matrix2], n: int) -> list[tuple[int, int]]:
@@ -425,6 +449,38 @@ def _diagonal_exponents(H: list[Matrix2], n: int) -> list[tuple[int, int]]:
     return [(exponent(h.a), exponent(h.d)) for h in H]
 
 
+def _group_generators(exponents: list[tuple[int, int]], N: int) -> list[tuple[int, int]]:
+    """Generators of the group of exponent pairs modulo N listed in
+    `exponents`, or `InvariantCheckFailed` if the list is not a group.
+
+    The subgroup K = <S> grows one new element e at a time, in list order,
+    by the cosets K + t e, t = 1, 2, ..., until t e falls in K; every element
+    of a new coset must be listed.  Each element of K is made once, so the
+    check costs O(|H|) set lookups, and e joins the generators.  When the
+    list is used up, K holds every listed element and only listed ones, so a
+    list of distinct elements that contains 0 and passes is the group K."""
+    listed = set(exponents)
+    ok = len(listed) == len(exponents) and (0, 0) in listed
+    K, members, gens = [(0, 0)], {(0, 0)}, []
+    for a, b in exponents if ok else ():
+        if (a, b) in members:
+            continue
+        grown, (x, y) = [], (a, b)
+        while ok and (x, y) not in members:
+            coset = [((u + x) % N, (v + y) % N) for u, v in K]
+            ok = listed.issuperset(coset)
+            grown += coset
+            x, y = (x + a) % N, (y + b) % N
+        if not ok:
+            break
+        K += grown
+        members.update(grown)
+        gens.append((a, b))
+    _require(ok and len(K) == len(exponents),
+             f"the {len(exponents)} diagonal elements are not a group")
+    return gens
+
+
 def _diagonal_product(exponents: list[tuple[int, int]], n: int) -> dict[tuple[int, int], int]:
     """prod_{h in H}(1 - alpha_h X - beta_h Y) as {(r, s): int}, zero terms
     omitted, for H a group of diag(alpha_h, beta_h) = diag(zeta_N^a, zeta_N^b)
@@ -432,16 +488,12 @@ def _diagonal_product(exponents: list[tuple[int, int]], n: int) -> dict[tuple[in
 
     The Euler recurrence (r+s) P[r, s] = sum_{(i,j)} w(i, j) P[r-i, s-j] over
     the weight lattice rebuilds the product in plain ints.  The recurrence
-    holds only for a group, so a repeated element, a set not closed under
-    products or an inexact division raises `InvariantCheckFailed`.
+    holds only for a group, so a repeated element, a missing identity, a set
+    not closed under products (`_group_generators`) or an inexact division
+    raises `InvariantCheckFailed`.
     """
     N = math.lcm(2, n)
-    distinct = set(exponents)
-    _require(len(distinct) == len(exponents)
-             and all(((a + c) % N, (b + d) % N) in distinct
-                     for a, b in distinct for c, d in distinct),
-             f"the {len(exponents)} diagonal elements are not a group")
-    weights = _log_weights(distinct, N, len(exponents))
+    weights = _log_weights(_group_generators(exponents, N), N, len(exponents))
     prod = {(0, 0): 1}
     for r, s in weights:
         acc = 0
@@ -544,7 +596,7 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
     exponents = _diagonal_exponents(H, n)
     identity_factor = _diagonal_product(exponents, n)
     prod = {pack_key(r, s, r, s): [c] + [0] * (n - 1) for (r, s), c in identity_factor.items()}
-    orbits = _coset_orbits(H, exponents, n, reps, coset)
+    orbits = _coset_orbits(H, exponents, n, reps, coset) if reps else []
     prefix = [len(prod)]
 
     def report(done, total, terms, width):

@@ -275,9 +275,11 @@ def gauss_rank(M: HermitianMatrix) -> int:
                 continue
             block[row], block[pr] = block[pr], block[row]
             prow = block[row]
-            inv = prow[col].inverse()
+            inv = None  # inverted only when a row below needs it
             for i in range(row + 1, m):
                 if not block[i][col].is_zero():
+                    if inv is None:
+                        inv = prow[col].inverse()
                     factor = block[i][col] * inv
                     block[i] = [sub_mul(a, factor, p) for a, p in zip(block[i], prow)]
             row += 1

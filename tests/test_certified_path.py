@@ -3,9 +3,13 @@
 Nor may any module read the environment: what a run computes depends on
 its arguments and inputs alone.  Nor may any import mpmath: the package
 evaluates cosines only through its proven integer enclosures, and mpmath
-stays a test-only oracle."""
+stays a test-only oracle.  And `import sigpair` stays light: every `sig`
+call pays for it, so it loads neither `dataclasses` (with `inspect`) nor
+`json`, which only generator files and the CLI need."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,12 @@ def _imports_mpmath(node) -> bool:
 def test_no_mpmath_import(module):
     lines = [node.lineno for node in ast.walk(_tree(module)) if _imports_mpmath(node)]
     assert not lines, f"{module}.py imports mpmath on lines {lines}"
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # -S keeps site-packages' start-up imports out of sys.modules
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import sigpair; "
+              "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", script, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -380,10 +380,39 @@ def test_verify_empty_sweep_exit_2(capsys, theorem, p_max):
 
 
 def test_verify_fixed_cases_need_no_p_max(capsys):
-    # thm1.2-limit's default --p-max is 0, but its cases do not depend on it
+    # thm1.2-limit's cases do not depend on p
     code, out, _ = run_cli(capsys, "verify", "thm1.2-limit", "--stable-output")
     assert code == 0
     assert json.loads(out)["cases_run"] > 0
+
+
+@pytest.mark.parametrize("theorem", ["dk-signs", "thm1.2-limit"])
+def test_verify_p_max_on_a_sweep_with_no_p_exit_2(capsys, theorem):
+    code, out, err = run_cli(capsys, "verify", theorem, "--p-max", "0", "--stable-output")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert theorem in err and "--p-max 0" in err
+
+
+@pytest.mark.parametrize("theorem, p_max, cases", [
+    ("thm1.3", "5", 3),                 # p = 3..5
+    ("chern", "3", 6),                  # (p, q), 1 <= q <= p <= 3
+    ("quaternion-decomp", "2", 2),      # p = 1, 2
+    ("dihedral-decomp", "3", 3),        # p = 1..3
+])
+def test_verify_p_max_bounds_the_sweep(capsys, theorem, p_max, cases):
+    code, out, _ = run_cli(capsys, "verify", theorem, "--p-max", p_max, "--stable-output")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["cases_passed"] == rep["cases_run"] == cases
+
+
+def test_verify_help_says_p_max_bounds_only_thm1_1_cyclic_cases(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "for thm1.1 it bounds only the cyclic cases" in help_text
 
 
 def test_verify_quaternion(capsys):

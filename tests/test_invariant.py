@@ -493,6 +493,89 @@ def test_diagonal_product_matches_elementwise_fold():
         assert got == HermitianPolynomial({0: rational(1)}) - _elementwise(G, _phi_row), G.label
 
 
+def _reference_log_weights(exponents, N, order):
+    """The weight lattice by filtering every (i, j) with 0 < i + j <= order
+    against every character: the route `_log_weights` replaced."""
+    chars = [(a, b) for a, b in exponents if a or b]
+    return {(i, d - i): -order * math.comb(d, i)
+            for d in range(1, order + 1) for i in range(d, -1, -1)
+            if all((a * i + b * (d - i)) % N == 0 for a, b in chars)}
+
+
+def _lattice_cases():
+    """(label, n, exponents) of the diagonal subgroups the lattice is checked on."""
+    for p in range(1, 41):
+        for q in range(p):
+            G = cyclic_gamma(p, q)
+            n = G.field_order()
+            yield G.label, n, invariant._diagonal_exponents(G.elements, n)
+    for G in [*_oracle_groups(), binary_polyhedral("I"), _mu3_octahedral()]:
+        n = G.field_order()
+        H, _, _ = invariant._cosets(G)
+        yield G.label, n, invariant._diagonal_exponents(H, n)
+
+
+def test_weight_lattice_from_its_basis_matches_the_filter():
+    cases = 0
+    for label, n, exponents in _lattice_cases():
+        N = math.lcm(2, n)
+        gens = invariant._group_generators(exponents, N)
+        got = invariant._log_weights(gens, N, len(exponents))
+        want = _reference_log_weights(set(exponents), N, len(exponents))
+        assert list(got.items()) == list(want.items()), label
+        cases += 1
+    assert cases == 820 + 56 + 2
+
+
+def _generated(gens, N):
+    """The subgroup of (Z/N)^2 generated by `gens`, by plain closure."""
+    K = {(0, 0)}
+    while True:
+        grown = K | {((x + a) % N, (y + b) % N) for x, y in K for a, b in gens}
+        if grown == K:
+            return K
+        K = grown
+
+
+@st.composite
+def _exponent_lists(draw):
+    """(N, list): a subgroup of (Z/N)^2 in a random order, sometimes with one
+    element dropped, repeated or added."""
+    N = draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1))
+    exponents = draw(st.permutations(sorted(_generated(draw(st.lists(pair, max_size=3)), N))))
+    edit = draw(st.sampled_from(["none", "drop", "repeat", "add"]))
+    if edit == "drop":
+        exponents.pop(draw(st.integers(0, len(exponents) - 1)))
+    elif edit == "repeat":
+        exponents.append(draw(st.sampled_from(exponents)))
+    elif edit == "add":
+        exponents.insert(draw(st.integers(0, len(exponents))), draw(pair))
+    return N, exponents
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_lists())
+def test_group_check_accepts_exactly_the_groups(case):
+    N, exponents = case
+    S = set(exponents)
+    is_group = (len(S) == len(exponents) and (0, 0) in S
+                and all(((a + c) % N, (b + d) % N) in S for a, b in S for c, d in S))
+    if not is_group:
+        with pytest.raises(InvariantCheckFailed, match="not a group"):
+            invariant._group_generators(exponents, N)
+        return
+    gens = invariant._group_generators(exponents, N)
+    assert set(gens) <= S and _generated(gens, N) == S
+
+
+def test_phi_scales_to_order_1000_cyclic_groups():
+    # fpq is the independent cyclic route: Phi restricted to |z1|^2, |z2|^2
+    for q in (1, 999):
+        restrict = phi(cyclic_gamma(1000, q)).diagonal_restriction()
+        assert restrict == {m: Fraction(c) for m, c in fpq(1000, q).items()}, q
+
+
 def _unit(re, im):
     """re + i im in Q(zeta_4)."""
     return Cyclotomic(4, {0: re, 1: im})
@@ -501,9 +584,12 @@ def _unit(re, im):
 @pytest.mark.parametrize("elements, what", [
     # {0, 1} mod 4 is not closed: the power sums of the recurrence would be wrong
     ([identity(), diag(root_of_unity(4, 1), 1)], "not a group"),
+    ([identity(), identity()], "not a group"),
+    # {1, 2, 3} mod 4 is closed up to the missing identity
+    ([diag(root_of_unity(4, k), 1) for k in (1, 2, 3)], "not a group"),
     ([identity(), diag(_unit(Fraction(3, 5), Fraction(4, 5)), _unit(Fraction(3, 5), Fraction(-4, 5)))],
      "not a root of unity"),
-], ids=["not-closed", "not-root-of-unity"])
+], ids=["not-closed", "repeated", "no-identity", "not-root-of-unity"])
 def test_diagonal_stage_rejects_a_non_group(elements, what):
     bogus = FiniteMatrixGroup(elements, "not a group")
     for expand in (phi, polarized_at_ones):
@@ -582,7 +668,8 @@ def test_checks_hold_under_python_O():
         invariant._product = corrupted
         not_closed = group.FiniteMatrixGroup(
             [group.identity(), group.diag(cyclotomic.root_of_unity(4, 1), 1)], "not closed")
-        for G in (group.dihedral(3), not_closed):
+        repeated = group.FiniteMatrixGroup([group.identity(), group.identity()], "repeated")
+        for G in (group.dihedral(3), not_closed, repeated):
             try:
                 invariant.phi(G)
             except invariant.InvariantCheckFailed as exc:
@@ -592,4 +679,5 @@ def test_checks_hold_under_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.splitlines() == ["raised: constant term must vanish",
+                                        "raised: the 2 diagonal elements are not a group",
                                         "raised: the 2 diagonal elements are not a group"]
