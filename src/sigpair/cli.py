@@ -10,14 +10,17 @@ Subcommands:
 Results go to stdout (JSON, CSV, LaTeX or text); diagnostics go to stderr.
 Exit codes: 0 success, 2 bad arguments (including a malformed group spec
 or generator file, a --precision below the numeric oracle's floor, a --p
-outside a family's range, or a verify --p-max that leaves no cases or is
-given to a sweep with no p), 3 invalid group input, 4 failed verification.
+outside a family's range, a range that leaves a `ratio`, `family-csv` or
+`fpq --table` with no rows or a verify sweep with no cases, a --p-max given
+to a sweep with no p, or a --dump-poly path that cannot be written), 3
+invalid group input, 4 failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -85,10 +88,35 @@ def cmd_signature(args) -> int:
     except (ValueError, OSError, RecursionError) as exc:
         return _error(exc)
     methods = ["exact", "numeric"] if args.method == "both" else [args.method]
-    t0 = time.monotonic()
     try:
         if "numeric" in methods:
             sig_mod.check_numeric_precision(args.precision)  # before the expansion
+    except sig_mod.InsufficientPrecision as exc:
+        return _error(exc)
+    if not args.dump_poly:
+        return _signature_records(args, G, methods, None)
+    # opened before the expansion, for appending, so that a run that fails
+    # leaves the path as it found it
+    created = not os.path.exists(args.dump_poly)
+    try:
+        dump = open(args.dump_poly, "a", encoding="utf-8")
+    except OSError as exc:
+        return _error(f"cannot write --dump-poly {args.dump_poly}: {exc.strerror or exc}")
+    code = 1
+    try:
+        with dump:
+            code = _signature_records(args, G, methods, dump)
+    finally:
+        if code and created:
+            os.remove(args.dump_poly)
+    return code
+
+
+def _signature_records(args, G, methods, dump) -> int:
+    """Expand Phi_G and print one record per method; on success `dump`, if
+    given, is emptied and receives the polynomial as CSV."""
+    t0 = time.monotonic()
+    try:
         fold = {}
         P = phi(G, progress=_progress(args.verbose, G), stats=fold)
         expand_ms = int((time.monotonic() - t0) * 1000)
@@ -107,10 +135,9 @@ def cmd_signature(args) -> int:
     if args.verbose and stats:
         print(f"{G.label}: elimination, {stats['blocks']} blocks, largest {stats['max_block']}, "
               f"{stats['pivots_1x1']} 1x1 and {stats['pivots_2x2']} 2x2 pivots", file=sys.stderr)
-    if args.dump_poly:
-        with open(args.dump_poly, "w", encoding="utf-8") as f:
-            for row in P.csv_rows():
-                f.write(row + "\n")
+    if dump:
+        dump.truncate(0)
+        dump.writelines(row + "\n" for row in P.csv_rows())
     for rec in records:
         rec["elapsed_ms"] += expand_ms
         _emit_record(rec, args.format, args.stable_output)
@@ -136,6 +163,8 @@ def cmd_fpq(args) -> int:
             print(row)
         return 0
     if args.table:
+        if args.p_max < 1:
+            return _error(f"fpq --table --p-max {args.p_max} leaves no p; it must be at least 1")
         for row in family_table(args.q, args.p_max, latex=latex):
             print(row)
         return 0
@@ -179,6 +208,9 @@ def cmd_ratio(args) -> int:
         header = "p,ratio,engine"
     else:
         return _error(f"unknown family {args.family}")
+    if not rows:
+        bound = f"--q-max {args.q_max}" if args.family == "cyclic-T" else f"--p-max {args.p_max}"
+        return _error(f"ratio --family {args.family} {bound} leaves no rows")
     if args.format == "csv":
         print(header)
         for idx, val, eng in rows:
@@ -199,6 +231,8 @@ def _family_csv(args) -> int:
     fam = args.family
     if args.p_min < 1:
         return _error(f"p must be at least 1, got {args.p_min}")
+    if args.p_max < args.p_min:
+        return _error(f"family-csv --p-max {args.p_max} is below --p-min {args.p_min}: no rows")
     print("p,N,N_plus,N_minus,ratio")
     for p in range(args.p_min, args.p_max + 1):
         if fam == "dihedral":

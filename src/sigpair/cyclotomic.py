@@ -175,8 +175,8 @@ class Cyclotomic:
     @classmethod
     def from_reduced(cls, order: int, vec: list[int], den: int) -> "Cyclotomic":
         """sum(vec[k] * zeta_order^k) / den, for an int vector already reduced
-        modulo Phi_order (phi(order) long, as `_place` and `_mul_into` leave
-        it, or zero from there on) and a nonzero int den."""
+        modulo Phi_order (at most phi(order) long, as `_place` and `_mul_into`
+        leave it, or zero from there on) and a nonzero int den."""
         items = [(k, v) for k, v in enumerate(vec) if v]
         if not items:
             return zero()

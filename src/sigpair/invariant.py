@@ -26,17 +26,14 @@ sum_h alpha_h^i beta_h^j = |H| on the weight lattice of H and 0 off it, so
 and the Euler operator turns the exponential into an integer recurrence
 (D'Angelo-Lichtblau; `fpq` runs the cyclic case on its own).  The weight
 lattice L = {(i, j): a i + b j = 0 mod N for every (a, b) in H} needs only
-generators of H.  `_group_generators` checks that the diagonal elements form
-a group by growing <S> one new element e at a time through the cosets
-K + t e, each element made once, so O(|H|) set lookups, and the elements
-that grew K are the generators.  Z^2 / L is the character group of H, so L
-has index |H| and the basis (d1, c), (0, d2) with d1 d2 = |H|: d2 comes from
-the generators' second exponents and c from at most d2 membership tests,
-and `_log_weights` lists the about |H| / 2 lattice points of degree at most
-|H| from that basis instead of filtering all |H|^2 / 2 candidates.  The
-recurrence itself stays quadratic in the number of lattice points.  The fold
-continues from that factor over the other cosets.  H = {I} gives
-F_H = X + Y, the element-wise fold.
+generators of H: the elements of `_chain`, the one walk over H, which also
+checks that H is a group and orders the coset fold below.  Z^2 / L is the
+character group of H, so L has index |H| and a basis (d1, c), (0, d2) with
+d1 d2 = |H|, from which `_log_weights` lists the about |H| / 2 lattice
+points of degree at most |H|.  The recurrence itself stays quadratic in the
+number of lattice points.  The fold continues from that factor, each
+coefficient c entering as the one-slot vector [c], over the other cosets.
+H = {I} gives F_H = X + Y, the element-wise fold.
 
 The product is commutative, so the coset order changes no coefficient, only
 how large the partial products grow.  H permutes the non-identity cosets by
@@ -62,17 +59,17 @@ order of all matrix entries) and converts to canonical field elements once
 at the end: each factor is scaled by the lcm of its coefficients'
 denominators, and after every factor each vector is reduced modulo the
 cyclotomic polynomial Phi_n and dropped if it vanishes there, so vectors
-stay phi(n) long and monomials whose coefficient is zero in Q(zeta_n) go at
-once.  Within a factor step each vector v travels as the one int v(2^w),
-w bits per signed slot (Kronecker substitution): multiplying two
-coefficients is one int product, and reducing a sum modulo Phi_n is one
-int remainder modulo Phi_n(2^w), after which its phi(n) slots are the
-reduced vector.  The width w is measured per step from the prefix's largest
-coordinate and the factor's l1 norm, a proven bound that makes both steps
-exact (`_fold_product`).  A reduced vector over the product of the scales
-becomes a field element by one gcd (`Cyclotomic.from_reduced`).  Group
-elements are compared with `Matrix2.key`, exact by value because a group
-stores all its entries at one field order.
+stay at most phi(n) long (a missing slot is zero) and monomials whose
+coefficient is zero in Q(zeta_n) go at once.  Within a factor step each
+vector v travels as the one int v(2^w), w bits per signed slot (Kronecker
+substitution): multiplying two coefficients is one int product, and
+reducing a sum modulo Phi_n is one int remainder modulo Phi_n(2^w), whose
+phi(n) slots are the reduced vector; the width w is a proven bound from the
+prefix's largest coordinate and the factor's l1 norm (`_fold_product`).  A
+reduced vector over the product of the scales becomes a field element by
+one gcd (`Cyclotomic.from_reduced`).  Group elements are compared with
+`Matrix2.key`, exact by value because a group stores all its entries at one
+field order.
 
 Monomial keys pack the exponent quadruple (a1, a2, b1, b2) of
 z1^a1 z2^a2 zbar1^b1 zbar2^b2 into one integer, 16 bits per slot, so the
@@ -90,8 +87,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import lshift
 
-from .cyclotomic import (Cyclotomic, _place, cyclotomic_polynomial, euler_phi, rational,
-                         root_items)
+from .cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, rational, root_items
 from .group import FiniteMatrixGroup, Matrix2
 
 _SHIFT = (0, 16, 32, 48)
@@ -167,11 +163,7 @@ class HermitianPolynomial:
 
     def support(self) -> list[tuple[int, int]]:
         """Sorted distinct monomials occurring as alpha or beta (graded order)."""
-        mons = set()
-        for key in self.terms:
-            a1, a2, b1, b2 = unpack_key(key)
-            mons.add((a1, a2))
-            mons.add((b1, b2))
+        mons = {m for quad in map(unpack_key, self.terms) for m in (quad[:2], quad[2:])}
         return sorted(mons, key=lambda m: (m[0] + m[1], m[0], m[1]))
 
     def coeff(self, a1: int, a2: int, b1: int, b2: int) -> Cyclotomic:
@@ -179,11 +171,7 @@ class HermitianPolynomial:
 
     def is_diagonal(self) -> bool:
         """True iff every stored term has alpha = beta."""
-        for key in self.terms:
-            a1, a2, b1, b2 = unpack_key(key)
-            if a1 != b1 or a2 != b2:
-                return False
-        return True
+        return all(key >> _SHIFT[2] == key & _Z_SLOTS for key in self.terms)
 
     def check_hermitian(self) -> bool:
         """c(beta, alpha) == conj(c(alpha, beta)) for every stored term,
@@ -213,11 +201,7 @@ class HermitianPolynomial:
         """For diagonal polynomials: coefficients of x^a y^b with x=|z1|^2, y=|z2|^2."""
         if not self.is_diagonal():
             raise ValueError("polynomial has off-diagonal terms")
-        out = {}
-        for key, c in self.terms.items():
-            a1, a2, _, _ = unpack_key(key)
-            out[(a1, a2)] = c.as_fraction()
-        return out
+        return {unpack_key(key)[:2]: c.as_fraction() for key, c in self.terms.items()}
 
     def compose(self, M: Matrix2) -> "HermitianPolynomial":
         """Exact substitution z -> Mz (and zbar -> conj(M) zbar), re-expanded.
@@ -318,14 +302,15 @@ def _slot_width(n: int, top: int, l1: int, span: int) -> int:
 def _fold_product(factors, n: int, progress=None, prod=None):
     """prod (default 1) times the (d + sum of scaled monomial terms) factors.
 
-    A coefficient, an integer vector v reduced modulo Phi_n, is packed into
-    the one int v(2^w), w bits per signed slot (Kronecker substitution), so a
-    term pair costs one int product.  After each factor every packed sum
-    s(2^w) is reduced modulo N = Phi_n(2^w): its balanced residue is r(2^w)
-    for r = s mod Phi_n, and the phi(n) slots of that residue are the reduced
-    vector r, dropped when it is zero.  Every coefficient of s is at most
-    top * l1 in absolute value, top the largest coordinate of the prefix
-    (read as its vectors are unpacked) and l1 = |d| + sum |c| the factor's
+    Coefficients are integer vectors reduced modulo Phi_n: at most phi(n)
+    slots in the prefix (a missing slot is zero), phi(n) in the result.  A
+    vector v is packed into the one int v(2^w), w bits per signed slot
+    (Kronecker substitution), so a term pair costs one int product.  After
+    each factor every packed sum s(2^w) is reduced modulo N = Phi_n(2^w):
+    its balanced residue is r(2^w) for r = s mod Phi_n, and the phi(n) slots
+    of that residue are the reduced vector r, dropped when it is zero.
+    Every coefficient of s is at most top * l1 in absolute value, top the
+    largest coordinate of the prefix and l1 = |d| + sum |c| the factor's
     norm, because each factor term meets each output key at most once.  So
     every |r_i| is at most A (`_slot_width`), and 2^w > 2 A + C gives
     |r(2^w)| < N / 2 and |r_i| < 2^(w-1): the residue and its slots are
@@ -334,11 +319,8 @@ def _fold_product(factors, n: int, progress=None, prod=None):
     factor with the prefix's term count and the slot width.
     """
     if prod is None:
-        prod = {0: [1] + [0] * (n - 1)}
+        prod = {0: [1]}
     phi = euler_phi(n)
-    pad = [0] * (n - phi)
-    prod = {key: _place([0] * phi, n, n, [(k, v) for k, v in enumerate(vec) if v], 1) + pad
-            for key, vec in prod.items()}
     modulus = cyclotomic_polynomial(n)
     top = max((max(max(vec), -min(vec)) for vec in prod.values()), default=0)
     for idx, (d, terms) in enumerate(factors):
@@ -370,8 +352,7 @@ def _fold_product(factors, n: int, progress=None, prod=None):
                 if x > half_n:
                     x -= N
                 x += bias
-                vec = [((x >> s) & mask) - half for s in shifts]
-                prod[key] = vec + pad
+                prod[key] = vec = [((x >> s) & mask) - half for s in shifts]
                 top = max(top, max(vec), -min(vec))
         if progress is not None:
             progress(idx + 1, len(factors), len(prod), w)
@@ -449,51 +430,46 @@ def _diagonal_exponents(H: list[Matrix2], n: int) -> list[tuple[int, int]]:
     return [(exponent(h.a), exponent(h.d)) for h in H]
 
 
-def _group_generators(exponents: list[tuple[int, int]], N: int) -> list[tuple[int, int]]:
-    """Generators of the group of exponent pairs modulo N listed in
-    `exponents`, or `InvariantCheckFailed` if the list is not a group.
+def _chain(exponents: list[tuple[int, int]], N: int) -> list[int]:
+    """Indices i_1, i_2, ... into `exponents`, a list of exponent pairs
+    modulo N, with {0} = K_0 < K_1 < ... = H, K_t generated by K_(t-1) and
+    exponents[i_t], each step of least index [K_t : K_(t-1)] (the first such
+    element in list order); `InvariantCheckFailed` if the list is no group H.
 
-    The subgroup K = <S> grows one new element e at a time, in list order,
-    by the cosets K + t e, t = 1, 2, ..., until t e falls in K; every element
-    of a new coset must be listed.  Each element of K is made once, so the
-    check costs O(|H|) set lookups, and e joins the generators.  When the
-    list is used up, K holds every listed element and only listed ones, so a
-    list of distinct elements that contains 0 and passes is the group K."""
-    listed = set(exponents)
-    ok = len(listed) == len(exponents) and (0, 0) in listed
-    K, members, gens = [(0, 0)], {(0, 0)}, []
-    for a, b in exponents if ok else ():
-        if (a, b) in members:
-            continue
-        grown, (x, y) = [], (a, b)
-        while ok and (x, y) not in members:
-            coset = [((u + x) % N, (v + y) % N) for u, v in K]
-            ok = listed.issuperset(coset)
-            grown += coset
-            x, y = (x + a) % N, (y + b) % N
-        if not ok:
+    The least index is the least prime m dividing [H : K_(t-1)] (Cauchy), so
+    the step is the first element e outside K_(t-1) whose m-th multiple lies
+    in it, and K_t adds the cosets K_(t-1) + k e, 0 < k < m, each element made
+    once and looked up in the list.  A list of distinct elements that holds 0
+    and that the walk exhausts is the group K."""
+    listed, order = set(exponents), len(exponents)
+    ok = len(listed) == order and (0, 0) in listed
+    K, chain = dict.fromkeys([(0, 0)]), []
+    while ok and len(K) < order and order % len(K) == 0:
+        q = order // len(K)
+        m = next(p for p in range(2, q + 1) if q % p == 0)
+        i = next((i for i, (a, b) in enumerate(exponents)
+                  if (a, b) not in K and (m * a % N, m * b % N) in K), None)
+        if i is None:
             break
-        K += grown
-        members.update(grown)
-        gens.append((a, b))
-    _require(ok and len(K) == len(exponents),
-             f"the {len(exponents)} diagonal elements are not a group")
-    return gens
+        a, b = exponents[i]
+        grown = [((x + k * a) % N, (y + k * b) % N) for k in range(1, m) for x, y in K]
+        ok = listed.issuperset(grown)
+        K.update(dict.fromkeys(grown))
+        chain.append(i)
+    _require(ok and len(K) == order, f"the {order} diagonal elements are not a group")
+    return chain
 
 
-def _diagonal_product(exponents: list[tuple[int, int]], n: int) -> dict[tuple[int, int], int]:
+def _diagonal_product(gens: list[tuple[int, int]], order: int, n: int) -> dict:
     """prod_{h in H}(1 - alpha_h X - beta_h Y) as {(r, s): int}, zero terms
-    omitted, for H a group of diag(alpha_h, beta_h) = diag(zeta_N^a, zeta_N^b)
-    over the (a, b) in `exponents` (`_diagonal_exponents`), N = lcm(2, n).
+    omitted, for H the group of `order` elements diag(zeta_N^a, zeta_N^b),
+    N = lcm(2, n), generated by the (a, b) in `gens` (`_chain`'s elements).
 
     The Euler recurrence (r+s) P[r, s] = sum_{(i,j)} w(i, j) P[r-i, s-j] over
-    the weight lattice rebuilds the product in plain ints.  The recurrence
-    holds only for a group, so a repeated element, a missing identity, a set
-    not closed under products (`_group_generators`) or an inexact division
-    raises `InvariantCheckFailed`.
+    the weight lattice rebuilds the product in plain ints; it holds only for
+    a group, and an inexact division raises `InvariantCheckFailed`.
     """
-    N = math.lcm(2, n)
-    weights = _log_weights(_group_generators(exponents, N), N, len(exponents))
+    weights = _log_weights(gens, math.lcm(2, n), order)
     prod = {(0, 0): 1}
     for r, s in weights:
         acc = 0
@@ -527,31 +503,12 @@ def _cosets(G: FiniteMatrixGroup):
     return H, reps, coset
 
 
-def _chain(exponents: list[tuple[int, int]], N: int) -> list[int]:
-    """Indices i_1, i_2, ... into `exponents`, the group H of exponent pairs
-    modulo N, with K_0 = {0} < K_1 < ... = H for K_t generated by K_(t-1)
-    and exponents[i_t], each step of least index [K_t : K_(t-1)] (the first
-    such element in order).  The least index is the least prime m dividing
-    [H : K_(t-1)] (Cauchy), so the step is the first element outside K_(t-1)
-    whose m-th multiple lies in it: one pass over H per step."""
-    K, chain = {(0, 0)}, []
-    while len(K) < len(exponents):
-        q = len(exponents) // len(K)
-        m = next(p for p in range(2, q + 1) if q % p == 0)
-        i = next(i for i, (a, b) in enumerate(exponents)
-                 if (a, b) not in K and (m * a % N, m * b % N) in K)
-        a, b = exponents[i]
-        K = {((x + k * a) % N, (y + k * b) % N) for x, y in K for k in range(m)}
-        chain.append(i)
-    return chain
-
-
-def _coset_orbits(H: list[Matrix2], exponents: list[tuple[int, int]], n: int,
-                  reps: list[Matrix2], coset: dict) -> list[list[int]]:
+def _coset_orbits(H: list[Matrix2], chain: list[int], reps: list[Matrix2],
+                  coset: dict) -> list[list[int]]:
     """The orbits of H, acting by left multiplication, on the non-identity
     cosets (indices into `reps`), in fold order: largest orbit first, ties in
     enumeration order.  Inside an orbit the cosets are sorted so that every
-    orbit of every subgroup K_t of `_chain` is contiguous.
+    orbit of every subgroup K_t of the `_chain` of H is contiguous.
 
     A generator h of the chain permutes the cosets by gH -> hgH, one matrix
     product per coset; the K_t-orbit of a coset is the union of the
@@ -561,7 +518,7 @@ def _coset_orbits(H: list[Matrix2], exponents: list[tuple[int, int]], n: int,
     """
     label = list(range(len(reps)))  # the least coset of each orbit of K_t
     levels = []
-    for i in _chain(exponents, math.lcm(2, n)):
+    for i in chain:
         perm = [coset[(H[i] * g).key()] for g in reps]
         new = []
         for j, least in enumerate(label):
@@ -580,9 +537,11 @@ def _coset_orbits(H: list[Matrix2], exponents: list[tuple[int, int]], n: int,
 def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
     """prod_{g in G}(1 - <gz, z>) as (integer vectors, scale), folded by cosets.
 
-    The identity coset's factor 1 - F_H(X_I, Y_I) is `_diagonal_product` of
-    the diagonal elements H, its term X^i Y^j the monomial z1^i z2^j zbar1^i
-    zbar2^j.  Every other left coset gH contributes 1 - F_H(X_g, Y_g), with
+    One `_chain` walk over the diagonal elements H.  The identity coset's
+    factor 1 - F_H(X_I, Y_I) is `_diagonal_product` of H, its term c X^i Y^j
+    the monomial z1^i z2^j zbar1^i zbar2^j with the vector [c], so a G with
+    no other coset gives one-slot vectors, a fold phi(n)-slot ones.  Every
+    other left coset gH contributes 1 - F_H(X_g, Y_g), with
     X_g = z1 (g.a zbar1 + g.c zbar2) and Y_g = z2 (g.b zbar1 + g.d zbar2),
     folded in the order of `_coset_orbits`.
     `progress(done, [G:H], terms, width)` follows each coset, the identity's
@@ -594,9 +553,10 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
     """
     H, reps, coset = _cosets(G)
     exponents = _diagonal_exponents(H, n)
-    identity_factor = _diagonal_product(exponents, n)
-    prod = {pack_key(r, s, r, s): [c] + [0] * (n - 1) for (r, s), c in identity_factor.items()}
-    orbits = _coset_orbits(H, exponents, n, reps, coset) if reps else []
+    chain = _chain(exponents, math.lcm(2, n))
+    identity_factor = _diagonal_product([exponents[i] for i in chain], len(H), n)
+    prod = {pack_key(r, s, r, s): [c] for (r, s), c in identity_factor.items()}
+    orbits = _coset_orbits(H, chain, reps, coset)
     prefix = [len(prod)]
 
     def report(done, total, terms, width):

@@ -482,8 +482,7 @@ def positivity_ratio_from(inertia) -> Fraction:
 
 def positivity_ratio(G: FiniteMatrixGroup) -> Fraction:
     """Exact N+ / (N+ + N-) for Phi_G."""
-    inertia = inertia_exact(coefficient_matrix(phi(G)))
-    return positivity_ratio_from(inertia)
+    return positivity_ratio_from(signature_pair(G))
 
 
 def result_record(G: FiniteMatrixGroup, method: str = "exact",

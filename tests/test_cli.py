@@ -7,8 +7,9 @@ import pytest
 
 from sigpair import cli, closedforms, invariant, signature
 from sigpair.cli import main
-from sigpair.group import (binary_dihedral, binary_polyhedral, diag, dihedral, dump_generators,
-                           FiniteMatrixGroup, identity, Matrix2, springer_generators)
+from sigpair.group import (binary_dihedral, binary_polyhedral, cyclic_gamma, diag, dihedral,
+                           dump_generators, FiniteMatrixGroup, identity, Matrix2,
+                           springer_generators)
 
 
 def run_cli(capsys, *argv):
@@ -442,3 +443,52 @@ def test_dump_poly(capsys, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("0,1,0,1,")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_dump_poly_to_an_unwritable_path_exit_2_before_the_expansion(capsys, monkeypatch, tmp_path,
+                                                                     where):
+    path = tmp_path / "missing" / "poly.csv" if where == "missing-directory" else tmp_path
+    monkeypatch.setattr(cli, "phi", lambda *args, **kwargs: pytest.fail("expanded Phi"))
+    code, out, err = run_cli(capsys, "signature", "--group", "T", "--dump-poly", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["ratio", "--family", "dihedral", "--p-max", "2"], "--p-max 2"),
+    (["ratio", "--family", "binary-dihedral", "--p-max", "1"], "--p-max 1"),
+    (["ratio", "--family", "cyclic-T", "--q-max", "0"], "--q-max 0"),
+    (["family-csv", "--family", "dihedral", "--p-min", "5", "--p-max", "3"], "--p-max 3"),
+    (["fpq", "--q", "3", "--table", "--p-max", "0"], "--p-max 0"),
+])
+def test_empty_range_exit_2(capsys, argv, bound):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bound in err
+
+
+@pytest.mark.parametrize("before", [None, "kept\n"])
+def test_dump_poly_of_a_failed_run_leaves_the_path_as_it_was(capsys, monkeypatch, tmp_path, before):
+    # a Phi whose matrix needs more bits than --precision fails after the expansion
+    path = tmp_path / "poly.csv"
+    if before is not None:
+        path.write_text(before)
+    scaled = invariant.phi(binary_polyhedral("T")) * 2 ** 60
+    monkeypatch.setattr(cli, "phi", lambda G, progress=None, stats=None: scaled)
+    code, _, _ = run_cli(capsys, "signature", "--group", "T", "--method", "numeric",
+                         "--precision", "128", "--dump-poly", str(path))
+    assert code == 2
+    assert (path.read_text() if path.exists() else None) == before
+
+
+def test_dump_poly_replaces_an_existing_file(capsys, tmp_path):
+    path = tmp_path / "poly.csv"
+    path.write_text("old\n" * 100)
+    code, _, _ = run_cli(capsys, "signature", "--group", "cyclic:2,4", "--dump-poly", str(path))
+    assert code == 0
+    assert path.read_text().splitlines() == list(invariant.phi(cyclic_gamma(2, 4)).csv_rows())

@@ -196,12 +196,14 @@ def _reference_fold(factors, n, prod=None):
     """`invariant._fold_product` by list convolution: the oracle for its
     packed kernel.
 
-    Coefficients are integer vectors multiplied in Z[x]/(x^n - 1) and reduced
-    modulo Phi_n by long division after every factor, so a vector is dropped
-    exactly when its coefficient vanishes in Q(zeta_n).
+    Coefficients are integer vectors, padded to n slots, multiplied in
+    Z[x]/(x^n - 1) and reduced modulo Phi_n by long division after every
+    factor, so a vector is dropped exactly when its coefficient vanishes in
+    Q(zeta_n).  The reduced vectors are returned on their phi(n) slots.
     """
     if prod is None:
-        prod = {0: [1] + [0] * (n - 1)}
+        prod = {0: [1]}
+    prod = {key: vec + [0] * (n - len(vec)) for key, vec in prod.items()}
     for d, terms in factors:
         out = {}
         for key, vec in prod.items():
@@ -227,7 +229,7 @@ def _reference_fold(factors, n, prod=None):
             _, rem = _pdivmod(vec, cyclotomic_polynomial(n))
             if any(rem):
                 prod[key] = rem
-    return prod
+    return {key: vec[:euler_phi(n)] for key, vec in prod.items()}
 
 
 def _elementwise(G, row):
@@ -298,10 +300,11 @@ def _fold_order(G):
     n = G.field_order()
     H, reps, coset = invariant._cosets(G)
     exponents = invariant._diagonal_exponents(H, n)
-    return H, exponents, reps, coset, invariant._coset_orbits(H, exponents, n, reps, coset)
+    chain = invariant._chain(exponents, math.lcm(2, n))
+    return H, exponents, reps, coset, invariant._coset_orbits(H, chain, reps, coset)
 
 
-def _enumeration_order(H, exponents, n, reps, coset):
+def _enumeration_order(H, chain, reps, coset):
     return [[j] for j in range(len(reps))]
 
 
@@ -388,7 +391,8 @@ def _fold_inputs(draw):
     """(factors, n, prefix) with small keys, so that products meet on one key.
 
     A drawn term may come with its negation at the same key, and a factor may
-    be zero, so sums cancel exactly; a random prefix may replace the default 1.
+    be zero, so sums cancel exactly; a random prefix of reduced vectors, each
+    at most phi(n) slots long, may replace the default 1.
     """
     n = draw(st.sampled_from(KERNEL_ORDERS))
     phi = euler_phi(n)
@@ -402,7 +406,7 @@ def _fold_inputs(draw):
         factors.append((draw(st.one_of(st.just(0), _COEFFICIENT)), terms))
     prefix = None
     if draw(st.booleans()):
-        vectors = st.lists(_COEFFICIENT, min_size=n, max_size=n)
+        vectors = st.lists(_COEFFICIENT, min_size=1, max_size=phi)
         prefix = draw(st.dictionaries(st.integers(0, 6), vectors, min_size=1, max_size=4))
     return factors, n, prefix
 
@@ -421,16 +425,16 @@ def test_packed_fold_matches_reference_fold(case):
 
 def test_mod_phi_cancellation_drops_the_term():
     # x * x + 1 vanishes in Q(i) but not in Z[x]/(x^4 - 1)
-    prefix = {0: [0, 1, 0, 0], 1: [1, 0, 0, 0]}
+    prefix = {0: [0, 1], 1: [1]}
     factors = [(1, [(1, [(1, 1)])])]
-    expect = {0: [0, 1, 0, 0], 2: [0, 1, 0, 0]}
+    expect = {0: [0, 1], 2: [0, 1]}
     assert invariant._fold_product(factors, 4, prod=_copy(prefix)) == expect
     assert _reference_fold(factors, 4, _copy(prefix)) == expect
 
 
 def _at(n, e, v):
-    """v x^e as a coefficient vector of length n."""
-    vec = [0] * n
+    """v x^e as a reduced coefficient vector of phi(n) slots."""
+    vec = [0] * euler_phi(n)
     vec[e] = v
     return vec
 
@@ -488,7 +492,9 @@ def _diagonal_groups():
 def test_diagonal_product_matches_elementwise_fold():
     for G in _diagonal_groups():
         n = G.field_order()
-        prod = invariant._diagonal_product(invariant._diagonal_exponents(G.elements, n), n)
+        exponents = invariant._diagonal_exponents(G.elements, n)
+        gens = [exponents[i] for i in invariant._chain(exponents, math.lcm(2, n))]
+        prod = invariant._diagonal_product(gens, G.order, n)
         got = HermitianPolynomial({pack_key(r, s, r, s): rational(c) for (r, s), c in prod.items()})
         assert got == HermitianPolynomial({0: rational(1)}) - _elementwise(G, _phi_row), G.label
 
@@ -519,7 +525,7 @@ def test_weight_lattice_from_its_basis_matches_the_filter():
     cases = 0
     for label, n, exponents in _lattice_cases():
         N = math.lcm(2, n)
-        gens = invariant._group_generators(exponents, N)
+        gens = [exponents[i] for i in invariant._chain(exponents, N)]
         got = invariant._log_weights(gens, N, len(exponents))
         want = _reference_log_weights(set(exponents), N, len(exponents))
         assert list(got.items()) == list(want.items()), label
@@ -563,10 +569,32 @@ def test_group_check_accepts_exactly_the_groups(case):
                 and all(((a + c) % N, (b + d) % N) in S for a, b in S for c, d in S))
     if not is_group:
         with pytest.raises(InvariantCheckFailed, match="not a group"):
-            invariant._group_generators(exponents, N)
+            invariant._chain(exponents, N)
         return
-    gens = invariant._group_generators(exponents, N)
-    assert set(gens) <= S and _generated(gens, N) == S
+    chain = invariant._chain(exponents, N)
+    gens = [exponents[i] for i in chain]
+    assert _generated(gens, N) == S
+    # each step is the first listed element that grows K_(t-1) by the least
+    # index, the least prime dividing |H| / |K_(t-1)|
+    K = {(0, 0)}
+    for t, i in enumerate(chain):
+        rest = len(S) // len(K)
+        least = min(p for p in range(2, rest + 1) if rest % p == 0)
+        steps = [j for j, e in enumerate(exponents)
+                 if len(_generated([*gens[:t], e], N)) == least * len(K)]
+        assert i == steps[0]
+        K = _generated(gens[:t + 1], N)
+    assert K == S
+
+
+def test_product_vectors_have_at_most_phi_slots():
+    # the identity coset's integer factor enters as one-slot vectors, which a
+    # diagonal group keeps; a coset fold leaves phi(n) slots
+    for G in (cyclic_gamma(9, 4), cyclic_gamma(40, 39), dihedral(5), binary_polyhedral("T")):
+        n = G.field_order()
+        prod, _ = invariant._product(G, n)
+        slots = 1 if G.order == len(invariant._cosets(G)[0]) else euler_phi(n)
+        assert {len(vec) for vec in prod.values()} == {slots}, G.label
 
 
 def test_phi_scales_to_order_1000_cyclic_groups():
