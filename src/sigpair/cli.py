@@ -125,9 +125,7 @@ def _signature_records(args, G, methods, dump) -> int:
                   f"peak {fold['peak_terms']} terms, {fold['term_pairs']} term pairs",
                   file=sys.stderr)
         stats = {}
-        records = [sig_mod.result_record(G, method=m, precision_bits=args.precision, poly=P,
-                                         stats=stats)
-                   for m in methods]
+        records = sig_mod.result_records(G, methods, args.precision, P, stats)
     except GroupTooLarge as exc:
         return _error(exc, 3)
     except sig_mod.InsufficientPrecision as exc:

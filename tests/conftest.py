@@ -5,9 +5,7 @@ def pytest_addoption(parser):
     parser.addoption("--runslow", action="store_true", default=False,
                      help="run the slow checks: the engine-vs-f_{p,q} signature sweep "
                           "over every Gamma(p,q) with p <= 30, the numeric route for mu_3 O, "
-                          "the numeric oracle near its floor on I and mu_3 O, and mu_3 O's "
-                          "phi in orbit and in enumeration order "
-                          "(test_mu3_octahedral_same_phi_in_orbit_and_enumeration_order)")
+                          "and the numeric oracle near its floor on I and mu_3 O")
 
 
 def pytest_collection_modifyitems(config, items):

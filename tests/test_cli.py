@@ -106,9 +106,33 @@ def test_signature_expands_phi_once(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_both_methods_build_one_matrix_and_check_the_precision_floor_first(capsys, monkeypatch):
+    built = []
+
+    def counted(P):
+        built.append(P.term_count())
+        return coefficient_matrix(P)
+
+    coefficient_matrix = signature.coefficient_matrix
+    monkeypatch.setattr(signature, "coefficient_matrix", counted)
+    code, out, _ = run_cli(capsys, "signature", "--group", "T", "--method", "both")
+    assert (code, len(out.splitlines()), len(built)) == (0, 2, 1)
+
+    # Gamma(1000,1)'s matrix needs 1111 bits for the numeric oracle: the run
+    # fails at the default 256 before the exact elimination starts
+    def not_called(*args, **kwargs):
+        raise AssertionError("the exact elimination ran")
+
+    monkeypatch.setattr(signature, "inertia_exact", not_called)
+    code, out, err = run_cli(capsys, "signature", "--group", "cyclic:1000,1", "--method", "both")
+    assert (code, out) == (2, "")
+    assert err == ("error: the matrix has entries up to 2^994.7, so the numeric oracle needs at "
+                   "least 1111 bits at zero threshold 1e-30, got 256\n")
+
+
 @pytest.mark.parametrize("spec, last, fold", [
     ("cyclic:40,39", "factor 1/1", "0 cosets in 0 orbits, peak 23 terms, 0 term pairs"),
-    ("O", "factor 6/6", "5 cosets in 2 orbits, peak 1585 terms, 75649 term pairs"),
+    ("O", "factor 6/6", "5 cosets in 2 orbits, peak 1585 terms, 33427 term pairs"),
 ], ids=["cyclic:40,39-factor 1/1", "O-factor 6/6"])
 def test_verbose_progress_counts_cosets(capsys, spec, last, fold):
     # one step per coset of the diagonal subgroup, the diagonal product first;

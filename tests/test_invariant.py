@@ -359,17 +359,70 @@ def test_enumeration_order_folds_the_same_phi_with_no_fewer_term_pairs(G, monkey
 
 
 @pytest.mark.parametrize("label, counters", [
-    ("T", {"cosets": 5, "orbits": 3, "peak_terms": 471, "term_pairs": 11621}),
-    ("O", {"cosets": 5, "orbits": 2, "peak_terms": 1585, "term_pairs": 75649}),
+    ("T", {"cosets": 5, "orbits": 3, "peak_terms": 471, "term_pairs": 7369}),
+    ("O", {"cosets": 5, "orbits": 2, "peak_terms": 1585, "term_pairs": 33427}),
 ])
 def test_fold_counters_of_the_binary_polyhedral_groups(label, counters):
-    # enumeration order: T 772 peak terms and 19,027 term pairs, O 2,745 and 146,600
+    # enumeration order: T 772 peak terms and 12,851 term pairs, O 2,745 and 78,638;
+    # with every pair multiplied, the orbit order makes T 11,621 and O 75,649
     stats = {}
     phi(binary_polyhedral(label), stats=stats)
     assert stats == counters
 
 
-@pytest.mark.slow
+def _fold_call(G, monkeypatch):
+    """(factors, n, prefix, lattices) as `_product` hands them to
+    `_fold_product`, or None for a G with no coset to fold."""
+    calls = []
+    fold = invariant._fold_product
+
+    def recorded(factors, n, progress=None, prod=None, lattices=None):
+        calls.append((factors, n, _copy(prod), lattices))
+        return fold(factors, n, progress, prod, lattices)
+
+    monkeypatch.setattr(invariant, "_fold_product", recorded)
+    invariant._product(G, G.field_order())
+    return calls[0] if calls else None
+
+
+@pytest.mark.parametrize("G", list(_oracle_groups()), ids=lambda G: G.label)
+def test_restricted_steps_drop_only_sums_that_vanish(G, monkeypatch):
+    # a step that completes an orbit, run on every pair by the list-convolution
+    # oracle, leaves no sum off its weight lattice, and the restricted step
+    # gives the same product; only T and O have such steps here (the other
+    # groups have at most one coset or an H of scalars)
+    call = _fold_call(G, monkeypatch)
+    restricted = 0
+    if call is not None:
+        factors, n, prefix, lattices = call
+        for factor, basis in zip(factors, lattices or [None] * len(factors)):
+            step = invariant._fold_product([factor], n, prod=_copy(prefix), lattices=[basis])
+            if basis is not None:
+                d1, c, d2 = basis
+                full = _reference_fold([factor], n, _copy(prefix))
+                for a1, a2, b1, b2 in map(unpack_key, full):
+                    i, j = a1 - b1, a2 - b2
+                    assert i % d1 == 0 and (j - c * (i // d1)) % d2 == 0, (G.label, i, j)
+                assert step == full, G.label
+                restricted += 1
+            prefix = step
+    assert restricted == {"T": 2, "O": 2}.get(G.label, 0)
+
+
+def test_restricted_steps_count_fewer_term_pairs(monkeypatch):
+    # the term pairs of O's steps, restricted and with every pair multiplied
+    factors, n, prefix, lattices = _fold_call(binary_polyhedral("O"), monkeypatch)
+    counts = {}
+    for key in ("restricted", "full"):
+        steps = []
+        invariant._fold_product(factors, n, lambda *step: steps.append(step[-1]), _copy(prefix),
+                                lattices if key == "restricted" else None)
+        counts[key] = steps
+    assert sum(counts["restricted"]) == 33427 and sum(counts["full"]) == 75649
+    assert [r < f for r, f in zip(counts["restricted"], counts["full"])] == [
+        basis is not None for basis in lattices]
+
+
 def test_mu3_octahedral_same_phi_in_orbit_and_enumeration_order(monkeypatch):
     # H has order 24 and a chain of four steps, two of them scalar
     G = _mu3_octahedral()
@@ -646,6 +699,21 @@ def test_lagrange_check_rejects_a_non_group():
     bogus = FiniteMatrixGroup([identity(), antidiag(1, 1), diag(1, -1)], "not a group")
     for expand in (phi, polarized_at_ones):
         with pytest.raises(InvariantCheckFailed, match="Lagrange"):
+            expand(bogus)
+
+
+def test_coset_check_rejects_a_non_group():
+    # T with one non-diagonal coset cH replaced by gH, g in O but not in T:
+    # 24 elements in 6 cosets of H, but H maps some coset outside them
+    T = binary_polyhedral("T")
+    H, reps, _ = invariant._cosets(T)
+    in_T = {M.key() for M in T.elements}
+    g = next(M for M in binary_polyhedral("O").elements if M.key() not in in_T)
+    dropped = {(reps[0] * h).key() for h in H}
+    bogus = FiniteMatrixGroup([M for M in T.elements if M.key() not in dropped]
+                              + [g * h for h in H], "not a group")
+    for expand in (phi, polarized_at_ones):
+        with pytest.raises(InvariantCheckFailed, match="not a group: a diagonal element maps"):
             expand(bogus)
 
 

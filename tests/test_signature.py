@@ -490,9 +490,9 @@ def test_elimination_evaluates_reals_only_through_sign(monkeypatch):
 
 
 def test_result_record_schema():
-    from sigpair.signature import result_record
+    from sigpair.signature import result_records
 
-    rec = result_record(cyclic_gamma(5, 4))
+    rec, = result_records(cyclic_gamma(5, 4))
     assert rec["group"] == "Gamma(5,4)"
     assert rec["order"] == 5
     assert (rec["N_plus"], rec["N_minus"]) == (3, 1)
