@@ -352,14 +352,6 @@ class Cyclotomic:
                 raise CyclotomicCheckFailed(f"{self} straddles zero at {bits} bits, bound {bound}")
             bits = min(2 * bits, bound)
 
-    def approx_complex(self) -> complex:
-        """Uncertified complex float value (debugging and float cross-checks)."""
-        z = 0j
-        for k, v in self.items:
-            z += v / self.den * complex(math.cos(2 * math.pi * k / self.order),
-                                        math.sin(2 * math.pi * k / self.order))
-        return z
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -531,12 +523,3 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
     items = root_items(n)[k % n]
     return Cyclotomic._make(1 if items[0][0] == 0 and len(items) == 1 else n, items, 1)
 
-
-def multiplicative_order(a: Cyclotomic, bound: int = 10000) -> int:
-    """Order of a root of unity (small helper used by tests)."""
-    acc = a
-    for m in range(1, bound + 1):
-        if acc == 1:
-            return m
-        acc = acc * a
-    raise ValueError("order exceeds bound")

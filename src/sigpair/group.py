@@ -49,7 +49,7 @@ class Matrix2:
     __hash__ = None
 
     def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = (_entry(x) for x in (a, b, c, d))
+        self.a, self.b, self.c, self.d = _entry(a), _entry(b), _entry(c), _entry(d)
 
     @property
     def entries(self):
@@ -144,7 +144,7 @@ class FiniteMatrixGroup:
     """An explicit finite subgroup of U(2): ordered element list, identity first."""
 
     def __init__(self, elements: list[Matrix2], label: str):
-        self._field_order = math.lcm(1, *(m.field_order() for m in elements))
+        self._field_order = math.lcm(1, *{e.order for m in elements for e in m.entries})
         self.elements = [_at_order(m, self._field_order) for m in elements]
         self.label = label
 
@@ -203,7 +203,8 @@ def cyclic_gamma(p: int, q: int) -> FiniteMatrixGroup:
     """The diagonal cyclic group generated by diag(zeta_p, zeta_p^q); order p."""
     if p < 1:
         raise ValueError("p must be positive")
-    elems = [diag(root_of_unity(p, j), root_of_unity(p, q * j)) for j in range(p)]
+    roots, z = [root_of_unity(p, j) for j in range(p)], rational(0)
+    elems = [Matrix2(roots[j], z, z, roots[q * j % p]) for j in range(p)]
     return _check_order(FiniteMatrixGroup(elems, f"Gamma({p},{q})"), p)
 
 

@@ -30,10 +30,10 @@ generators of H: the elements of `_chain`, the one walk over H, which also
 checks that H is a group and orders the coset fold below.  Z^2 / L is the
 character group of H, so L has index |H| and a basis (d1, c), (0, d2) with
 d1 d2 = |H|, from which `_log_weights` lists the about |H| / 2 lattice
-points of degree at most |H|.  The recurrence itself stays quadratic in the
-number of lattice points.  The fold continues from that factor, each
-coefficient c entering as the one-slot vector [c], over the other cosets.
-H = {I} gives F_H = X + Y, the element-wise fold.
+points of degree at most |H|.  Each step of the recurrence visits only the
+product's nonzero terms of lower degree.  The fold continues from that
+factor, each coefficient c entering as the one-slot vector [c], over the
+other cosets.  H = {I} gives F_H = X + Y, the element-wise fold.
 
 The product is commutative, so the coset order changes no coefficient, only
 how large the partial products grow.  H permutes the non-identity cosets by
@@ -516,17 +516,19 @@ def _diagonal_product(gens: list[tuple[int, int]], order: int, n: int) -> dict:
 
     The Euler recurrence (r+s) P[r, s] = sum_{(i,j)} w(i, j) P[r-i, s-j] over
     the weight lattice rebuilds the product in plain ints; it holds only for
-    a group, and an inexact division raises `InvariantCheckFailed`.
+    a group, and an inexact division raises `InvariantCheckFailed`.  `prod`
+    fills in ascending degree; the sum at (r, s) runs over its terms (a, b)
+    of lower degree with a <= r, b <= s, whose difference is a lattice point.
     """
     weights = _log_weights(gens, math.lcm(2, n), order)
     prod = {(0, 0): 1}
     for r, s in weights:
         acc = 0
-        for (i, j), w in weights.items():
-            if i <= r and j <= s:
-                prev = prod.get((r - i, s - j))
-                if prev is not None:
-                    acc += w * prev
+        for (a, b), prev in prod.items():
+            if a + b >= r + s:
+                break
+            if a <= r and b <= s:
+                acc += weights[r - a, s - b] * prev
         coef, rem = divmod(acc, r + s)
         if rem:
             raise InvariantCheckFailed(f"Euler recurrence: {acc} at {(r, s)} "
@@ -540,10 +542,12 @@ def _cosets(G: FiniteMatrixGroup):
     """(H, reps, coset): the diagonal elements H of G, one representative g
     of each non-identity left coset gH in enumeration order, and the map from
     each element key of those cosets to its representative's index."""
-    H = [M for M in G.elements if _is_diagonal(M)]
-    reps, coset = [], {}
+    H, rest = [], []
     for g in G.elements:
-        if not _is_diagonal(g) and g.key() not in coset:
+        (H if _is_diagonal(g) else rest).append(g)
+    reps, coset = [], {}
+    for g in rest:
+        if g.key() not in coset:
             coset.update(((g * h).key(), len(reps)) for h in H)
             reps.append(g)
     _require((1 + len(reps)) * len(H) == G.order,
@@ -649,7 +653,7 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
     chain = _chain(exponents, N)
     identity_factor = _diagonal_product([exponents[i] for i in chain], len(H), n)
     prod = {pack_key(r, s, r, s): [c] for (r, s), c in identity_factor.items()}
-    orbits = _coset_orbits(H, chain, reps, coset)
+    orbits = _coset_orbits(H, chain, reps, coset) if reps else []
     order = [j for orbit in orbits for j in orbit]
     prefix, pairs = [len(prod)], []
 
@@ -699,7 +703,7 @@ def phi(G: FiniteMatrixGroup, progress=None, stats=None) -> HermitianPolynomial:
     _require(0 not in terms, "constant term must vanish")
     out = HermitianPolynomial(terms)
     _require(out.check_hermitian(), "expansion lost Hermitian symmetry")
-    _require(all(x <= G.order for key in out.terms for x in unpack_key(key)),
+    _require(max(map(max, map(unpack_key, out.terms)), default=0) <= G.order,
              "degree bound exceeded")
     return out
 

@@ -11,11 +11,12 @@ any nonzero pivot keeps the inertia and none is chosen by size: the
 elimination evaluates no real number except through `Cyclotomic.sign`.
 Matrices arising from invariant polynomials split into many small connected
 components, which the elimination exploits; inertia is additive across
-components.  Each component's dense block is built in turn from one pass
-over the entries.  The elimination stores only the upper triangle of a
-block, reading a pivot's row and column once per pivot, and each update of
-the Schur complement is one fused field operation, `sub_mul(a, b, c)` =
-a - b*c.
+components, found once per matrix.  A 1x1 component is certified from its
+entry (one sign, rank 1 or 0); the dense block of each larger one is built
+in turn from one pass over the entries.  The elimination stores only the
+upper triangle of a block, reading a pivot's row and column once per
+pivot, and each update of the Schur complement is one fused field
+operation, `sub_mul(a, b, c)` = a - b*c.
 `gauss_rank`, the independent rank route, eliminates full rows with the
 same fused update.
 
@@ -36,6 +37,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, rational, sub_mul
@@ -84,18 +86,21 @@ class HermitianMatrix:
     """Sparse Hermitian matrix over a cyclotomic field, with a monomial basis.
 
     The constructor checks the symmetry exactly and raises `NotHermitian`, so
-    every instance is Hermitian.
+    every instance is Hermitian; `entries` is a read-only view, so neither
+    that check nor the cached `components()` can go stale.
     """
 
     def __init__(self, basis: list[tuple[int, int]], entries: dict[tuple[int, int], Cyclotomic]):
         self.basis = list(basis)
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
-        for (i, j), c in self.entries.items():
-            if j < i and (j, i) in self.entries:
+        self._components = None
+        entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        for (i, j), c in entries.items():
+            if j < i and (j, i) in entries:
                 continue  # the pair was checked from (j, i)
-            mirror = self.entries.get((j, i))
+            mirror = entries.get((j, i))
             if mirror is None or mirror != c.conj():
                 raise NotHermitian(f"entry ({i},{j}) has no conjugate partner")
+        self.entries = MappingProxyType(entries)
 
     @property
     def dimension(self) -> int:
@@ -105,31 +110,31 @@ class HermitianMatrix:
         return self.entries.get((i, j), rational(0))
 
     def components(self) -> list[list[int]]:
-        """Connected components of the off-diagonal support graph."""
-        parent = list(range(self.dimension))
+        """Connected components of the off-diagonal support graph, found once."""
+        if self._components is None:
+            self._components = _components(self.dimension, self.entries)
+        return self._components
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        for (i, j) in self.entries:
-            if i != j:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        groups: dict[int, list[int]] = {}
-        for i in range(self.dimension):
-            groups.setdefault(find(i), []).append(i)
-        return [sorted(g) for g in sorted(groups.values())]
+def _components(dimension: int, entries) -> list[list[int]]:
+    """The union-find behind `HermitianMatrix.components`."""
+    parent = list(range(dimension))
 
-    def permuted(self, perm: list[int]) -> "HermitianMatrix":
-        """Same matrix with rows/columns reordered by perm (for invariance tests)."""
-        inv = {old: new for new, old in enumerate(perm)}
-        basis = [self.basis[old] for old in perm]
-        entries = {(inv[i], inv[j]): c for (i, j), c in self.entries.items()}
-        return HermitianMatrix(basis, entries)
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (i, j) in entries:
+        if i != j:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+    groups: dict[int, list[int]] = {}
+    for i in range(dimension):
+        groups.setdefault(find(i), []).append(i)
+    return [sorted(g) for g in sorted(groups.values())]
 
 
 def coefficient_matrix(P: HermitianPolynomial) -> HermitianMatrix:
@@ -144,20 +149,26 @@ def coefficient_matrix(P: HermitianPolynomial) -> HermitianMatrix:
 
 
 def _dense_blocks(M: HermitianMatrix):
-    """The dense block of each component of M, in `components()` order, built
+    """The dense block of each component of M of two or more indices, built
     one at a time after one pass that buckets the entries by component."""
-    comps = M.components()
+    comps = [comp for comp in M.components() if len(comp) > 1]
     where = {i: (b, at) for b, comp in enumerate(comps) for at, i in enumerate(comp)}
     buckets = [[] for _ in comps]
     for (i, j), c in M.entries.items():
-        b, p = where[i]
-        buckets[b].append((p, where[j][1], c))
+        if i in where:
+            b, p = where[i]
+            buckets[b].append((p, where[j][1], c))
     z = rational(0)
     for comp, bucket in zip(comps, buckets):
         block = [[z] * len(comp) for _ in comp]
         for p, r, c in bucket:
             block[p][r] = c
         yield block
+
+
+def _isolated(M: HermitianMatrix) -> list[Cyclotomic]:
+    """The nonzero entry of each 1x1 component of M: rank 1, the entry's sign."""
+    return [M.entries[i, i] for i, *rest in M.components() if not rest and (i, i) in M.entries]
 
 
 def _pivot_line(block, p: int, active: list[int]) -> list[tuple[int, Cyclotomic, Cyclotomic]]:
@@ -244,24 +255,25 @@ def inertia_exact(M: HermitianMatrix, stats: dict | None = None) -> Inertia:
     When given, `stats` receives deterministic counters of the run:
     `blocks`, `max_block` (the largest component's size), `pivots_1x1` and
     `pivots_2x2`."""
-    pos = neg = pairs = blocks = largest = 0
+    signs = [c.sign() for c in _isolated(M)]
+    pos, neg, pairs = signs.count(1), signs.count(-1), 0
     for block in _dense_blocks(M):
         res, p2 = _eliminate_block(block)
         pos += res.n_plus
         neg += res.n_minus
         pairs += p2
-        blocks += 1
-        largest = max(largest, len(block))
     if stats is not None:
-        stats.update(blocks=blocks, max_block=largest, pivots_1x1=pos + neg - 2 * pairs,
-                     pivots_2x2=pairs)
+        comps = M.components()
+        stats.update(blocks=len(comps), max_block=max(map(len, comps), default=0),
+                     pivots_1x1=pos + neg - 2 * pairs, pivots_2x2=pairs)
     return Inertia(pos, neg, M.dimension - pos - neg)
 
 
 def gauss_rank(M: HermitianMatrix) -> int:
-    """Rank by ordinary (non-symmetric) Gaussian elimination on full rows;
-    independent of inertia_exact, with which it shares only the field kernel."""
-    rank = 0
+    """Rank by ordinary (non-symmetric) Gaussian elimination on full rows, a
+    nonzero 1x1 component counting 1; shares with inertia_exact only the
+    field kernel and the components."""
+    rank = len(_isolated(M))
     for block in _dense_blocks(M):
         m = len(block)
         row = 0

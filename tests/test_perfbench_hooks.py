@@ -32,3 +32,22 @@ def test_tracer_installs_and_uninstalls_its_hooks(bench):
     assert len(originals) == 14
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, attr
+
+
+def test_traced_families_pass_keeps_its_fingerprint_counters(bench):
+    # the six counters of the benchmark's families fingerprint (seed 53): a
+    # fast path that skips a sign() call or miscounts a block fails here first
+    workloads, tracing = bench
+    tracer = tracing.Tracer()
+    tracer.install(workloads)
+    try:
+        failures = [(job.label, workloads.run_job(job)) for job in workloads.build("families", 53)]
+    finally:
+        tracer.uninstall()
+    assert [f for f in failures if f[1] is not None] == []
+    counters = {name: tracer.counters[name] for name in (
+        "invariant.factors", "invariant.phi_terms", "signature.dim", "signature.blocks",
+        "signature.max_block", "cyclotomic.sign_calls")}
+    assert counters == {"invariant.factors": 1728, "invariant.phi_terms": 1490,
+                        "signature.dim": 1370, "signature.blocks": 1304,
+                        "signature.max_block": 3, "cyclotomic.sign_calls": 1310}

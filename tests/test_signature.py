@@ -23,6 +23,8 @@ from sigpair.signature import (EmptySpectrum, HermitianMatrix, Inertia,
                                inertia_numeric, positivity_ratio,
                                positivity_ratio_from, signature_pair)
 
+from helpers import approx_complex, permuted
+
 
 def _hm(diag_vals=(), offdiag=()):
     n = len(diag_vals)
@@ -102,7 +104,7 @@ def test_inertia_basis_permutation_invariant():
     for _ in range(5):
         perm = list(range(M.dimension))
         rng.shuffle(perm)
-        assert inertia_exact(M.permuted(perm)) == base
+        assert inertia_exact(permuted(M, perm)) == base
 
 
 def test_signature_pairs_small_groups():
@@ -362,7 +364,7 @@ def test_blockwise_oracle_matches_full_matrix(build):
     assert inertia_numeric(M, 256, 1e-30) == expected
     perm = list(range(M.dimension))
     random.Random(M.dimension).shuffle(perm)
-    assert inertia_numeric(M.permuted(perm), 256, 1e-30) == expected
+    assert inertia_numeric(permuted(M, perm), 256, 1e-30) == expected
 
 
 def test_numeric_oracle_checks_the_partition(monkeypatch):
@@ -516,6 +518,79 @@ def test_inertia_exact_reports_blocks_and_pivots():
     assert stats == {"blocks": 2, "max_block": 2, "pivots_1x1": 1, "pivots_2x2": 1}
 
 
+def _mixed_rows(rng):
+    """Rows of a Hermitian matrix whose dense components (connected by a
+    nonzero superdiagonal, some diagonal entries zero) sit among isolated
+    indices with positive, negative, irrational or no diagonal entry, all
+    at shuffled indices; with the number of components and the largest."""
+    sqrt2 = root_of_unity(8, 1) + root_of_unity(8, 7)
+    isolated = [rational(3), rational(-2), sqrt2, -sqrt2, sqrt2 - 2, rational(0), rational(0)]
+    pieces = [[[c]] for c in rng.choices(isolated, k=rng.randint(3, 8))]
+    for _ in range(rng.randint(1, 3)):
+        m = rng.randint(2, 5)
+        block = _random_hermitian(rng, rng.choice((4, 5, 8)), m)
+        for i in range(m):
+            if rng.random() < 0.4:
+                block[i][i] = rational(0)
+            if i + 1 < m and block[i][i + 1].is_zero():
+                block[i][i + 1] = block[i + 1][i] = rational(1)
+        pieces.append(block)
+    n = sum(map(len, pieces))
+    at = rng.sample(range(n), n)
+    rows = [[rational(0)] * n for _ in range(n)]
+    for piece in pieces:
+        idx, at = at[:len(piece)], at[len(piece):]
+        for p, i in enumerate(idx):
+            for r, j in enumerate(idx):
+                rows[i][j] = piece[p][r]
+    return rows, len(pieces), max(map(len, pieces))
+
+
+def test_isolated_indices_match_one_dense_block(monkeypatch):
+    # a 1x1 component is read from its entry, with one sign() if it is
+    # nonzero; the whole matrix eliminated as one dense block must agree on
+    # the inertia, the pivot counts and the sign() calls
+    calls = []
+    sign = Cyclotomic.sign
+    monkeypatch.setattr(Cyclotomic, "sign", lambda self: calls.append(self) or sign(self))
+    for seed in range(30):
+        rows, blocks, largest = _mixed_rows(random.Random(seed))
+        M = _dense(rows)
+        calls.clear()
+        whole, pairs = signature._eliminate_block([row[:] for row in rows])
+        whole_signs = len(calls)
+        calls.clear()
+        stats = {}
+        assert inertia_exact(M, stats) == whole, seed
+        assert len(calls) == whole_signs, seed
+        assert stats == {"blocks": blocks, "max_block": largest,
+                         "pivots_1x1": whole.rank - 2 * pairs, "pivots_2x2": pairs}, seed
+        assert gauss_rank(M) == whole.rank, seed
+
+
+def test_components_are_found_once_per_matrix(monkeypatch):
+    found = []
+    union_find = signature._components
+    monkeypatch.setattr(signature, "_components",
+                        lambda *args: found.append(args) or union_find(*args))
+    for G in (dihedral(6), cyclic_gamma(8, 3)):
+        M = coefficient_matrix(phi(G))
+        found.clear()
+        inertia_exact(M)
+        gauss_rank(M)
+        inertia_numeric(M, 256, 1e-30)
+        assert len(found) == 1
+
+
+def test_hermitian_matrix_entries_are_read_only():
+    M = _hm(diag_vals=(1, 2), offdiag=[(0, 1, 3)])
+    with pytest.raises(TypeError):
+        M.entries[(0, 0)] = rational(5)
+    with pytest.raises(TypeError):
+        del M.entries[(0, 1)]
+    assert M.entry(0, 0) == 1 and M.entry(1, 0) == 3
+
+
 @pytest.mark.parametrize("entries", [
     {(0, 1): rational(1)},                                     # (1, 0) missing
     {(1, 0): rational(1)},                                     # (0, 1) missing: the larger key alone
@@ -552,7 +627,7 @@ def _reference_eliminate(block):
         for i in active:
             d = block[i][i]
             if not d.is_zero():
-                est = abs(d.approx_complex())
+                est = abs(approx_complex(d))
                 if est > best:
                     best, piv = est, i
         if piv is not None:
