@@ -7,9 +7,9 @@ tetrahedral / octahedral / icosahedral groups in their Springer matrix form.
 
 Element equality is exact coordinate equality after canonical reduction, so
 group closure never depends on numeric precision.  A group keeps every
-irrational entry at one field order n, the lcm of its entries' orders
-(rationals stay at order 1), so `Matrix2.key` tells its elements, and their
-products, apart by value.  All values are immutable.
+irrational entry at one field order, the least that `_least_field` finds
+for its entries (rationals stay at order 1), so `Matrix2.key` tells its
+elements, and their products, apart by value.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -120,12 +120,27 @@ def _entry(x) -> Cyclotomic:
     return x if isinstance(x, Cyclotomic) else rational(x)
 
 
-def _at_order(m: Matrix2, n: int) -> Matrix2:
-    """m with every irrational entry stored in Q(zeta_n); n a multiple of m.field_order()."""
-    if all(e.order in (1, n) for e in m.entries):
-        return m
+def _least_field(matrices: list[Matrix2]) -> tuple[int, list[Matrix2]]:
+    """(n, matrices) with every irrational entry stored at one order n.
+
+    The entries are promoted to their lcm order and divided down by d, the
+    gcd of that order and of every exponent there: zeta_n^(dj) = zeta_(n/d)^j,
+    and j < phi(n/d), so the items are already canonical at n/d.  When p^2
+    divides n, Phi_n(x) = Phi_(n/p)(x^p): the entries lie in Q(zeta_(n/p))
+    exactly when p divides every exponent.  A prime dividing n once may stay."""
+    n = math.lcm(1, *{e.order for m in matrices for e in m.entries})
     # rationals are canonical at order 1 whatever field they came from
-    return Matrix2(*(e if e.order in (1, n) else e.promote(n) for e in m.entries))
+    matrices = [m if all(e.order in (1, n) for e in m.entries)
+                else Matrix2(*(e if e.order in (1, n) else e.promote(n) for e in m.entries))
+                for m in matrices]
+    d = n
+    for m in matrices:
+        d = math.gcd(d, *(k for e in m.entries for k, _ in e.items))
+        if d == 1:
+            return n, matrices
+    return n // d, [Matrix2(*(e if e.order == 1 else Cyclotomic._make(
+        n // d, tuple((k // d, v) for k, v in e.items), e.den) for e in m.entries))
+        for m in matrices]
 
 
 def identity() -> Matrix2:
@@ -144,8 +159,7 @@ class FiniteMatrixGroup:
     """An explicit finite subgroup of U(2): ordered element list, identity first."""
 
     def __init__(self, elements: list[Matrix2], label: str):
-        self._field_order = math.lcm(1, *{e.order for m in elements for e in m.entries})
-        self.elements = [_at_order(m, self._field_order) for m in elements]
+        self._field_order, self.elements = _least_field(elements)
         self.label = label
 
     @property
@@ -153,14 +167,11 @@ class FiniteMatrixGroup:
         return len(self.elements)
 
     def field_order(self) -> int:
-        """Smallest common cyclotomic order of all entries, the order they are stored at."""
+        """The one cyclotomic order every irrational entry is stored at (`_least_field`)."""
         return self._field_order
 
     def element_keys(self) -> set:
         return {m.key() for m in self.elements}
-
-    def is_su2(self) -> bool:
-        return all(m.det() == 1 for m in self.elements)
 
     def __iter__(self):
         return iter(self.elements)
@@ -175,14 +186,13 @@ def closure(generators: list[Matrix2], cap: int = 10000, label: str = "closure")
     Element order is deterministic: BFS from the identity, multiplying on the
     right by the generators in their declared order.  A finite subsemigroup of
     a group is a group, so inverses and the identity are always present.
-    The generators are first stored at n, the lcm of their entry orders, so
-    every product is too and `key` compares elements by value.
+    The generators are first stored at one order (`_least_field`), so every
+    product is too and `key` compares elements by value.
     """
     for i, g in enumerate(generators):
         if not g.is_unitary():
             raise NotUnitary(f"generator {i} is not unitary", index=i)
-    n = math.lcm(1, *(g.field_order() for g in generators))
-    generators = [_at_order(g, n) for g in generators]
+    generators = _least_field(generators)[1]
     elems = [identity()]
     seen = {elems[0].key()}
     i = 0
@@ -228,7 +238,8 @@ def binary_dihedral(p: int) -> FiniteMatrixGroup:
 def springer_generators(kind: str) -> tuple[Matrix2, Matrix2, Matrix2]:
     """The (r, s, t) matrix triple underlying the binary polyhedral groups.
 
-    For T and O everything lives in Q(zeta_8); 1/sqrt(2) = (zeta_8 + zeta_8^-1)/2.
+    r and t lie in Q(zeta_8), 1/sqrt(2) = (zeta_8 + zeta_8^-1)/2, and so does
+    O; T's elements lie in Q(i) = Q(zeta_4), the order `closure` stores it at.
     For I the entries lie in Q(zeta_5) once the sign of r is absorbed.
     """
     s = antidiag(1, -1)
@@ -309,14 +320,3 @@ def load_generators(data) -> FiniteMatrixGroup:
     if type(cap) is not int or cap < 1:
         raise MalformedJSON(f"\"cap\" must be a positive integer, got {cap!r}")
     return closure(gens, cap=cap, label="custom")
-
-
-def dump_generators(matrices: list[Matrix2], cap: int = 10000) -> dict:
-    """Inverse of load_generators, for writing generator files."""
-    return {
-        "generators": [
-            [[m.a.to_json_dict(), m.b.to_json_dict()], [m.c.to_json_dict(), m.d.to_json_dict()]]
-            for m in matrices
-        ],
-        "cap": cap,
-    }

@@ -60,22 +60,22 @@ with every pair multiplied), the least over all 120 orders.  The polarization
 1 - prod_{g in G}(1 - (gz)_1 - (gz)_2) is Phi_G at zbar = (1, 1): its
 terms with the zbar exponents dropped, summed.
 
-The fold runs on scaled integer coordinate vectors (n the common cyclotomic
-order of all matrix entries) and converts to canonical field elements once
-at the end: each factor is scaled by the lcm of its coefficients'
-denominators, and after every factor each vector is reduced modulo the
-cyclotomic polynomial Phi_n and dropped if it vanishes there, so vectors
-stay at most phi(n) long (a missing slot is zero) and monomials whose
-coefficient is zero in Q(zeta_n) go at once.  Within a factor step each
-vector v travels as the one int v(2^w), w bits per signed slot (Kronecker
-substitution): multiplying two coefficients is one int product, and
-reducing a sum modulo Phi_n is one int remainder modulo Phi_n(2^w), whose
-phi(n) slots are the reduced vector; the width w is a proven bound from the
-prefix's largest coordinate and the factor's l1 norm (`_fold_product`).  A
-reduced vector over the product of the scales becomes a field element by
-one gcd (`Cyclotomic.from_reduced`).  Group elements are compared with
-`Matrix2.key`, exact by value because a group stores all its entries at one
-field order.
+The fold runs on scaled integer coordinate vectors (n = `G.field_order()`,
+the least order the group stores its entries at) and converts to canonical
+field elements once at the end: each factor is scaled by the lcm of its
+coefficients' denominators, and after every factor each vector is reduced
+modulo the cyclotomic polynomial Phi_n and dropped if it vanishes there, so
+vectors stay at most phi(n) long (a missing slot is zero) and monomials
+whose coefficient is zero in Q(zeta_n) go at once.  Within a factor step
+each vector v travels as the one int v(2^w), w bits per signed slot
+(Kronecker substitution): multiplying two coefficients is one int product,
+and reducing a sum modulo Phi_n is one int remainder modulo Phi_n(2^w),
+whose phi(n) slots are the reduced vector; the width w is a proven bound
+from the prefix's largest coordinate and the factor's l1 norm
+(`_fold_product`).  A reduced vector over the product of the scales becomes
+a field element by one gcd (`Cyclotomic.from_reduced`).  Group elements are
+compared with `Matrix2.key`, exact by value because a group stores all its
+entries at one field order.
 
 Monomial keys pack the exponent quadruple (a1, a2, b1, b2) of
 z1^a1 z2^a2 zbar1^b1 zbar2^b2 into one integer, 16 bits per slot, so the

@@ -7,9 +7,11 @@ import pytest
 
 from sigpair import cli, closedforms, invariant, signature
 from sigpair.cli import main
-from sigpair.group import (binary_dihedral, binary_polyhedral, cyclic_gamma, diag, dihedral,
-                           dump_generators, FiniteMatrixGroup, identity, Matrix2,
-                           springer_generators)
+from sigpair.cyclotomic import Cyclotomic
+from sigpair.group import (binary_dihedral, binary_polyhedral, closure, cyclic_gamma, diag,
+                           dihedral, FiniteMatrixGroup, identity, Matrix2, springer_generators)
+from sigpair.invariant import pack_key
+from helpers import dump_generators, elementwise, icosahedral_conjugator, phi_row
 
 
 def run_cli(capsys, *argv):
@@ -467,6 +469,37 @@ def test_dump_poly(capsys, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("0,1,0,1,")
+
+
+def test_dump_poly_of_a_conjugated_tetrahedral_file_is_written_at_the_least_field(capsys,
+                                                                                 tmp_path):
+    # T conjugated by r^4 (r^4 t s)^2 in I: the file is written at order 40,
+    # the group's entries lie in Q(zeta_20), and so do Phi's coefficients
+    u = icosahedral_conjugator(4)
+    r, s, t = springer_generators("T")
+    gens = [u * g * u.dagger() for g in (s * t.inverse(), t)]
+    assert {e.order for g in gens for e in g.entries} == {40}
+    source, path = tmp_path / "tu.json", tmp_path / "poly.csv"
+    source.write_text(json.dumps(dump_generators(gens)))
+    code, out, _ = run_cli(capsys, "signature", "--group", f"file:{source}", "--method", "both",
+                           "--stable-output", "--dump-poly", str(path))
+    assert code == 0
+    assert out == "".join(
+        '{"N": 14, "N_minus": 5, "N_plus": 9, "group": "custom", "method": "%s", '
+        '"order": 24, "rank": 14, "ratio": "9/14"}\n' % method for method in ("exact", "numeric"))
+    rows = {}
+    for line in path.read_text().splitlines():
+        *quad, coeff = line.split(",", 4)
+        rows[tuple(map(int, quad))] = coeff
+    # zeta_40^8 = zeta_20^4 and zeta_40^12 = zeta_20^6
+    assert rows[0, 6, 0, 6] == ('{"coords": [[0, "84/125"], [4, "-12/125"], [6, "12/125"]], '
+                                '"order": 20}')
+    coeffs = {pack_key(*quad): Cyclotomic.from_json_dict(json.loads(c)) for quad, c in rows.items()}
+    assert {c.order for c in coeffs.values()} <= {1, 20}
+    # the element-wise fold at the lcm order 40 of the file's entries
+    oracle = elementwise(closure(gens), phi_row, 40)
+    assert coeffs.keys() == oracle.terms.keys()
+    assert all(coeffs[key] == c for key, c in oracle.terms.items())
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])

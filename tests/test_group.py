@@ -10,8 +10,9 @@ from sigpair.group import (CapExceeded, FiniteMatrixGroup, Matrix2, NotUnitary,
                            OrderMismatch, antidiag,
                            binary_dihedral, binary_polyhedral, closure,
                            conjugate, cyclic_gamma, diag, dihedral,
-                           dump_generators, identity, load_generators,
+                           identity, load_generators,
                            springer_generators, trivial_group)
+from helpers import dump_generators, icosahedral_conjugator, is_su2
 
 NEG_I = Matrix2(-1, 0, 0, -1)
 
@@ -62,7 +63,7 @@ def test_dihedral():
     assert dihedral(3).order == 6
     d4 = dihedral(4)
     assert d4.order == 8
-    assert not d4.is_su2()  # reflections have determinant -1
+    assert not is_su2(d4)  # reflections have determinant -1
     assert any(m.det() == -1 for m in d4)
 
 
@@ -74,7 +75,7 @@ def test_binary_dihedral():
     assert binary_dihedral(2).order == 8
     b3 = binary_dihedral(3)
     assert b3.order == 12
-    assert b3.is_su2()
+    assert is_su2(b3)
 
 
 def test_group_axioms_all_families():
@@ -96,7 +97,7 @@ def test_binary_polyhedral_orders_and_su2():
     for kind, order in (("T", 24), ("O", 48), ("I", 120)):
         g = binary_polyhedral(kind)
         assert g.order == order
-        assert g.is_su2()
+        assert is_su2(g)
 
 
 def test_closure_compares_elements_by_value():
@@ -128,6 +129,71 @@ def test_keys_compare_by_value_in_mixed_order_groups(g):
     keys = g.element_keys()
     assert len(keys) == g.order
     assert all((m * w).key() in keys for m in g for w in g)
+
+
+def _least_field_cases():
+    """(label, generators, m, n): m the lcm order of the generators' entries,
+    the order a group used to be stored at, and n the least order it is
+    stored at now."""
+    r, s, t = springer_generators("T")
+    tetra = [s * t.inverse(), t]
+    yield "T", tetra, 8, 4
+    yield "O", [r * t, t], 8, 8
+    r5, s5, t5 = springer_generators("I")
+    yield "I", [r5, r5 ** 4 * t5 * s5], 5, 5
+    for k in range(5):
+        u = icosahedral_conjugator(k)
+        yield f"T^u{k}", [u * g * u.dagger() for g in tetra], 40, 20
+    u = icosahedral_conjugator(0)
+    for label, gens, m in (
+            ("Gamma(8,3)^u", [diag(root_of_unity(8, 1), root_of_unity(8, 3))], 40),
+            ("Delta(6)^u", [diag(root_of_unity(6, 1), root_of_unity(6, 5)), antidiag(1, 1)], 30),
+            ("Lambda(3)^u", [diag(root_of_unity(6, 1), root_of_unity(6, 5)), antidiag(1, -1)], 30)):
+        yield label, [u * g * u.dagger() for g in gens], m, m
+    yield "Z15", [diag(root_of_unity(3, 1), 1), diag(root_of_unity(15, 1), root_of_unity(15, 14)),
+                  antidiag(1, 1)], 15, 15
+
+
+def _closure_keys_at(generators, m):
+    """Element keys of the closure of `generators`, every entry promoted to
+    Q(zeta_m) first, so every product is multiplied out at order m."""
+    gens = [Matrix2(*(e.promote(m) for e in g.entries)) for g in generators]
+    elems = [identity()]
+    keys = {elems[0].key()}
+    for x in elems:
+        for g in gens:
+            y = x * g
+            if y.key() not in keys:
+                keys.add(y.key())
+                elems.append(y)
+    return keys
+
+
+@pytest.mark.parametrize("label, gens, m, n", list(_least_field_cases()),
+                         ids=[case[0] for case in _least_field_cases()])
+def test_groups_are_stored_at_their_least_field_with_unchanged_values(label, gens, m, n):
+    g = closure(gens, label=label)
+    assert g.field_order() == n
+    assert all(e.order in (1, n) for x in g for e in x.entries)
+    # each stored entry, promoted back to m, is the element multiplied out at m
+    stored = [tuple(e.promote(m).key() for e in x.entries) for x in g]
+    assert len(set(stored)) == g.order
+    assert set(stored) == _closure_keys_at(gens, m)
+
+
+def test_conjugates_and_element_lists_move_to_their_least_field():
+    T = binary_polyhedral("T")
+    assert T.field_order() == 4
+    for k in range(5):
+        assert conjugate(T, icosahedral_conjugator(k)).field_order() == 20
+    # an element list written at order 8 whose entries lie in Q(i)
+    listed = FiniteMatrixGroup([Matrix2(*(e.promote(8) for e in x.entries)) for x in T], "T8")
+    assert listed.field_order() == 4
+    assert [x.key() for x in listed] == [x.key() for x in T]
+    # zeta_9^(3j) = zeta_3^j: Phi_9(x) = Phi_3(x^3), so the exponents at 9 are multiples of 3
+    mu3 = FiniteMatrixGroup([diag(root_of_unity(9, 3 * j), 1) for j in range(3)], "mu3")
+    assert mu3.field_order() == 3
+    assert [x.a.key() for x in mu3] == [root_of_unity(3, j).key() for j in range(3)]
 
 
 def test_constructor_order_check_is_a_typed_error(monkeypatch):
@@ -180,9 +246,9 @@ def test_icosahedral_relations_and_enumeration():
 
 def test_su2_membership_by_family():
     for p in range(1, 8):
-        assert cyclic_gamma(p, p - 1).is_su2()
-        assert binary_dihedral(p).is_su2()
-    assert not dihedral(4).is_su2()
+        assert is_su2(cyclic_gamma(p, p - 1))
+        assert is_su2(binary_dihedral(p))
+    assert not is_su2(dihedral(4))
 
 
 def test_conjugate():

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 import sigpair
 from sigpair import invariant
-from sigpair.cyclotomic import (Cyclotomic, _pdivmod, cyclotomic_polynomial, euler_phi,
-                                rational, root_of_unity)
+from sigpair.cyclotomic import Cyclotomic, euler_phi, rational, root_of_unity
 from sigpair.fpq import fpq
 from sigpair.group import (FiniteMatrixGroup, antidiag, binary_dihedral,
                            binary_polyhedral, closure, conjugate, cyclic_gamma,
@@ -24,6 +23,7 @@ from sigpair.group import (FiniteMatrixGroup, antidiag, binary_dihedral,
 from sigpair.invariant import (GroupTooLarge, HermitianPolynomial,
                                InvariantCheckFailed, pack_key, phi,
                                polarized_at_ones, unpack_key)
+from helpers import elementwise, icosahedral_conjugator, phi_row, reference_fold
 
 # the full hand-checkable expansion of the order-8 binary dihedral invariant
 LAMBDA2_TERMS = {
@@ -183,110 +183,57 @@ def test_polarized_is_phi_at_zbar_ones():
         assert at_ones == polarized_at_ones(g), g.label
 
 
-def _phi_row(M):
-    return [(pack_key(1, 0, 1, 0), M.a), (pack_key(0, 1, 1, 0), M.b),
-            (pack_key(1, 0, 0, 1), M.c), (pack_key(0, 1, 0, 1), M.d)]
-
-
 def _polarized_row(M):
     return [(pack_key(1, 0, 0, 0), M.a + M.c), (pack_key(0, 1, 0, 0), M.b + M.d)]
 
 
-def _reference_fold(factors, n, prod=None):
-    """`invariant._fold_product` by list convolution: the oracle for its
-    packed kernel.
-
-    Coefficients are integer vectors, padded to n slots, multiplied in
-    Z[x]/(x^n - 1) and reduced modulo Phi_n by long division after every
-    factor, so a vector is dropped exactly when its coefficient vanishes in
-    Q(zeta_n).  The reduced vectors are returned on their phi(n) slots.
-    """
-    if prod is None:
-        prod = {0: [1]}
-    prod = {key: vec + [0] * (n - len(vec)) for key, vec in prod.items()}
-    for d, terms in factors:
-        out = {}
-        for key, vec in prod.items():
-            nonzero = [(i, v) for i, v in enumerate(vec) if v]
-            acc = out.get(key)
-            if acc is None:
-                out[key] = [d * v for v in vec]
-            else:
-                for i, v in nonzero:
-                    acc[i] += d * v
-            for delta, coefs in terms:
-                k2 = key + delta
-                acc = out.get(k2)
-                if acc is None:
-                    acc = [0] * n
-                    out[k2] = acc
-                for e, c in coefs:
-                    for i, v in nonzero:
-                        j = i + e
-                        acc[j if j < n else j - n] += c * v
-        prod = {}
-        for key, vec in out.items():
-            _, rem = _pdivmod(vec, cyclotomic_polynomial(n))
-            if any(rem):
-                prod[key] = rem
-    return {key: vec[:euler_phi(n)] for key, vec in prod.items()}
-
-
-def _elementwise(G, row):
-    """1 - prod_{g in G}(1 - row(g)) with one linear factor per element.
-
-    The oracle for the coset engine: no subgroup, no cosets, and the list
-    convolution `_reference_fold` in place of the packed kernel.  Diagonal
-    elements go first, which keeps the intermediates of the monomial groups
-    small; the product does not depend on the order.
-    """
-    n = G.field_order()
-    factors = []
-    for M in sorted(G.elements, key=lambda M: not (M.b.is_zero() and M.c.is_zero())):
-        placed = [(key, c.promote(n).coords.items()) for key, c in row(M) if not c.is_zero()]
-        d = math.lcm(1, *(v.denominator for _, items in placed for _, v in items))
-        factors.append((d, [(key, [(e, -(v * d).numerator) for e, v in items])
-                            for key, items in placed]))
-    scale = math.prod(d for d, _ in factors)
-    out = {key: Cyclotomic(n, {e: Fraction(-v, scale) for e, v in enumerate(vec) if v})
-           for key, vec in _reference_fold(factors, n).items()}
-    out[0] = out.get(0, rational(0)) + 1
-    return HermitianPolynomial({key: c for key, c in out.items() if not c.is_zero()})
-
-
 def _conjugated_by_icosahedral(k):
-    r, s, t = springer_generators("I")
-    u = r ** k * (r ** 4 * t * s) ** 2
+    """(G^u, m) for the certify groups G conjugated by u = r^k (r^4 t s)^2 in
+    I, m the lcm order of the entries of G's generators and u."""
+    u = icosahedral_conjugator(k)
     out = []
-    for G in (cyclic_gamma(8, 3), dihedral(6), binary_dihedral(3), binary_polyhedral("T")):
-        out.append(conjugate(G, u))
-        out[-1].label = f"{G.label}^u{k}"
+    for G, m in ((cyclic_gamma(8, 3), 40), (dihedral(6), 30), (binary_dihedral(3), 30),
+                 (binary_polyhedral("T"), 40)):
+        out.append((conjugate(G, u), m))
+        out[-1][0].label = f"{G.label}^u{k}"
     return out
 
 
-def _oracle_groups():
-    yield binary_polyhedral("T")
-    yield binary_polyhedral("O")
-    yield from (dihedral(p) for p in range(1, 25))
-    yield from (binary_dihedral(p) for p in range(1, 13))
-    yield from (cyclic_gamma(p, q) for p, q in ((1, 1), (5, 2), (9, 4), (12, 7), (16, 15), (40, 39)))
+def _oracle_cases():
+    """(G, m): the groups the coset engine is checked on, each with the lcm
+    order m of its generators' entries, the order G was stored at before
+    groups moved to their least field."""
+    yield binary_polyhedral("T"), 8
+    yield binary_polyhedral("O"), 8
+    yield from ((dihedral(p), p) for p in range(1, 25))
+    yield from ((binary_dihedral(p), 2 * p) for p in range(1, 13))
+    yield from ((cyclic_gamma(p, q), p)
+                for p, q in ((1, 1), (5, 2), (9, 4), (12, 7), (16, 15), (40, 39)))
     for k in (0, 2):
         yield from _conjugated_by_icosahedral(k)
     # the diagonal subgroup is the Klein four group {diag(+-1, +-1)}, not cyclic
-    yield closure([diag(-1, 1), antidiag(1, 1)], label="klein")
+    yield closure([diag(-1, 1), antidiag(1, 1)], label="klein"), 1
     # the diagonal subgroup is {I}: every coset factor is linear
-    yield closure([antidiag(1, 1)], label="swap")
+    yield closure([antidiag(1, 1)], label="swap"), 1
     # generators of orders 3, 15 and 1: coset representatives compare by value
     yield closure([diag(root_of_unity(3, 1), 1), diag(root_of_unity(15, 1), root_of_unity(15, 14)),
-                   antidiag(1, 1)], label="mixed")
+                   antidiag(1, 1)], label="mixed"), 15
     # diagonal, not cyclic, at the odd field order 3 with -1 entries (exponents mod 6)
-    yield closure([diag(-1, 1), diag(1, -1), diag(root_of_unity(3, 1), 1)], label="mu6xmu2")
+    yield closure([diag(-1, 1), diag(1, -1), diag(root_of_unity(3, 1), 1)], label="mu6xmu2"), 3
 
 
-@pytest.mark.parametrize("G", list(_oracle_groups()), ids=lambda G: G.label)
-def test_coset_fold_matches_elementwise_fold(G):
-    assert phi(G) == _elementwise(G, _phi_row)
-    assert polarized_at_ones(G) == _elementwise(G, _polarized_row)
+def _oracle_groups():
+    return (G for G, _ in _oracle_cases())
+
+
+@pytest.mark.parametrize("G, m", [
+    pytest.param(G, m, id=G.label) for G, m in [
+        *_oracle_cases(),
+        # T^u for the other conjugators of the certify workload
+        *(_conjugated_by_icosahedral(k)[-1] for k in (1, 3, 4))]])
+def test_coset_fold_matches_elementwise_fold(G, m):
+    assert phi(G) == elementwise(G, phi_row, m)
+    assert polarized_at_ones(G) == elementwise(G, _polarized_row, m)
 
 
 def _mu3_octahedral():
@@ -399,7 +346,7 @@ def test_restricted_steps_drop_only_sums_that_vanish(G, monkeypatch):
             step = invariant._fold_product([factor], n, prod=_copy(prefix), lattices=[basis])
             if basis is not None:
                 d1, c, d2 = basis
-                full = _reference_fold([factor], n, _copy(prefix))
+                full = reference_fold([factor], n, _copy(prefix))
                 for a1, a2, b1, b2 in map(unpack_key, full):
                     i, j = a1 - b1, a2 - b2
                     assert i % d1 == 0 and (j - c * (i // d1)) % d2 == 0, (G.label, i, j)
@@ -473,7 +420,7 @@ def _copy(prefix):
 def test_packed_fold_matches_reference_fold(case):
     factors, n, prefix = case
     got = invariant._fold_product(factors, n, prod=_copy(prefix))
-    assert got == _reference_fold(factors, n, _copy(prefix))
+    assert got == reference_fold(factors, n, _copy(prefix))
 
 
 def test_mod_phi_cancellation_drops_the_term():
@@ -482,7 +429,7 @@ def test_mod_phi_cancellation_drops_the_term():
     factors = [(1, [(1, [(1, 1)])])]
     expect = {0: [0, 1], 2: [0, 1]}
     assert invariant._fold_product(factors, 4, prod=_copy(prefix)) == expect
-    assert _reference_fold(factors, 4, _copy(prefix)) == expect
+    assert reference_fold(factors, 4, _copy(prefix)) == expect
 
 
 def _at(n, e, v):
@@ -506,7 +453,7 @@ def _at(n, e, v):
 def test_slot_at_the_bound_unpacks_exactly(n, prefix, factor):
     factors = [factor]
     got = invariant._fold_product(factors, n, prod=_copy(prefix))
-    assert got == _reference_fold(factors, n, _copy(prefix))
+    assert got == reference_fold(factors, n, _copy(prefix))
     top = max(abs(v) for vec in prefix.values() for v in vec)
     l1 = abs(factor[0]) + sum(abs(c) for _, coefs in factor[1] for _, c in coefs)
     assert max(abs(v) for vec in got.values() for v in vec) == top * l1
@@ -549,7 +496,9 @@ def test_diagonal_product_matches_elementwise_fold():
         gens = [exponents[i] for i in invariant._chain(exponents, math.lcm(2, n))]
         prod = invariant._diagonal_product(gens, G.order, n)
         got = HermitianPolynomial({pack_key(r, s, r, s): rational(c) for (r, s), c in prod.items()})
-        assert got == HermitianPolynomial({0: rational(1)}) - _elementwise(G, _phi_row), G.label
+        # Gamma(p, q) has order p, the lcm order of its entries
+        oracle = elementwise(G, phi_row, G.order)
+        assert got == HermitianPolynomial({0: rational(1)}) - oracle, G.label
 
 
 def _reference_log_weights(exponents, N, order):

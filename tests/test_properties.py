@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from sigpair.cyclotomic import root_of_unity
 from sigpair.group import (antidiag, binary_polyhedral, closure, conjugate,
-                           diag, dump_generators, load_generators)
+                           diag, load_generators)
 from sigpair.invariant import phi
 from sigpair.signature import (coefficient_matrix, gauss_rank, inertia_exact,
                                inertia_numeric)
+from helpers import dump_generators
 
 
 def _rotation(n, k):

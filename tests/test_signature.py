@@ -325,7 +325,7 @@ def test_numeric_oracle_computes_no_eigenvalue(monkeypatch):
 
 def test_oracle_roots_lie_within_2_units_of_mpmath(monkeypatch):
     # the scales the oracle works at on T's matrix, for the field orders of
-    # T, O and I (8, 8 and 5)
+    # T, O and I (4, 8 and 5) and of the certify conjugates (20, 30 and 40)
     root_fixed = signature._root_fixed
     scales = set()
 
@@ -338,7 +338,7 @@ def test_oracle_roots_lie_within_2_units_of_mpmath(monkeypatch):
     for bits in (128, 256, 1024):
         assert inertia_numeric(M, bits, 1e-30) == Inertia(9, 5, 45)
     assert len(scales) == 3
-    for n in sorted({binary_polyhedral(name).field_order() for name in "TOI"}):
+    for n in sorted({binary_polyhedral(name).field_order() for name in "TOI"} | {20, 30, 40}):
         for scale in scales:
             with mpmath.workprec(scale + 32):
                 for k in range(n):
