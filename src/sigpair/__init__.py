@@ -23,7 +23,7 @@ from .fpq import (T_closed, WeightReport, c_closed, even_binomial,
                   f_closed_pminus1, fpq, lww_sign, mirror_check,
                   signature_cyclic, signature_cyclic_closed, verify_exact_formula,
                   weight, weight_census)
-from .closedforms import (ClosedFormCheckFailed, DiagonalBlockSummary, d_poly,
+from .closedforms import (ClosedFormCheckFailed, d_poly,
                           d_poly_closed, d_sign_check, delta_counts,
                           delta_ratio, delta_signature_closed, e_coeffs,
                           lambda_signature_closed, p_poly_roots_check,

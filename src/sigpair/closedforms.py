@@ -11,8 +11,9 @@ with x = z1 zbar1, y = z2 zbar2, u = z2 zbar1, v = z1 zbar2.  Collecting the
 result in invariant-polynomial blocks gives diagonal matrices whose entries
 (the coefficients c_{p,j}, E_k, d_k computed here) have known signs, plus one
 2x2 block with negative determinant; the closed-form signature pairs follow
-by counting.  Everything in this module is an independent prediction that the
-exact engine cross-checks; nothing here feeds back into it.  Univariate
+by counting, and the tests assemble those block lists from the coefficients.
+Everything in this module is an independent prediction that the exact
+engine cross-checks; nothing here feeds back into it.  Univariate
 polynomials are lists of int coefficients indexed by degree, without trailing
 zeros; `fpq.even_binomial` expands E_n(u) = sum_m C(n, 2m) u^m, which gives
 both the d_k generating identity and the auxiliary polynomial P(z).
@@ -22,13 +23,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 from .cyclotomic import Cyclotomic, _pmul, rational
 from .fpq import c_closed, even_binomial, fpq
 from .intervals import cos_2pi
 from .invariant import HermitianPolynomial, pack_key
-from .signature import Inertia, SignaturePair
+from .signature import SignaturePair
 
 
 class ClosedFormCheckFailed(ArithmeticError):
@@ -40,14 +40,6 @@ def _trim(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-class DiagonalBlockSummary(NamedTuple):
-    """One block of the nearly-diagonal invariant matrix and its inertia share."""
-
-    label: str
-    entry_values: list
-    contribution: Inertia
 
 
 def _subst_terms(f: dict[tuple[int, int], int], anti: bool,
@@ -99,31 +91,6 @@ def e_coeffs(p: int) -> list[int]:
             total += 2 * c_closed(p, k)
         out.append(total)
     return out
-
-
-def delta_blocks(p: int) -> list[DiagonalBlockSummary]:
-    """Predicted block data of the dihedral invariant matrix.
-
-    Blocks: [1]; diag((-1)^j c_{p,j}) for j = 1..floor(p/2); diag((-1)^(k+1) E_k)
-    for k = 1..p-1; and the 2x2 tail pairing (z1 z2)^p with z1^(2p)+z2^(2p),
-    [[0, -1], [-1, 0]] for odd p and [[-E_p, -1], [-1, 0]] for even p.
-    """
-    if p < 3:
-        raise ValueError("block derivation needs p >= 3")
-    half = p // 2
-    ev = e_coeffs(p)
-    blocks = [DiagonalBlockSummary("A_1", [1], Inertia(1, 0, 0))]
-    a1 = [(-1) ** j * c_closed(p, j) for j in range(1, half + 1)]
-    blocks.append(DiagonalBlockSummary(
-        "A_p1", a1, Inertia(sum(1 for v in a1 if v > 0), sum(1 for v in a1 if v < 0), 0)))
-    a2 = [(-1) ** (k + 1) * ev[k - 1] for k in range(1, p)]
-    if 0 in a2:
-        raise ClosedFormCheckFailed(f"an E_k of the dihedral p = {p} vanishes")
-    blocks.append(DiagonalBlockSummary(
-        "A_p2", a2, Inertia(sum(1 for v in a2 if v > 0), sum(1 for v in a2 if v < 0), 0)))
-    corner = 0 if p % 2 else -ev[p - 1]
-    blocks.append(DiagonalBlockSummary("A_p3", [corner, -1], Inertia(1, 1, 0)))
-    return blocks
 
 
 def delta_counts(p: int) -> tuple[int, int]:
@@ -194,7 +161,8 @@ def d_poly_closed(p: int) -> list[int]:
 
 
 def d_sign_check(p: int) -> bool:
-    """d_k > 0 for odd k, d_k < 0 for even k, and extraction == closed form."""
+    """d_k > 0 for odd k, d_k < 0 for even k, and extraction == closed form
+    == the convolution of the c_{2p,*} (`d_coeff_closed`)."""
     ext = d_poly(p)
     if ext != d_poly_closed(p):
         return False
@@ -202,6 +170,8 @@ def d_sign_check(p: int) -> bool:
         return False
     for k in range(1, p + 1):
         d = ext[2 * k]
+        if d != d_coeff_closed(p, k):
+            return False
         if k % 2 and d <= 0:
             return False
         if k % 2 == 0 and d >= 0:
@@ -209,38 +179,9 @@ def d_sign_check(p: int) -> bool:
     return True
 
 
-def lambda_blocks(p: int) -> list[DiagonalBlockSummary]:
-    """Predicted block data of the binary dihedral invariant matrix.
-
-    Blocks: [1]; diag(c_{2p,j}) for j = 1..p (all positive); diag(d_j) for
-    j = 1..p-1 (alternating, odd positive); and [[d_p, -1], [-1, 0]] with
-    negative determinant.
-    """
-    if p < 2:
-        raise ValueError("block derivation needs p >= 2")
-    blocks = [DiagonalBlockSummary("E_1", [1], Inertia(1, 0, 0))]
-    e1 = [c_closed(2 * p, j) for j in range(1, p + 1)]
-    if min(e1) <= 0:
-        raise ClosedFormCheckFailed(f"a c_{{{2 * p},j}} is not positive")
-    blocks.append(DiagonalBlockSummary("E_p1", e1, Inertia(p, 0, 0)))
-    e2 = [d_coeff_closed(p, j) for j in range(1, p)]
-    if 0 in e2:
-        raise ClosedFormCheckFailed(f"a d_j of the binary dihedral p = {p} vanishes")
-    blocks.append(DiagonalBlockSummary(
-        "E_p2", e2, Inertia(sum(1 for v in e2 if v > 0), sum(1 for v in e2 if v < 0), 0)))
-    blocks.append(DiagonalBlockSummary("E_p3", [d_coeff_closed(p, p), -1], Inertia(1, 1, 0)))
-    return blocks
-
-
 def lambda_signature_closed(p: int) -> SignaturePair:
     """(2 + p + floor(p/2), 1 + floor((p-1)/2)) for the order-4p group."""
     return SignaturePair(2 + p + p // 2, 1 + (p - 1) // 2)
-
-
-def blocks_signature(blocks: list[DiagonalBlockSummary]) -> SignaturePair:
-    pos = sum(b.contribution.n_plus for b in blocks)
-    neg = sum(b.contribution.n_minus for b in blocks)
-    return SignaturePair(pos, neg)
 
 
 # -- the auxiliary even-binomial polynomial -----------------------------------

@@ -10,9 +10,13 @@ rationals always live in Q(zeta_1) no matter how they arose.
 
 Ring operations run on ints and end in one gcd; a sum or product with a
 zero operand, always the canonical order-1 zero, returns at once with the
-same value and key.  The one reduction table is
-`root_items(n)`, the canonical numerators of zeta_n^k for 0 <= k < n: a
-basis vector below phi(n), the row of x^k mod Phi_n from there on.  Every
+same value and key.  Rationals build no vector: a sum, product, `sub_mul`
+or `inverse` whose operands all sit at order 1 is a few int products over
+one gcd, a product with one rational operand scales the other's
+numerators, and `sign` reads a rational's numerator.  The one reduction
+table is `root_items(n)`, the canonical numerators of zeta_n^k for
+0 <= k < n: a basis vector below phi(n), the row of x^k mod Phi_n from
+there on.  Every
 result collects into one phi(n)-long vector, and only an exponent at or
 above phi(n) goes through its row: linearly in `_place` (the constructor,
 `promote`, sums and `conj`, which takes no gcd) and bilinearly in
@@ -235,6 +239,9 @@ class Cyclotomic:
             return self
         if not self.items:
             return other
+        if self.order == other.order == 1:
+            return _ratio(self.items[0][1] * other.den + other.items[0][1] * self.den,
+                          self.den * other.den)
         m = math.lcm(self.order, other.order)
         den = math.lcm(self.den, other.den)
         vec = _place([0] * euler_phi(m), m, self.order, self.items, den // self.den)
@@ -258,6 +265,16 @@ class Cyclotomic:
             return NotImplemented
         if not (self.items and other.items):
             return zero()
+        if self.order == 1 or other.order == 1:
+            r, x = (self, other) if self.order == 1 else (other, self)
+            p, den = r.items[0][1], r.den * x.den
+            if x.order == 1:
+                return _ratio(p * x.items[0][1], den)
+            # x's support is unchanged, so it stays at x's order; the gcd
+            # covers every numerator, not just p
+            items = [(k, v * p) for k, v in x.items]
+            g = math.gcd(den, *(v for _, v in items))
+            return Cyclotomic._make(x.order, tuple((k, v // g) for k, v in items), den // g)
         m = math.lcm(self.order, other.order)
         vec = _mul_into([0] * euler_phi(m), m, self, other, 1)
         return Cyclotomic.from_reduced(m, vec, self.den * other.den)
@@ -272,7 +289,8 @@ class Cyclotomic:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.order == 1:
-            return rational(Fraction(self.den, self.items[0][1]))
+            v = self.items[0][1]
+            return Cyclotomic._make(1, ((0, self.den if v > 0 else -self.den),), abs(v))
         n = self.order
         phi = euler_phi(n)
         r0, s0 = list(cyclotomic_polynomial(n)), [0] * phi
@@ -325,7 +343,8 @@ class Cyclotomic:
     def sign(self) -> int:
         """Exact sign of a real element: -1, 0 or +1.
 
-        Zero is decided syntactically from canonical form.  Otherwise y =
+        A rational, zero included, is read from its numerator before the
+        conj-and-compare of the real check.  Otherwise y =
         den * self, a nonzero algebraic integer of the same sign, is enclosed
         at 64 bits, doubling up to B = phi(order) L + 1 bits, L the bit length
         of the sum S of the absolute numerators.  The norm of y, the product
@@ -334,12 +353,10 @@ class Cyclotomic:
         2^(L+1-bits) (`real_enclosure`), so at B bits it excludes zero, or
         `CyclotomicCheckFailed` reports a broken invariant.
         """
+        if self.order == 1:
+            return 0 if not self.items else 1 if self.items[0][1] > 0 else -1
         if not self.is_real():
             raise NotReal(f"sign() of non-real element {self}")
-        if self.is_zero():
-            return 0
-        if self.order == 1:
-            return 1 if self.items[0][1] > 0 else -1
         bound = euler_phi(self.order) * sum(abs(v) for _, v in self.items).bit_length() + 1
         bits = 64
         while True:
@@ -447,11 +464,16 @@ def _mul_into(vec: list[int], m: int, b: Cyclotomic, c: Cyclotomic, scale: int) 
 def sub_mul(a: Cyclotomic, b: Cyclotomic, c: Cyclotomic) -> Cyclotomic:
     """a - b*c in canonical form, the same element and key as `a - b * c`.
 
-    One phi(m)-long vector at m = lcm of the three orders collects the
+    Three rationals combine on ints over one gcd.  Otherwise one
+    phi(m)-long vector at m = lcm of the three orders collects the
     product (`_mul_into`) and a's numerators (`_place`) over the common
     denominator; one gcd follows.  `a` itself comes back when b or c is zero."""
     if not (b.items and c.items):
         return a
+    if a.order == b.order == c.order == 1:
+        bc_den = b.den * c.den
+        return _ratio((a.items[0][1] * bc_den if a.items else 0)
+                      - b.items[0][1] * c.items[0][1] * a.den, a.den * bc_den)
     m = math.lcm(a.order, b.order, c.order)
     bc_den = b.den * c.den
     den = math.lcm(a.den, bc_den)
@@ -487,6 +509,14 @@ def rational(x) -> Cyclotomic:
         return Cyclotomic._make(1, ((0, x),) if x else (), 1)
     f = Fraction(x)
     return Cyclotomic._make(1, ((0, f.numerator),) if f else (), f.denominator)
+
+
+def _ratio(num: int, den: int) -> Cyclotomic:
+    """num / den at order 1 in canonical form, for den > 0: one gcd."""
+    if not num:
+        return zero()
+    g = math.gcd(num, den)
+    return Cyclotomic._make(1, ((0, num // g),), den // g)
 
 
 def zero() -> Cyclotomic:

@@ -215,13 +215,6 @@ def T_closed(q: int) -> Fraction:
     return Fraction(3 * q - 2, 4 * (q - 1))
 
 
-def even_odd_limits(q: int) -> tuple[Fraction, Fraction]:
-    """Limits of (N_even/N, N_odd/N) as p grows, by residue of q mod 4."""
-    if q % 2 == 0:
-        return Fraction(q - 2, 2 * (q - 1)), Fraction(q, 2 * (q - 1))
-    return Fraction(q - 1, 2 * q), Fraction(q + 1, 2 * q)
-
-
 def mirror_check(p: int, q: int) -> bool:
     """Coefficient magnitudes of f_{p,q} and f_{p,p-q+1} agree, matched by y-degree.
 
@@ -239,19 +232,6 @@ def mirror_check(p: int, q: int) -> bool:
         raise CensusBoundViolation(
             f"two terms of f_{{{p},{q}}} or f_{{{p},{p - q + 1}}} share a y-degree")
     return by_s1 == by_s2
-
-
-def prime_congruence_holds(p: int, q: int) -> bool:
-    """Whether f_{p,q} = (x+y)^p mod p coefficient-wise."""
-    poly = fpq(p, q)
-    for r in range(p + 1):
-        for s in range(p + 1 - r):
-            if (r, s) == (0, 0):
-                continue
-            binom = math.comb(p, r) if r + s == p else 0
-            if (poly.get((r, s), 0) - binom) % p:
-                return False
-    return True
 
 
 # -- text rendering -----------------------------------------------------------

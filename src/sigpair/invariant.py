@@ -88,7 +88,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from operator import lshift
@@ -202,12 +201,6 @@ class HermitianPolynomial:
     def key(self) -> tuple:
         """Exact hashable identity (for orbit deduplication)."""
         return tuple(sorted((k, c.key()) for k, c in self.terms.items()))
-
-    def diagonal_restriction(self) -> dict[tuple[int, int], Fraction]:
-        """For diagonal polynomials: coefficients of x^a y^b with x=|z1|^2, y=|z2|^2."""
-        if not self.is_diagonal():
-            raise ValueError("polynomial has off-diagonal terms")
-        return {unpack_key(key)[:2]: c.as_fraction() for key, c in self.terms.items()}
 
     def compose(self, M: Matrix2) -> "HermitianPolynomial":
         """Exact substitution z -> Mz (and zbar -> conj(M) zbar), re-expanded.

@@ -43,7 +43,7 @@ from typing import NamedTuple
 from .cyclotomic import Cyclotomic, rational, sub_mul
 from .group import FiniteMatrixGroup
 from .intervals import cos_2pi
-from .invariant import HermitianPolynomial, pack_key, unpack_key, phi
+from .invariant import HermitianPolynomial, unpack_key, phi
 
 
 class NotHermitian(ValueError):

@@ -1,22 +1,83 @@
 """Dihedral and binary dihedral closed forms against the exact engine."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from sigpair import closedforms
-from sigpair.closedforms import (ClosedFormCheckFailed, DiagonalBlockSummary,
-                                 blocks_signature, d_coeff_closed, d_poly,
-                                 d_poly_closed, d_sign_check, delta_blocks,
-                                 delta_counts, delta_ratio,
-                                 delta_signature_closed, e_coeffs,
-                                 lambda_blocks, lambda_signature_closed,
+from sigpair.closedforms import (ClosedFormCheckFailed, d_coeff_closed, d_poly,
+                                 d_poly_closed, d_sign_check, delta_counts,
+                                 delta_ratio, delta_signature_closed, e_coeffs,
+                                 lambda_signature_closed,
                                  p_poly, p_poly_roots_check,
                                  phi_delta_decomposed, phi_lambda_decomposed)
 from sigpair.cyclotomic import root_of_unity
 from sigpair.group import binary_dihedral, dihedral
 from sigpair.invariant import phi
-from sigpair.signature import SignaturePair, signature_pair
+from sigpair.signature import Inertia, SignaturePair, signature_pair
+
+
+class DiagonalBlockSummary(NamedTuple):
+    """One block of the nearly-diagonal invariant matrix and its inertia share."""
+
+    label: str
+    entry_values: list
+    contribution: Inertia
+
+
+def _diagonal(label, values):
+    return DiagonalBlockSummary(
+        label, values, Inertia(sum(v > 0 for v in values), sum(v < 0 for v in values), 0))
+
+
+def delta_blocks(p):
+    """Predicted block data of the dihedral invariant matrix, from the closed
+    coefficients alone.
+
+    Blocks: [1]; diag((-1)^j c_{p,j}) for j = 1..floor(p/2); diag((-1)^(k+1) E_k)
+    for k = 1..p-1; and the 2x2 tail pairing (z1 z2)^p with z1^(2p)+z2^(2p),
+    [[0, -1], [-1, 0]] for odd p and [[-E_p, -1], [-1, 0]] for even p.
+    """
+    if p < 3:
+        raise ValueError("block derivation needs p >= 3")
+    ev = closedforms.e_coeffs(p)
+    a2 = [(-1) ** (k + 1) * ev[k - 1] for k in range(1, p)]
+    if 0 in a2:
+        raise ClosedFormCheckFailed(f"an E_k of the dihedral p = {p} vanishes")
+    corner = 0 if p % 2 else -ev[p - 1]
+    return [DiagonalBlockSummary("A_1", [1], Inertia(1, 0, 0)),
+            _diagonal("A_p1", [(-1) ** j * closedforms.c_closed(p, j)
+                               for j in range(1, p // 2 + 1)]),
+            _diagonal("A_p2", a2),
+            DiagonalBlockSummary("A_p3", [corner, -1], Inertia(1, 1, 0))]
+
+
+def lambda_blocks(p):
+    """Predicted block data of the binary dihedral invariant matrix.
+
+    Blocks: [1]; diag(c_{2p,j}) for j = 1..p (all positive); diag(d_j) for
+    j = 1..p-1 (alternating, odd positive); and [[d_p, -1], [-1, 0]] with
+    negative determinant.
+    """
+    if p < 2:
+        raise ValueError("block derivation needs p >= 2")
+    e1 = [closedforms.c_closed(2 * p, j) for j in range(1, p + 1)]
+    if min(e1) <= 0:
+        raise ClosedFormCheckFailed(f"a c_{{{2 * p},j}} is not positive")
+    e2 = [closedforms.d_coeff_closed(p, j) for j in range(1, p)]
+    if 0 in e2:
+        raise ClosedFormCheckFailed(f"a d_j of the binary dihedral p = {p} vanishes")
+    return [DiagonalBlockSummary("E_1", [1], Inertia(1, 0, 0)),
+            DiagonalBlockSummary("E_p1", e1, Inertia(p, 0, 0)),
+            _diagonal("E_p2", e2),
+            DiagonalBlockSummary("E_p3", [closedforms.d_coeff_closed(p, p), -1],
+                                 Inertia(1, 1, 0))]
+
+
+def blocks_signature(blocks):
+    return SignaturePair(sum(b.contribution.n_plus for b in blocks),
+                         sum(b.contribution.n_minus for b in blocks))
 
 
 def test_delta_decomposition_identity():

@@ -276,6 +276,83 @@ def test_kernel_matches_the_reference_operations(a, b, c, shape, raw):
     assert Cyclotomic(n, coords).key() == _reference_element(n, coords).key()
 
 
+def _vector_sum(a, b, sign=1):
+    """a + sign * b by the vector route: both placed on one phi(m)-long
+    vector over the lcm denominator, then `from_reduced`."""
+    m = math.lcm(a.order, b.order)
+    den = math.lcm(a.den, b.den)
+    vec = cyclotomic._place([0] * euler_phi(m), m, a.order, a.items, den // a.den)
+    vec = cyclotomic._place(vec, m, b.order, b.items, sign * (den // b.den))
+    return Cyclotomic.from_reduced(m, vec, den)
+
+
+def _vector_sub_mul(a, b, c):
+    """a - b*c by the vector route: `_mul_into` and `_place` on one vector
+    over the product of the three denominators, then `from_reduced`."""
+    m = math.lcm(a.order, b.order, c.order)
+    vec = cyclotomic._mul_into([0] * euler_phi(m), m, b, c, -a.den)
+    vec = cyclotomic._place(vec, m, a.order, a.items, b.den * c.den)
+    return Cyclotomic.from_reduced(m, vec, a.den * b.den * c.den)
+
+
+def _operand(rng, n):
+    """Zero, or up to four random exponents below n with negative numerators
+    and denominators above 1 among them."""
+    if rng.random() < 0.1:
+        return zero()
+    exps = rng.sample(range(n), min(n, rng.randint(1, 4)))
+    return Cyclotomic(n, {k: Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 6, 35)))
+                          for k in exps})
+
+
+@pytest.mark.parametrize("n", (1, 3, 4, 5, 8, 12, 20, 30))
+def test_rational_operands_match_the_vector_route(n):
+    # every operand at order 1 or n, so sums, products and sub_mul see two or
+    # three rationals, one rational beside irrationals, and none; the keys
+    # must equal the vector route's, and Fraction arithmetic's for rationals
+    rng = random.Random(7919 * n)
+    for _ in range(300):
+        a, b, c = (_operand(rng, rng.choice((1, n))) for _ in range(3))
+        for x, y in ((a, b), (b, c), (c, a)):
+            assert (x + y).key() == _vector_sum(x, y).key()
+            assert (x - y).key() == _vector_sum(x, y, -1).key()
+            assert (x * y).key() == _vector_sub_mul(zero(), -x, y).key()
+            if x.order == y.order == 1:
+                fx, fy = x.as_fraction(), y.as_fraction()
+                assert (x + y).key() == rational(fx + fy).key()
+                assert (x - y).key() == rational(fx - fy).key()
+                assert (x * y).key() == rational(fx * fy).key()
+        got = sub_mul(a, b, c)
+        _assert_canonical(got)
+        assert got.key() == _vector_sub_mul(a, b, c).key()
+        if a.order == b.order == c.order == 1:
+            fa, fb, fc = a.as_fraction(), b.as_fraction(), c.as_fraction()
+            assert got.key() == rational(fa - fb * fc).key()
+
+
+def test_rational_inverse_and_sign():
+    rng = random.Random(53)
+    for _ in range(300):
+        x = _operand(rng, 1)
+        f = x.as_fraction()
+        assert x.sign() == (f > 0) - (f < 0)
+        if f:
+            inv = x.inverse()
+            _assert_canonical(inv)
+            assert inv.key() == rational(1 / f).key()
+            assert (inv * x).key() == one().key()
+
+
+def test_half_of_two_thirds_zeta_takes_its_gcd_over_every_numerator():
+    # a gcd over the denominator and the scalar alone would leave (1, 2) over 6
+    x = Cyclotomic(3, {1: Fraction(2, 3)})
+    half = rational(Fraction(1, 2))
+    assert (x * half).key() == (half * x).key() == (3, ((1, 1),), 3)
+    y = Cyclotomic(12, {1: Fraction(2, 3), 2: Fraction(4, 3)})
+    assert (y * half).key() == (12, ((1, 1), (2, 2)), 3)
+    assert (y * 3).key() == (12, ((1, 2), (2, 4)), 1)
+
+
 def test_json_strings_are_stable():
     z5 = root_of_unity(5, 1)
     elts = [

@@ -10,9 +10,9 @@ import pytest
 from sigpair.cyclotomic import one, root_of_unity
 from sigpair.fpq import (CensusBoundViolation, IndexOutOfRange,
                          NonIntegerCoefficient, T_closed, c_closed,
-                         even_binomial, even_odd_limits, f_closed_pminus1, family_table,
+                         even_binomial, f_closed_pminus1, family_table,
                          format_fpq, fpq, lww_sign, mirror_check,
-                         prime_congruence_holds, signature_cyclic,
+                         signature_cyclic,
                          signature_cyclic_closed, verify_exact_formula, weight,
                          weight_census)
 from sigpair.group import cyclic_gamma
@@ -225,6 +225,13 @@ def test_T_closed():
         assert T_closed(q) >= T_closed(q + 1)
 
 
+def even_odd_limits(q):
+    """Limits of (N_even/N, N_odd/N) as p grows, by residue of q mod 4."""
+    if q % 2 == 0:
+        return Fraction(q - 2, 2 * (q - 1)), Fraction(q, 2 * (q - 1))
+    return Fraction(q - 1, 2 * q), Fraction(q + 1, 2 * q)
+
+
 def test_even_odd_limits_consistent_with_T():
     for q in range(1, 50):
         ev, od = even_odd_limits(q)
@@ -239,6 +246,13 @@ def test_mirror_correspondence():
     for p in range(2, 31):
         for q in range(1, p + 1):
             assert mirror_check(p, q), (p, q)
+
+
+def prime_congruence_holds(p, q):
+    """Whether f_{p,q} = (x+y)^p mod p coefficient-wise."""
+    poly = fpq(p, q)
+    return all((poly.get((r, s), 0) - (math.comb(p, r) if r + s == p else 0)) % p == 0
+               for r in range(p + 1) for s in range(p + 1 - r) if (r, s) != (0, 0))
 
 
 def test_prime_congruence():
