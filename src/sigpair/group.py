@@ -29,7 +29,7 @@ class NotUnitary(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """Closure grew past the element cap; generators span an infinite or huge group."""
+    """Closure grew past the element cap or met an element of infinite order."""
 
 
 class OrderMismatch(ArithmeticError):
@@ -187,7 +187,11 @@ def closure(generators: list[Matrix2], cap: int = 10000, label: str = "closure")
     right by the generators in their declared order.  A finite subsemigroup of
     a group is a group, so inverses and the identity are always present.
     The generators are first stored at one order (`_least_field`), so every
-    product is too and `key` compares elements by value.
+    product is too and `key` compares elements by value.  An element of
+    finite order has a trace that is a sum of two roots of unity, an
+    algebraic integer, whose canonical numerators have denominator 1; a
+    generator or product whose trace has another denominator is of infinite
+    order and raises `CapExceeded` at once, before the cap is reached.
     """
     for i, g in enumerate(generators):
         if not g.is_unitary():
@@ -201,6 +205,9 @@ def closure(generators: list[Matrix2], cap: int = 10000, label: str = "closure")
             m = elems[i] * g
             k = m.key()
             if k not in seen:
+                if (m.a + m.d).den != 1:
+                    raise CapExceeded(f"closure met {m!r} of infinite order: its trace "
+                                      f"{m.a + m.d} is not an algebraic integer")
                 if len(elems) >= cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")
                 seen.add(k)
@@ -209,30 +216,37 @@ def closure(generators: list[Matrix2], cap: int = 10000, label: str = "closure")
     return FiniteMatrixGroup(elems, label)
 
 
+def _listed(n: int, q: int, shift: int | None, label: str) -> FiniteMatrixGroup:
+    """diag(zeta_n^j, zeta_n^(qj)) for 0 <= j < n, identity first, then, when
+    `shift` is given, antidiag(zeta_n^j, zeta_n^(shift - j)) for each j."""
+    roots, z = [root_of_unity(n, j) for j in range(n)], rational(0)
+    elems = [Matrix2(roots[j], z, z, roots[q * j % n]) for j in range(n)]
+    if shift is not None:
+        elems += [Matrix2(z, roots[j], roots[(shift - j) % n], z) for j in range(n)]
+    return FiniteMatrixGroup(elems, label)
+
+
 def cyclic_gamma(p: int, q: int) -> FiniteMatrixGroup:
     """The diagonal cyclic group generated by diag(zeta_p, zeta_p^q); order p."""
     if p < 1:
         raise ValueError("p must be positive")
-    roots, z = [root_of_unity(p, j) for j in range(p)], rational(0)
-    elems = [Matrix2(roots[j], z, z, roots[q * j % p]) for j in range(p)]
-    return _check_order(FiniteMatrixGroup(elems, f"Gamma({p},{q})"), p)
+    return _listed(p, q, None, f"Gamma({p},{q})")
 
 
 def dihedral(p: int) -> FiniteMatrixGroup:
-    """Dihedral group of order 2p: rotation diag(w, w^-1) and reflection antidiag(1, 1)."""
+    """Dihedral group of order 2p: the rotations diag(w^j, w^-j), w = zeta_p,
+    and the reflections antidiag(w^j, w^-j)."""
     if p < 1:
         raise ValueError("p must be positive")
-    gens = [diag(root_of_unity(p, 1), root_of_unity(p, p - 1)), antidiag(1, 1)]
-    return _check_order(closure(gens, label=f"Delta({p})"), 2 * p)
+    return _listed(p, -1, 0, f"Delta({p})")
 
 
 def binary_dihedral(p: int) -> FiniteMatrixGroup:
-    """Binary dihedral group of order 4p inside SU(2)."""
+    """Binary dihedral group of order 4p inside SU(2): diag(w^j, w^-j) and
+    antidiag(w^j, -w^-j) = antidiag(w^j, w^(p - j)), w = zeta_2p."""
     if p < 1:
         raise ValueError("p must be positive")
-    n = 2 * p
-    gens = [diag(root_of_unity(n, 1), root_of_unity(n, n - 1)), antidiag(1, -1)]
-    return _check_order(closure(gens, label=f"Lambda({p})"), 4 * p)
+    return _listed(2 * p, -1, p, f"Lambda({p})")
 
 
 def springer_generators(kind: str) -> tuple[Matrix2, Matrix2, Matrix2]:

@@ -45,14 +45,15 @@ z -> kz, k in H, maps the factor of gH to that of k^-1 gH, since
 over gH.  A product over a whole orbit of a subgroup K of H is therefore
 invariant under z -> kz: a term z^a zbar^b with k = diag(alpha, beta)
 gains alpha^(a1-b1) beta^(a2-b2), so the product's support lies on K's
-weight lattice, and the factors after it multiply fewer terms.  Inside an
-H-orbit the cosets follow a chain {I} = K_0 < K_1 < ... = H, each step of
-least index, with every orbit of every K_t contiguous (`_coset_orbits`): the
-prefix completes a K_1-orbit, then a K_2-orbit, and so on.  A step that
-completes an orbit of two or more cosets under K, the largest K_t whose
-orbits the folded cosets fill, multiplies only the pairs whose product lands
-on K's weight lattice L_K (`_step_lattices`): the product after the step is
-K-invariant, so every sum off L_K vanishes exactly.  The class of
+weight lattice, and the factors after it multiply fewer terms.
+`_coset_plan` grows each H-orbit from its least coset along the `_chain`
+{I} = K_0 < K_1 < ... = H, the generator of K_t mapping the K_(t-1)-orbit
+listed so far to its images until one repeats, so the prefix completes a
+K_1-orbit, then a K_2-orbit, and so on.  A step that completes an orbit of
+two or more cosets under K, the largest K_t whose orbits the folded cosets
+fill, multiplies only the pairs whose product lands on K's weight lattice
+L_K: the product after the step is K-invariant, so every sum off L_K
+vanishes exactly.  The class of
 z^a zbar^b modulo L_K is that of (a1 - b1, a2 - b2), and each prefix key
 meets only the factor terms whose -delta shares its class.  Taking `O`'s
 five cosets this way cuts its term products from 146,600 to 33,427 (75,649
@@ -87,9 +88,7 @@ of 65535.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
-from itertools import groupby
 from operator import lshift
 
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, rational, root_items
@@ -549,76 +548,54 @@ def _cosets(G: FiniteMatrixGroup):
     return H, reps, coset
 
 
-def _orbit_levels(H: list[Matrix2], chain: list[int], reps: list[Matrix2],
-                  coset: dict) -> list[list[int]]:
-    """For each subgroup K_t of the `_chain` of H, the least coset of each
-    coset's K_t-orbit, H acting by left multiplication on the non-identity
-    cosets (indices into `reps`).
+def _coset_plan(H: list[Matrix2], exponents: list[tuple[int, int]], chain: list[int], N: int,
+                reps: list[Matrix2], coset: dict) -> tuple[list[list[int]], list | None]:
+    """(orbits, lattices): the orbits of H, acting by gH -> hgH on the
+    non-identity cosets (indices into `reps`), largest first, ties by least
+    coset, and for each coset in that order the `_lattice_basis` its fold
+    step is restricted to, or None; lattices is None with fewer than two
+    cosets.
 
-    A chain generator h permutes the cosets by gH -> hgH, one matrix product
-    per coset, unless it is a scalar, which fixes every coset; the K_t-orbit
-    of a coset is the union of the K_(t-1)-orbits along its cycle under h_t,
-    because H is abelian.  `InvariantCheckFailed` when some hgH is none of
-    the cosets, which a group rules out.
+    Each orbit grows from its least coset along the `_chain`: a non-scalar
+    generator h_t maps the list built so far to the blocks h_t x, h_t^2 x,
+    ... up to the first block whose first coset is listed, as orbits are
+    equal or disjoint; a scalar fixes every coset.  Every K_t-orbit is then
+    contiguous and, H being abelian, of s_t cosets, the list's length after
+    step t, so position p completes one when s_t divides p + 1: each block
+    repeats the marks of the list it maps.  The largest such K_t with
+    s_t > 1 gives the lattice.  `InvariantCheckFailed` when some hgH is none
+    of the cosets, which a group rules out.
     """
-    label, levels = list(range(len(reps))), []
-    for h in (H[i] for i in chain):
-        if h.a != h.d:
-            perm = [coset.get((h * g).key()) for g in reps]
-            if None in perm:
-                raise InvariantCheckFailed(f"the elements are not a group: a diagonal element "
-                                           f"maps one of the {len(reps) + 1} cosets to none of them")
-            new = []
-            for j, least in enumerate(label):
-                k = perm[j]
-                while k != j:
-                    least, k = min(least, label[k]), perm[k]
-                new.append(least)
-            label = new
-        levels.append(label)
-    return levels
+    def image(h, j):
+        k = coset.get((h * reps[j]).key())
+        _require(k is not None, "the elements are not a group: a diagonal element maps "
+                 f"one of the {len(reps) + 1} cosets to none of them")
+        return k
 
-
-def _coset_orbits(H: list[Matrix2], chain: list[int], reps: list[Matrix2],
-                  coset: dict) -> list[list[int]]:
-    """The orbits of H, acting by left multiplication, on the non-identity
-    cosets (indices into `reps`), in fold order: largest orbit first, ties in
-    enumeration order.  Inside an orbit the cosets are sorted so that every
-    orbit of every subgroup K_t of the `_chain` of H is contiguous
-    (`_orbit_levels`).  An H of scalars, or at most one coset, keeps the
-    enumeration order without a case of its own.
-    """
-    levels = _orbit_levels(H, chain, reps, coset)
-    label = levels[-1] if levels else list(range(len(reps)))
-    size = Counter(label)
-    order = sorted(range(len(reps)), key=lambda j: (-size[label[j]],) + tuple(
-        level[j] for level in reversed(levels)) + (j,))
-    return [list(orbit) for _, orbit in groupby(order, key=label.__getitem__)]
-
-
-def _step_lattices(H, exponents, chain, N: int, reps, coset, order: list[int]):
-    """For each coset of `order`, the fold order, the `_lattice_basis` of
-    the largest subgroup K_t of the `_chain` whose orbits the cosets folded
-    through that step fill, when that step completes a K_t-orbit of two or
-    more cosets, else None; None alone when there is no such step to look
-    for, with fewer than two cosets."""
+    placed, plans = set(), []
+    for start in range(len(reps)):
+        if start in placed:
+            continue
+        orbit, steps = [start], [None]
+        for t, h in enumerate(H[i] for i in chain):
+            block, marks = orbit, steps
+            while h.a != h.d and (first := image(h, block[0])) not in orbit:
+                block = [first] + [image(h, j) for j in block[1:]]
+                orbit, steps = orbit + block, steps + marks
+            if len(orbit) > 1:
+                steps[-1] = t  # the list is one K_t-orbit
+        placed.update(orbit)
+        plans.append((orbit, steps))
+    plans.sort(key=lambda plan: -len(plan[0]))
+    orbits = [orbit for orbit, _ in plans]
     if len(reps) < 2:
-        return None
-    lattices, size = [None] * len(order), 1
-    for t, label in enumerate(_orbit_levels(H, chain, reps, coset)):
-        size *= _least_prime(len(H) // size)
-        orbit = Counter(label)
-        if len(orbit) == len(label):
-            continue  # every K_t-orbit is one coset
-        basis = _lattice_basis([exponents[k] for k in chain[:t + 1]], N, size)
-        left, open_ = dict(orbit), set()
-        for s, j in enumerate(order):
-            least = label[j]
-            left[least] -= 1
-            (open_.add if left[least] else open_.discard)(least)
-            if not open_ and orbit[least] > 1:
-                lattices[s] = basis
-    return lattices
+        return orbits, None
+    orders = [1]
+    for _ in chain:
+        orders.append(orders[-1] * _least_prime(len(H) // orders[-1]))
+    bases = {t: _lattice_basis([exponents[i] for i in chain[:t + 1]], N, orders[t + 1])
+             for _, steps in plans for t in steps if t is not None}
+    return orbits, [bases.get(t) for _, steps in plans for t in steps]
 
 
 def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
@@ -630,9 +607,8 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
     no other coset gives one-slot vectors, a fold phi(n)-slot ones.  Every
     other left coset gH contributes 1 - F_H(X_g, Y_g), with
     X_g = z1 (g.a zbar1 + g.c zbar2) and Y_g = z2 (g.b zbar1 + g.d zbar2),
-    folded in the order of `_coset_orbits`; a step that completes an orbit
-    of a non-scalar subgroup of the chain multiplies only the pairs that land
-    on its weight lattice (`_step_lattices`).
+    folded in the order of `_coset_plan`, whose lattices restrict the steps
+    that complete an orbit of a non-scalar subgroup of the chain.
     `progress(done, [G:H], terms, width)` follows each coset, the identity's
     first with width None (its factor is not folded); terms is the product's
     term count so far and width the fold step's slot width in bits.  `stats`,
@@ -646,7 +622,7 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
     chain = _chain(exponents, N)
     identity_factor = _diagonal_product([exponents[i] for i in chain], len(H), n)
     prod = {pack_key(r, s, r, s): [c] for (r, s), c in identity_factor.items()}
-    orbits = _coset_orbits(H, chain, reps, coset) if reps else []
+    orbits, lattices = _coset_plan(H, exponents, chain, N, reps, coset)
     order = [j for orbit in orbits for j in orbit]
     prefix, pairs = [len(prod)], []
 
@@ -670,7 +646,6 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
                 for key, v in table[ij].terms.items():
                     _accumulate(factor, key, c * v)
             factors.append(_integer_factor(factor.items(), n))
-        lattices = _step_lattices(H, exponents, chain, N, reps, coset, order)
         prod = _fold_product(factors, n, report, prod, lattices)
     if stats is not None:
         stats.update(cosets=len(reps), orbits=len(orbits), peak_terms=max(prefix),

@@ -2,14 +2,16 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from sigpair import cli, closedforms, invariant, signature
 from sigpair.cli import main
-from sigpair.cyclotomic import Cyclotomic
-from sigpair.group import (binary_dihedral, binary_polyhedral, closure, cyclic_gamma, diag,
-                           dihedral, FiniteMatrixGroup, identity, Matrix2, springer_generators)
+from sigpair.cyclotomic import Cyclotomic, root_of_unity
+from sigpair.group import (antidiag, binary_dihedral, binary_polyhedral, closure, cyclic_gamma,
+                           diag, dihedral, FiniteMatrixGroup, identity, Matrix2,
+                           springer_generators)
 from sigpair.invariant import pack_key
 from helpers import dump_generators, elementwise, icosahedral_conjugator, phi_row
 
@@ -64,6 +66,22 @@ def test_signature_file_not_unitary(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "unitary" in err
+
+
+@pytest.mark.parametrize("generators", [
+    [Matrix2(Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))],
+    [Matrix2(Fraction(3, 5), Fraction(4, 5), Fraction(4, 5), Fraction(-3, 5)), antidiag(1, 1)],
+], ids=["rotation", "reflections"])
+def test_generator_file_of_infinite_order_exit_3(capsys, tmp_path, generators):
+    # a rotation of infinite order and two reflections whose product is one:
+    # closure used to run to the default cap, 71.5 s and 7.9 s, before exit 3
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(dump_generators(generators)))
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "signature", "--group", f"file:{path}")
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "infinite order" in err
 
 
 def test_signature_group_too_large_exit_3(capsys, monkeypatch):
@@ -195,7 +213,7 @@ def conjugated_dihedral_file(tmp_path):
     """Generators of Delta_6 conjugated by r^2 (r^4 t s)^2 from the icosahedral group."""
     r, s, t = springer_generators("I")
     u = r ** 2 * (r ** 4 * t * s) ** 2
-    rot, refl = dihedral(6).elements[1:3]
+    rot, refl = diag(root_of_unity(6, 1), root_of_unity(6, 5)), antidiag(1, 1)
     path = tmp_path / "delta6u.json"
     path.write_text(json.dumps(dump_generators([u * g * u.dagger() for g in (rot, refl)])))
     return path

@@ -1,6 +1,8 @@
 """Group constructors: orders, unitarity, closure behaviour, Springer relations."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +35,20 @@ def test_closure_cap():
     # an order-20 group does not fit below a cap of 10
     with pytest.raises(CapExceeded):
         closure([diag(root_of_unity(20, 1), root_of_unity(20, 19))], cap=10)
+
+
+@pytest.mark.parametrize("generators", [
+    # a rotation of infinite order: its trace 6/5 is no algebraic integer
+    [Matrix2(Fraction(3, 5), Fraction(-4, 5), Fraction(4, 5), Fraction(3, 5))],
+    # two reflections of order 2 whose product has trace 8/5
+    [Matrix2(Fraction(3, 5), Fraction(4, 5), Fraction(4, 5), Fraction(-3, 5)), antidiag(1, 1)],
+], ids=["rotation", "reflections"])
+def test_closure_stops_at_an_element_of_infinite_order(generators):
+    # both used to run to the cap; at the default cap the rotation took 71.5 s and 148 MB
+    t0 = time.monotonic()
+    with pytest.raises(CapExceeded, match="infinite order"):
+        closure(generators, cap=1000)
+    assert time.monotonic() - t0 < 1
 
 
 def test_closure_generator_order_independence():
@@ -105,7 +121,7 @@ def test_closure_compares_elements_by_value():
     # products computed at order 30; they must still match earlier elements
     r, s, t = springer_generators("I")
     u = r ** 2 * (r ** 4 * t * s) ** 2
-    rot, refl = dihedral(6).elements[1:3]
+    rot, refl = diag(root_of_unity(6, 1), root_of_unity(6, 5)), antidiag(1, 1)
     g = closure([u * m * u.dagger() for m in (rot, refl)])
     assert g.order == 12
     assert len({m.key() for m in g}) == 12
@@ -205,10 +221,24 @@ def test_constructor_order_check_is_a_typed_error(monkeypatch):
         return FiniteMatrixGroup(g.elements[:-1], g.label)
 
     monkeypatch.setattr(group, "closure", lossy)
-    for build, expected in ((lambda: dihedral(3), 6), (lambda: binary_dihedral(2), 8),
-                            (lambda: binary_polyhedral("T"), 24)):
-        with pytest.raises(OrderMismatch, match=f"expected {expected}"):
-            build()
+    with pytest.raises(OrderMismatch, match="expected 24"):
+        binary_polyhedral("T")
+
+
+@pytest.mark.parametrize("p", range(1, 13))
+def test_listed_families_are_the_closures_of_their_generators(p):
+    # the classical generators: diag(w, w^-1) with w = zeta_p (Delta) or zeta_2p
+    # (Lambda) and the reflection antidiag(1, +-1); diag(zeta_p, zeta_p^q)
+    rotation = [diag(root_of_unity(m, 1), root_of_unity(m, m - 1)) for m in (p, 2 * p)]
+    for G, gens in ((dihedral(p), [rotation[0], antidiag(1, 1)]),
+                    (binary_dihedral(p), [rotation[1], antidiag(1, -1)]),
+                    *((cyclic_gamma(p, q), [diag(root_of_unity(p, 1), root_of_unity(p, q))])
+                      for q in range(p))):
+        closed = closure(gens)
+        assert G.elements[0].is_identity(), G.label
+        assert [x.key() for x in G] == list(dict.fromkeys(x.key() for x in G)), G.label
+        assert G.element_keys() == closed.element_keys(), G.label
+        assert G.field_order() == closed.field_order(), G.label
 
 
 def test_tetrahedral_relations():

@@ -16,13 +16,14 @@ import sigpair
 from sigpair import invariant
 from sigpair.cyclotomic import Cyclotomic, euler_phi, rational, root_of_unity
 from sigpair.fpq import fpq
-from sigpair.group import (FiniteMatrixGroup, antidiag, binary_dihedral,
+from sigpair.group import (FiniteMatrixGroup, Matrix2, antidiag, binary_dihedral,
                            binary_polyhedral, closure, conjugate, cyclic_gamma,
                            diag, dihedral, identity, springer_generators,
                            trivial_group)
 from sigpair.invariant import (GroupTooLarge, HermitianPolynomial,
                                InvariantCheckFailed, pack_key, phi,
                                polarized_at_ones, unpack_key)
+from sigpair.signature import signature_pair
 from helpers import elementwise, icosahedral_conjugator, phi_row, reference_fold
 
 # the full hand-checkable expansion of the order-8 binary dihedral invariant
@@ -205,6 +206,19 @@ def _conjugated_by_icosahedral(k):
     return out
 
 
+def _tetrahedral_with_an_order_6_element_diagonal():
+    """T conjugated by A = [[a, -conj(b)], [b, conj(a)]], (a, b) the
+    eigenvector of an element g of order 6 (trace 1) for zeta_6, so that g
+    is diagonal: A* A = c I with c = |a|^2 + |b|^2, and x -> A* x A / c."""
+    T = binary_polyhedral("T")
+    g = next(x for x in T if x.a + x.d == 1)
+    a, b = g.b, root_of_unity(6, 1) - g.a
+    A = Matrix2(a, -b.conj(), b, a.conj())
+    scale = (a * a.conj() + b * b.conj()).inverse()
+    return FiniteMatrixGroup([Matrix2(*(e * scale for e in (A.dagger() * x * A).entries))
+                              for x in T], "T^eig6")
+
+
 def _oracle_cases():
     """(G, m): the groups the coset engine is checked on, each with the lcm
     order m of its generators' entries, the order G was stored at before
@@ -217,6 +231,8 @@ def _oracle_cases():
                 for p, q in ((1, 1), (5, 2), (9, 4), (12, 7), (16, 15), (40, 39)))
     for k in (0, 2):
         yield from _conjugated_by_icosahedral(k)
+    # the diagonal subgroup has order 6: the one chain step of index 3 is not scalar
+    yield _tetrahedral_with_an_order_6_element_diagonal(), 12
     # the diagonal subgroup is the Klein four group {diag(+-1, +-1)}, not cyclic
     yield closure([diag(-1, 1), antidiag(1, 1)], label="klein"), 1
     # the diagonal subgroup is {I}: every coset factor is linear
@@ -253,12 +269,14 @@ def _fold_order(G):
     n = G.field_order()
     H, reps, coset = invariant._cosets(G)
     exponents = invariant._diagonal_exponents(H, n)
-    chain = invariant._chain(exponents, math.lcm(2, n))
-    return H, exponents, reps, coset, invariant._coset_orbits(H, chain, reps, coset)
+    N = math.lcm(2, n)
+    chain = invariant._chain(exponents, N)
+    return H, exponents, reps, coset, invariant._coset_plan(H, exponents, chain, N, reps, coset)[0]
 
 
-def _enumeration_order(H, chain, reps, coset):
-    return [[j] for j in range(len(reps))]
+def _enumeration_order(H, exponents, chain, N, reps, coset):
+    """`_coset_plan` for the enumeration order, every step unrestricted."""
+    return [[j] for j in range(len(reps))], None
 
 
 def _orbit(K, j, reps, coset):
@@ -305,7 +323,7 @@ def test_central_diagonal_subgroups_keep_the_enumeration_order():
 def test_enumeration_order_folds_the_same_phi_with_no_fewer_term_pairs(G, monkeypatch):
     stats, plain = {}, {}
     P = phi(G, stats=stats)
-    monkeypatch.setattr(invariant, "_coset_orbits", _enumeration_order)
+    monkeypatch.setattr(invariant, "_coset_plan", _enumeration_order)
     assert phi(G, stats=plain).key() == P.key()
     assert plain["term_pairs"] >= stats["term_pairs"]
     assert plain["cosets"] == stats["cosets"]
@@ -359,7 +377,20 @@ def test_restricted_steps_drop_only_sums_that_vanish(G, monkeypatch):
                 assert step == full, G.label
                 restricted += 1
             prefix = step
-    assert restricted == {"T": 2, "O": 2}.get(G.label, 0)
+    assert restricted == {"T": 2, "O": 2, "T^eig6": 1}.get(G.label, 0)
+
+
+def test_an_index_3_chain_step_restricts_the_fold(monkeypatch):
+    # the 3 cosets of T^eig6 form one orbit under the index-3 step, which
+    # the third fold step completes: H's lattice, j = i mod 6
+    G = _tetrahedral_with_an_order_6_element_diagonal()
+    assert G.field_order() == 12
+    assert sum(1 for x in G if x.b.is_zero()) == 6
+    stats = {}
+    phi(G, stats=stats)
+    assert stats == {"cosets": 3, "orbits": 1, "peak_terms": 418, "term_pairs": 8076}
+    assert _fold_call(G, monkeypatch)[-1] == [None, None, (1, 1, 6)]
+    assert tuple(signature_pair(G)) == (9, 5)
 
 
 def test_restricted_steps_count_fewer_term_pairs(monkeypatch):
@@ -382,7 +413,7 @@ def test_mu3_octahedral_same_phi_in_orbit_and_enumeration_order(monkeypatch):
     stats, plain = {}, {}
     P = phi(G, stats=stats)
     assert stats["peak_terms"] <= 13591
-    monkeypatch.setattr(invariant, "_coset_orbits", _enumeration_order)
+    monkeypatch.setattr(invariant, "_coset_plan", _enumeration_order)
     assert phi(G, stats=plain).key() == P.key()
     assert plain["term_pairs"] >= stats["term_pairs"]
 
@@ -538,7 +569,7 @@ def test_weight_lattice_from_its_basis_matches_the_filter():
         want = _reference_log_weights(set(exponents), N, len(exponents))
         assert list(got.items()) == list(want.items()), label
         cases += 1
-    assert cases == 820 + 56 + 2
+    assert cases == 820 + 57 + 2
 
 
 def _generated(gens, N):
