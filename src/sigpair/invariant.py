@@ -563,7 +563,8 @@ def _coset_plan(H: list[Matrix2], exponents: list[tuple[int, int]], chain: list[
     contiguous and, H being abelian, of s_t cosets, the list's length after
     step t, so position p completes one when s_t divides p + 1: each block
     repeats the marks of the list it maps.  The largest such K_t with
-    s_t > 1 gives the lattice.  `InvariantCheckFailed` when some hgH is none
+    s_t > 1 gives the lattice.  Each h_t maps every coset of the list, the
+    last block's included, and `InvariantCheckFailed` when some hgH is none
     of the cosets, which a group rules out.
     """
     def image(h, j):
@@ -579,8 +580,7 @@ def _coset_plan(H: list[Matrix2], exponents: list[tuple[int, int]], chain: list[
         orbit, steps = [start], [None]
         for t, h in enumerate(H[i] for i in chain):
             block, marks = orbit, steps
-            while h.a != h.d and (first := image(h, block[0])) not in orbit:
-                block = [first] + [image(h, j) for j in block[1:]]
+            while h.a != h.d and (block := [image(h, j) for j in block])[0] not in orbit:
                 orbit, steps = orbit + block, steps + marks
             if len(orbit) > 1:
                 steps[-1] = t  # the list is one K_t-orbit

@@ -3,8 +3,9 @@
 import math
 from fractions import Fraction
 
-from sigpair.cyclotomic import Cyclotomic, _pdivmod, cyclotomic_polynomial, euler_phi, rational
-from sigpair.group import FiniteMatrixGroup, Matrix2, springer_generators
+from sigpair.cyclotomic import (Cyclotomic, _pdivmod, cyclotomic_polynomial, euler_phi, rational,
+                                root_of_unity)
+from sigpair.group import FiniteMatrixGroup, Matrix2, antidiag, closure, diag, springer_generators
 from sigpair.invariant import HermitianPolynomial, pack_key
 from sigpair.signature import HermitianMatrix
 
@@ -34,6 +35,14 @@ def permuted(M: HermitianMatrix, perm: list[int]) -> HermitianMatrix:
     basis = [M.basis[old] for old in perm]
     entries = {(inv[i], inv[j]): c for (i, j), c in M.entries.items()}
     return HermitianMatrix(basis, entries)
+
+
+def closed_dihedral(n: int, sign: int) -> FiniteMatrixGroup:
+    """Delta_n (sign 1) or Lambda_(n/2) (sign -1) closed from diag(zeta_n,
+    zeta_n^-1) and antidiag(1, sign), in `closure`'s breadth-first order,
+    which interleaves the diagonal and antidiagonal elements that the listed
+    `dihedral` and `binary_dihedral` keep apart."""
+    return closure([diag(root_of_unity(n, 1), root_of_unity(n, n - 1)), antidiag(1, sign)])
 
 
 def is_su2(G: FiniteMatrixGroup) -> bool:

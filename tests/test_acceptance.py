@@ -24,6 +24,8 @@ from sigpair.invariant import phi, unpack_key
 from sigpair.signature import (coefficient_matrix, gauss_rank, inertia_exact,
                                inertia_numeric, signature_pair)
 
+from helpers import closed_dihedral
+
 _START = {}
 
 
@@ -229,8 +231,8 @@ def test_criterion_11_conjugation_invariance():
 
     rng = random.Random(41)
     pool = (list(binary_polyhedral("O").elements[1:13])
-            + list(binary_dihedral(5).elements[1:9])
-            + list(dihedral(6).elements[1:7]))
+            + list(closed_dihedral(10, -1).elements[1:9])
+            + list(closed_dihedral(6, 1).elements[1:7]))
     groups = [cyclic_gamma(5, 2), cyclic_gamma(8, 3), dihedral(3), dihedral(5),
               binary_dihedral(2), binary_dihedral(3), binary_polyhedral("T")]
     assert all(g.order <= 24 for g in groups)

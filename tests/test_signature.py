@@ -23,7 +23,7 @@ from sigpair.signature import (EmptySpectrum, HermitianMatrix, Inertia,
                                inertia_numeric, positivity_ratio,
                                positivity_ratio_from, signature_pair)
 
-from helpers import approx_complex, permuted
+from helpers import approx_complex, closed_dihedral, permuted
 
 
 def _hm(diag_vals=(), offdiag=()):
@@ -139,7 +139,7 @@ def test_diagonal_phi_inertia_is_sign_census():
 def test_sylvester_invariance_under_conjugation():
     rng = random.Random(17)
     pool = (list(binary_polyhedral("O").elements[:12])
-            + list(binary_dihedral(5).elements[:8]))
+            + list(closed_dihedral(10, -1).elements[:8]))
     for g in (cyclic_gamma(5, 2), dihedral(3), binary_dihedral(2),
               binary_polyhedral("T")):
         base = signature_pair(g)
