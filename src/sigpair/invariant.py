@@ -67,12 +67,15 @@ field elements once at the end: each factor is scaled by the lcm of its
 coefficients' denominators, and after every factor each vector is reduced
 modulo the cyclotomic polynomial Phi_n and dropped if it vanishes there, so
 vectors stay at most phi(n) long (a missing slot is zero) and monomials
-whose coefficient is zero in Q(zeta_n) go at once.  Within a factor step
-each vector v travels as the one int v(2^w), w bits per signed slot
-(Kronecker substitution): multiplying two coefficients is one int product,
-and reducing a sum modulo Phi_n is one int remainder modulo Phi_n(2^w),
-whose phi(n) slots are the reduced vector; the width w is a proven bound
-from the prefix's largest coordinate and the factor's l1 norm
+whose coefficient is zero in Q(zeta_n) go at once.  From the first factor
+to the last each vector v is kept as the one int v(2^w), w bits per signed
+slot (Kronecker substitution): multiplying two coefficients is one int
+product, and reducing a sum modulo Phi_n is one int remainder modulo
+Phi_n(2^w), whose balanced residue is the reduced vector packed for the next
+factor.  The width w is a proven bound from a bound on the prefix's
+coordinates and the factor's l1 norm, rounded up to whole bytes; the
+coordinate bound comes from a range test on the packed ints, and a step
+that needs wider slots repacks the prefix through its bytes
 (`_fold_product`).  A reduced vector over the product of the scales becomes
 a field element by one gcd (`Cyclotomic.from_reduced`).  Group elements are
 compared with `Matrix2.key`, exact by value because a group stores all its
@@ -89,6 +92,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import islice
 from operator import lshift
 
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, euler_phi, rational, root_items
@@ -289,31 +293,76 @@ def _reduction_norm(n: int, span: int) -> int:
     return max(norm)
 
 
-def _slot_width(n: int, top: int, l1: int, span: int) -> int:
-    """The least w with 2^w > 2 A + C, A = top * l1 * `_reduction_norm` and
-    C the largest |coefficient| of Phi_n: the slot width that makes a fold
-    step exact (see `_fold_product`)."""
-    bound = top * l1 * _reduction_norm(n, span)
-    return (2 * bound + max(map(abs, cyclotomic_polynomial(n)))).bit_length()
+def _slot_width(n: int, bound: int) -> int:
+    """The least multiple w of 8 with 2^w > 2 A + C, A = `bound` and C the
+    largest |coefficient| of Phi_n: the whole-byte slot width that makes a
+    fold step exact (see `_fold_product`)."""
+    bits = (2 * bound + max(map(abs, cyclotomic_polynomial(n)))).bit_length()
+    return -(-bits // 8) * 8
+
+
+def _slots_below(packed, w: int, slots: int, k: int) -> bool:
+    """Whether every signed w-bit slot of every packed int lies in
+    [-2^k, 2^k), for k <= w - 2 and slots in (-2^(w-1), 2^(w-1)).
+
+    Adding 2^k to every slot maps that range onto [0, 2^(k+1)), which leaves
+    bits k+1 .. w-1 of each slot clear.  Take the lowest slot outside it: the
+    slots below carry nothing, so a slot at 2^k or above sets one of those
+    bits, and one below -2^k borrows and sets bit w - 1."""
+    ones = sum(1 << s for s in range(0, w * slots, w))
+    offset, mask = ones << k, ((1 << w) - (2 << k)) * ones
+    return not any(map(mask.__and__, map(offset.__add__, packed)))
+
+
+def _widen(prod: dict, slots: int, w: int, w2: int) -> None:
+    """Repack prod's ints, in place, from signed w-bit slots to w2-bit ones
+    (w < w2, both whole bytes).
+
+    Each slot biased by 2^(w-1) is an unsigned w-bit number, so the ints'
+    bytes, laid end to end, hold every slot one after another, and one
+    strided slice copy per byte of a slot places them in a zeroed buffer of
+    w2-bit slots; subtracting the bias spread to the wider slots restores
+    the signs.  Keys go 256 at a time, which keeps the buffers small."""
+    b, b2 = w // 8, w2 // 8
+    size = b2 * slots
+    bias = sum(1 << s for s in range(w - 1, w * slots, w))
+    spread = sum(1 << s for s in range(w - 1, w2 * slots, w2))
+    keys = iter(prod)
+    while chunk := list(islice(keys, 256)):
+        raw = b"".join([(prod[key] + bias).to_bytes(b * slots, "little") for key in chunk])
+        buf = bytearray(len(chunk) * size)
+        for j in range(b):
+            buf[j::b2] = raw[j::b]
+        buf = bytes(buf)
+        for key, start in zip(chunk, range(0, len(buf), size)):
+            prod[key] = int.from_bytes(buf[start:start + size], "little") - spread
 
 
 def _fold_product(factors, n: int, progress=None, prod=None, lattices=None):
     """prod (default 1) times the (d + sum of scaled monomial terms) factors.
 
     Coefficients are integer vectors reduced modulo Phi_n: at most phi(n)
-    slots in the prefix (a missing slot is zero), phi(n) in the result.  A
-    vector v is packed into the one int v(2^w), w bits per signed slot
-    (Kronecker substitution), so a term pair costs one int product.  After
-    each factor every packed sum s(2^w) is reduced modulo N = Phi_n(2^w):
-    its balanced residue is r(2^w) for r = s mod Phi_n, and the phi(n) slots
-    of that residue are the reduced vector r, dropped when it is zero.
-    Every coefficient of s is at most top * l1 in absolute value, top the
-    largest coordinate of the prefix and l1 = |d| + sum |c| the factor's
-    norm, because each factor term meets each output key at most once.  So
-    every |r_i| is at most A (`_slot_width`), and 2^w > 2 A + C gives
-    |r(2^w)| < N / 2 and |r_i| < 2^(w-1): the residue and its slots are
-    exact.  A packed sum outside the range of its signed w-bit slots raises
-    `InvariantCheckFailed`.
+    slots in the prefix (a missing slot is zero), phi(n) in the result.
+    Between the first factor and the last, a vector v is kept as the one int
+    v(2^w), w bits per signed slot (Kronecker substitution), so a term pair
+    costs one int product.  After each factor every packed sum s(2^w) is
+    reduced modulo N = Phi_n(2^w): its balanced residue is r(2^w) for
+    r = s mod Phi_n, the reduced vector already packed for the next factor,
+    and dropped when it is zero.  Every coefficient of s is at most top * l1
+    in absolute value, top a bound on the prefix's coordinates and
+    l1 = |d| + sum |c| the factor's norm, because each factor term meets each
+    output key at most once.  So every |r_i| is at most A (`_slot_width`),
+    and 2^w > 2 A + C gives |r(2^w)| < N / 2 and |r_i| < 2^(w-1): the residue
+    and its slots are exact.  A packed sum outside the range of its signed
+    w-bit slots raises `InvariantCheckFailed`.
+
+    The first top is the prefix's largest coordinate.  After each step the
+    next is min(A, 2^k) for the least k, searched upward from the last
+    bound, at which `_slots_below` passes, or A when none below A's bit
+    length does; so it is under twice the largest coordinate unless that
+    coordinate shrank.  Widths are whole bytes and never narrow: a wider
+    step is repacked by `_widen`, and the vectors are unpacked once, after
+    the last factor.
 
     `lattices[idx]`, when given and not None, is the basis of a weight
     lattice that the product after factor idx is known to lie on; that step
@@ -323,47 +372,60 @@ def _fold_product(factors, n: int, progress=None, prod=None, lattices=None):
     """
     if prod is None:
         prod = {0: [1]}
+    if not factors:
+        return prod
     phi = euler_phi(n)
     modulus = cyclotomic_polynomial(n)
     top = max((max(max(vec), -min(vec)) for vec in prod.values()), default=0)
+    width = 0
     for idx, (d, terms) in enumerate(factors):
         span = phi + max((e for _, coefs in terms for e, _ in coefs), default=0)
         l1 = abs(d) + sum(abs(c) for _, coefs in terms for _, c in coefs)
-        w = _slot_width(n, top, l1, span)
+        bound = top * l1 * _reduction_norm(n, span)
+        w = max(width, _slot_width(n, bound))
+        if not width:
+            shifts = range(0, w * phi, w)
+            prod = {key: sum(map(lshift, vec, shifts)) for key, vec in prod.items()}
+        elif w > width:
+            _widen(prod, phi, width, w)
+        width = w
         packed = [(0, d)] + [(delta, sum(c << w * e for e, c in coefs)) for delta, coefs in terms]
         basis = lattices[idx] if lattices else None
         groups = [(prod.items(), packed)] if basis is None else _lattice_pairs(prod, packed, basis)
-        shifts = range(0, w * phi, w)
         out: dict[int, int] = {}
         get = out.get
         for items, pairs in groups:
-            for key, vec in items:
-                x = sum(map(lshift, vec, shifts))
+            for key, x in items:
                 for delta, c in pairs:
                     k2 = key + delta
                     out[k2] = get(k2, 0) + x * c
-        half, mask = 1 << (w - 1), (1 << w) - 1
+        made = sum(len(items) * len(pairs) for items, pairs in groups)
+        del groups
         # s(2^w) with every |s_k| < 2^(w-1) lies in [low, low + 2^(w span))
-        low = -sum(half << s for s in range(0, w * span, w))
+        low = -sum(1 << s for s in range(w - 1, w * span, w))
         high = low + (1 << w * span)
         N = sum(c << w * i for i, c in enumerate(modulus))
         half_n = N >> 1
-        bias = sum(half << s for s in shifts)
-        made = sum(len(items) * len(pairs) for items, pairs in groups)
-        prod, top = {}, 0
         for key, x in out.items():
             if not low <= x < high:
                 raise InvariantCheckFailed(f"a packed sum overflows its {span} slots of {w} bits")
             x %= N
-            if x:
-                if x > half_n:
-                    x -= N
-                x += bias
-                prod[key] = vec = [((x >> s) & mask) - half for s in shifts]
-                top = max(top, max(vec), -min(vec))
+            out[key] = x - N if x > half_n else x
+        prod = {key: x for key, x in out.items() if x}
+        del out
+        start = max(top - 1, 0).bit_length()
+        top = bound
+        for k in range(start, bound.bit_length()):
+            if _slots_below(prod.values(), w, phi, k):
+                top = min(bound, 1 << k)
+                break
         if progress is not None:
             progress(idx + 1, len(factors), len(prod), w, made)
-    return prod
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    shifts = range(0, width * phi, width)
+    bias = sum(half << s for s in shifts)
+    return {key: [((x >> s) & mask) - half for s in shifts]
+            for key, x in zip(prod, map(bias.__add__, prod.values()))}
 
 
 def _lattice_pairs(prod, packed, basis):

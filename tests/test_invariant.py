@@ -9,12 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sigpair
 from sigpair import invariant
-from sigpair.cyclotomic import Cyclotomic, euler_phi, rational, root_of_unity
+from sigpair.cyclotomic import (Cyclotomic, cyclotomic_polynomial, euler_phi, rational,
+                                root_of_unity)
 from sigpair.fpq import fpq
 from sigpair.group import (FiniteMatrixGroup, Matrix2, antidiag, binary_dihedral,
                            binary_polyhedral, closure, conjugate, cyclic_gamma,
@@ -506,16 +507,108 @@ def test_slot_at_the_bound_unpacks_exactly(n, prefix, factor):
 
 
 def test_narrow_slots_raise(monkeypatch):
-    # one slot holding top * l1 = 2^110 - 1 (n = 1) overflows a slot one bit short
+    # one slot holding top * l1 = 2^110 - 1 (n = 1) needs 112 bits, a whole
+    # byte, so the least width is the bound itself; a byte short overflows
     slot_width = invariant._slot_width
     factors = [(2 ** 40 + 1, [])]
-    monkeypatch.setattr(invariant, "_slot_width", lambda *args: slot_width(*args) - 1)
+    assert slot_width(1, (2 ** 70 - 1) * (2 ** 40 + 1)) == 112
+    monkeypatch.setattr(invariant, "_slot_width", lambda *args: slot_width(*args) - 8)
     with pytest.raises(InvariantCheckFailed, match="overflows"):
         invariant._fold_product(factors, 1, prod={0: [2 ** 70 - 1]})
-    # slots too narrow for T's coefficients break the fold or a check behind it
-    monkeypatch.setattr(invariant, "_slot_width", lambda *args: slot_width(*args) // 2)
+    # slots half as many bytes wide as T's coefficients need break the fold
+    # or a check behind it
+    monkeypatch.setattr(invariant, "_slot_width", lambda *args: slot_width(*args) // 16 * 8)
     with pytest.raises(InvariantCheckFailed):
         phi(binary_polyhedral("T"))
+
+
+def _pack(vec, w):
+    return sum(v << w * i for i, v in enumerate(vec))
+
+
+@st.composite
+def _slot_vectors(draw, w, k=None):
+    """Vectors of signed w-bit slots in (-2^(w-1), 2^(w-1)), drawn mostly at
+    the edges: the ends of that range and, given k, -2^k - 1 .. 2^k."""
+    cap = (1 << w - 1) - 1
+    edges = [-cap, cap, 0]
+    if k is not None:
+        edges += [-(1 << k) - 1, -(1 << k), (1 << k) - 1, 1 << k]
+    value = st.one_of(st.sampled_from(edges), st.integers(-cap, cap))
+    slots = draw(st.integers(1, 8))
+    return draw(st.lists(st.lists(value, min_size=slots, max_size=slots), min_size=1, max_size=4))
+
+
+@st.composite
+def _range_cases(draw):
+    w = draw(st.integers(2, 80))
+    k = draw(st.one_of(st.just(w - 2), st.integers(0, w - 2)))
+    return w, k, draw(_slot_vectors(w, k))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_range_cases())
+# at k = 3 of 8-bit slots: 2^k is one above the range and -2^k - 1 one below
+# it, and a negative top slot borrows past the last slot
+@example((8, 3, [[7, -8, 0]]))
+@example((8, 3, [[8, 0, 0]]))
+@example((8, 3, [[0, -9, 0]]))
+@example((8, 3, [[0, 0, -9]]))
+@example((8, 3, [[0, 0, -8]]))
+# k = w - 2, the widest range the test takes: [-64, 64) of (-128, 128)
+@example((8, 6, [[-64, 63, -64]]))
+@example((8, 6, [[0, 64, 0]]))
+@example((8, 6, [[0, 0, -65]]))
+@example((8, 6, [[127, 0, 0], [0, 0, -127]]))
+def test_range_test_passes_exactly_when_every_slot_is_inside(case):
+    w, k, vecs = case
+    inside = all(-(1 << k) <= v < 1 << k for vec in vecs for v in vec)
+    assert invariant._slots_below([_pack(vec, w) for vec in vecs], w, len(vecs[0]), k) == inside
+
+
+@st.composite
+def _widen_cases(draw):
+    w = 8 * draw(st.integers(1, 8))
+    w2 = w + 8 * draw(st.integers(1, 4))
+    return w, w2, draw(_slot_vectors(w))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_widen_cases())
+def test_widen_repacks_as_packing_at_the_wider_width(case):
+    w, w2, vecs = case
+    prod = {key: _pack(vec, w) for key, vec in enumerate(vecs)}
+    invariant._widen(prod, len(vecs[0]), w, w2)
+    assert prod == {key: _pack(vec, w2) for key, vec in enumerate(vecs)}
+
+
+def test_fold_of_no_factors_returns_the_prefix():
+    prefix = {0: [3], 5: [1, -2 ** 90]}
+    assert invariant._fold_product([], 8, prod=prefix) is prefix
+    assert prefix == {0: [3], 5: [1, -2 ** 90]}
+
+
+@pytest.mark.parametrize("G", [binary_polyhedral("T"), binary_polyhedral("O"),
+                               _conjugated_by_icosahedral(4)[-1][0]], ids=lambda G: G.label)
+def test_fold_widths_are_whole_bytes_within_a_byte_of_the_least(G, monkeypatch):
+    # each width against the least whole-byte width proven from the reference
+    # prefix's exact top: the range test's top is under twice that, one bit
+    # more, so the width is at most a byte wider
+    factors, n, prefix, lattices = _fold_call(G, monkeypatch)
+    widths = []
+    got = invariant._fold_product(factors, n, lambda *step: widths.append(step[3]),
+                                  _copy(prefix), lattices)
+    assert len(widths) == len(factors)
+    C = max(map(abs, cyclotomic_polynomial(n)))
+    for (d, terms), w in zip(factors, widths):
+        top = max(abs(v) for vec in prefix.values() for v in vec)
+        span = euler_phi(n) + max(e for _, coefs in terms for e, _ in coefs)
+        l1 = abs(d) + sum(abs(c) for _, coefs in terms for _, c in coefs)
+        bits = (2 * top * l1 * invariant._reduction_norm(n, span) + C).bit_length()
+        least = -(-bits // 8) * 8
+        assert w % 8 == 0 and least <= w <= least + 8, (G.label, w, least)
+        prefix = reference_fold([(d, terms)], n, prefix)
+    assert got == prefix
 
 
 @pytest.mark.parametrize("n", KERNEL_ORDERS)
