@@ -21,11 +21,11 @@ result collects into one phi(n)-long vector, and only an exponent at or
 above phi(n) goes through its row: linearly in `_place` (the constructor,
 `promote`, sums and `conj`, which takes no gcd) and bilinearly in
 `_mul_into` (`__mul__` and the fused `sub_mul`, a - b*c, the update of both
-eliminations in `signature`).  `inverse` runs an extended Euclid on int
-polynomials.  The fold in `invariant` reduces packed integers modulo
-Phi_n(2^w) instead and takes from the same rows the norms that bound that
-step.  Fractions appear only at the edges: the constructor, `coords`,
-`as_fraction` and JSON.
+eliminations in `signature`).  `inverse` uses both: it places each
+conjugate of the numerators and multiplies them into the norm.  The fold
+in `invariant` reduces packed integers modulo Phi_n(2^w) instead and takes
+from the same rows the norms that bound that step.  Fractions appear only
+at the edges: the constructor, `coords`, `as_fraction` and JSON.
 
 Values are immutable and operations are pure; the module-level caches of
 cyclotomic polynomials and root rows are read-only after first use, so
@@ -110,34 +110,6 @@ def _pdivmod(a: list[Fraction], b: list[Fraction]):
             for k in range(db + 1):
                 a[k + i - db] -= c * b[k]
     return q, a
-
-
-def _prem(r0: list[int], s0: list[int], r1: list[int], s1: list[int]):
-    """One step of the extended Euclid on int polynomials: (r, s) = (f r0 -
-    q r1, f s0 - q s1) / g, f a power of r1's leading coefficient and q the
-    pseudo-quotient, so deg r < deg r1, and g the content of r and s together.
-    s0 and s1 are phi(n)-long cofactors; s fits in phi(n) slots too, since
-    its degree is phi(n) - deg r1 < phi(n)."""
-    d1 = _pdeg(r1)
-    lead = r1[d1]
-    top = [(k, v) for k, v in enumerate(s1) if v]
-    r, s = list(r0), list(s0)
-    for i in range(_pdeg(r0), d1 - 1, -1):
-        t = r[i]
-        if t:
-            if lead != 1:
-                r = [lead * x for x in r]
-                s = [lead * x for x in s]
-            shift = i - d1
-            for k in range(d1 + 1):
-                r[k + shift] -= t * r1[k]
-            for k, v in top:
-                s[k + shift] -= t * v
-    g = math.gcd(*r, *s)
-    if g > 1:
-        r = [x // g for x in r]
-        s = [x // g for x in s]
-    return r, s
 
 
 class Cyclotomic:
@@ -282,28 +254,27 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """1/self by the extended Euclid of Phi_n and the numerators on int
-        polynomials: each step is a pseudo-remainder with its cofactor
-        (`_prem`), so at the end s * numerators == c (mod Phi_n) for an int
-        c, and 1/self = den * s / c."""
+        """1/self from the norm.  With x = numerators / den at order n, each
+        conjugate sigma_k(numerators), zeta_n -> zeta_n^k for a unit k != 1
+        mod n, is one `_place`, and their product adj (`__mul__`) times the
+        numerators is the norm N, an int; it is positive, the conjugates
+        pairing off under complex conjugation (n >= 3).  1/self = adj * den / N."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if self.order == 1:
             v = self.items[0][1]
             return Cyclotomic._make(1, ((0, self.den if v > 0 else -self.den),), abs(v))
         n = self.order
-        phi = euler_phi(n)
-        r0, s0 = list(cyclotomic_polynomial(n)), [0] * phi
-        r1, s1 = [0] * phi, [1] + [0] * (phi - 1)
-        for k, v in self.items:
-            r1[k] = v
-        # s_i * numerators == r_i (mod Phi_n) throughout; Phi_n is irreducible over Q
-        while _pdeg(r1) > 0:
-            r0, s0, (r1, s1) = r1, s1, _prem(r0, s0, r1, s1)
-        c = r1[0]
-        if not c:
-            raise CyclotomicCheckFailed(f"gcd of {self} with the irreducible Phi_{n} vanished")
-        return Cyclotomic.from_reduced(n, [v * self.den for v in s1], c)
+        adj = one()
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                vec = _place([0] * euler_phi(n), n, n, ((e * k % n, v) for e, v in self.items), 1)
+                adj = adj * Cyclotomic.from_reduced(n, vec, 1)
+        norm = adj * Cyclotomic._make(n, self.items, 1)
+        if norm.order != 1 or not norm.items or norm.items[0][1] < 0:
+            raise CyclotomicCheckFailed(f"the norm of {self} is {norm}, not a positive integer")
+        # den / N need not be in lowest terms: the product takes one gcd over all of it
+        return adj * Cyclotomic._make(1, ((0, self.den),), norm.items[0][1])
 
     def __truediv__(self, other):
         other = _coerce(other)

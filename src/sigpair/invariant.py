@@ -211,11 +211,11 @@ class HermitianPolynomial:
         Quadratic blowup; intended for small groups: the invariance checks and
         the group action on holomorphic polynomials.
         """
+        z1, z2, w1, w2 = (1 << shift for shift in _SHIFT)
         rows = ((M.a, M.b), (M.c, M.d))
-        conj_rows = tuple(tuple(e.conj() for e in row) for row in rows)
-        zp = _power_table([_linear(row, 0) for row in rows],
+        zp = _power_table([_poly((z1, a), (z2, b)) for a, b in rows],
                           {unpack_key(key)[:2] for key in self.terms})
-        wp = _power_table([_linear(row, 2) for row in conj_rows],
+        wp = _power_table([_poly((w1, a.conj()), (w2, b.conj())) for a, b in rows],
                           {unpack_key(key)[2:] for key in self.terms})
         out: dict[int, Cyclotomic] = {}
         for key, c in self.terms.items():
@@ -258,13 +258,6 @@ class HermitianPolynomial:
 
     def __repr__(self):
         return f"HermitianPolynomial(<{len(self.terms)} terms>)"
-
-
-def _linear(row, slot: int) -> HermitianPolynomial:
-    """row[0] * v1 + row[1] * v2, with v1, v2 the variables in `slot` and
-    `slot + 1` (0 for z1, z2; 2 for zbar1, zbar2)."""
-    return HermitianPolynomial({1 << _SHIFT[slot + k]: e
-                                for k, e in enumerate(row) if not e.is_zero()})
 
 
 def _power_table(bases, pairs) -> dict:

@@ -433,13 +433,6 @@ def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
     16 - log2(zero_threshold) + log2(max(1, max |a_ij|)): 127 bits for `T`,
     138 for `O` and 171 for `I` at the default threshold.
     """
-    return _numeric_oracle(M, precision_bits, zero_threshold)()
-
-
-def _numeric_oracle(M: HermitianMatrix, precision_bits: int, zero_threshold: float):
-    """The checks and the fixed-point conversion of `inertia_numeric`, which
-    raise before any reduction, and the function that then reduces the
-    blocks and returns the inertia."""
     check_numeric_precision(precision_bits, zero_threshold)
     comps = M.components()
     where = {i: (b, at) for b, comp in enumerate(comps) for at, i in enumerate(comp)}
@@ -478,16 +471,12 @@ def _numeric_oracle(M: HermitianMatrix, precision_bits: int, zero_threshold: flo
             f"least {math.ceil(floor)} bits at zero threshold {zero_threshold:g}, "
             f"got {precision_bits}")
     thresh = math.floor(Fraction(zero_threshold) * 2 ** bits)
-
-    def reduce() -> Inertia:
-        pos = neg = 0
-        for bre, bim in zip(re, im):
-            d, e2 = _tridiagonal(bre, bim, bits)
-            neg += _count_below(d, e2, -thresh)
-            pos += len(d) - _count_below(d, e2, thresh)
-        return Inertia(pos, neg, M.dimension - pos - neg)
-
-    return reduce
+    pos = neg = 0
+    for bre, bim in zip(re, im):
+        d, e2 = _tridiagonal(bre, bim, bits)
+        neg += _count_below(d, e2, -thresh)
+        pos += len(d) - _count_below(d, e2, thresh)
+    return Inertia(pos, neg, M.dimension - pos - neg)
 
 
 def signature_pair(G: FiniteMatrixGroup) -> SignaturePair:
@@ -514,28 +503,30 @@ def result_records(G: FiniteMatrixGroup, methods=("exact",), precision_bits: int
     """The JSON result records of one group, one per method in `methods`.
 
     One coefficient matrix serves every method.  With "numeric" among them,
-    the numeric oracle's checks, its matrix-dependent precision floor
-    included, run before any elimination, so too few bits raise
-    `InsufficientPrecision` before the exact one starts.  `poly` is Phi_G
-    when the caller has already expanded it; `elapsed_ms` then leaves the
-    expansion out, and counts this shared work and the method's own.
-    `stats` goes to `inertia_exact`.
+    the numeric inertia is computed first, so too few bits for the matrix
+    raise `InsufficientPrecision` before the exact elimination starts; the
+    records still follow `methods`.  `poly` is Phi_G when the caller has
+    already expanded it; `elapsed_ms` then leaves the expansion out, and
+    counts the shared matrix and the method's own work.  `stats` goes to
+    `inertia_exact`.
     """
     t0 = time.monotonic()
     M = coefficient_matrix(phi(G) if poly is None else poly)
-    numeric = _numeric_oracle(M, precision_bits, 1e-30) if "numeric" in methods else None
     shared = time.monotonic() - t0
-    records = []
-    for method in methods:
+    found = {}
+    for method in sorted(methods, key=lambda m: m != "numeric"):
         t0 = time.monotonic()
         if method == "exact":
             inertia = inertia_exact(M, stats)
         elif method == "numeric":
-            inertia = numeric()
+            inertia = inertia_numeric(M, precision_bits, 1e-30)
         else:
             raise ValueError(f"unknown method {method!r}")
+        found[method] = inertia, shared + time.monotonic() - t0
+    records = []
+    for method in methods:
+        inertia, elapsed = found[method]
         ratio = positivity_ratio_from(inertia)
-        elapsed = shared + time.monotonic() - t0
         records.append({
             "group": G.label,
             "order": G.order,

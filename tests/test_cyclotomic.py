@@ -24,8 +24,11 @@ from sigpair.cyclotomic import (Cyclotomic, CyclotomicCheckFailed,
                                 MAX_JSON_ORDER, MalformedJSON, NotReal,
                                 cyclotomic_polynomial, euler_phi, one,
                                 rational, root_of_unity, sub_mul, zero)
+from sigpair.group import binary_polyhedral, conjugate, dihedral
+from sigpair.invariant import phi
+from sigpair.signature import coefficient_matrix, gauss_rank, inertia_exact
 
-from helpers import approx_complex, multiplicative_order
+from helpers import approx_complex, icosahedral_conjugator, multiplicative_order
 
 
 def test_cyclotomic_polynomials():
@@ -181,7 +184,8 @@ def test_kernel_matches_fraction_reference(orders):
 
 
 def _reference_inverse(c):
-    """1/c by the extended Euclid on Fraction polynomials."""
+    """1/c by the extended Euclid on Fraction polynomials, independent of the
+    kernel's inverse, which multiplies the conjugates into the norm."""
     if c.order == 1:
         return rational(1 / c.as_fraction())
     n = c.order
@@ -425,11 +429,46 @@ def test_inexact_cyclotomic_division_is_a_typed_error(monkeypatch):
         cyclotomic_polynomial.__wrapped__(12)  # bypass the cache
 
 
-def test_vanishing_inverse_gcd_is_a_typed_error(monkeypatch):
-    # a Euclid step whose remainder vanishes means a common factor with Phi_n
-    monkeypatch.setattr(cyclotomic, "_prem", lambda r0, s0, r1, s1: ([0] * len(r0), s0))
-    with pytest.raises(CyclotomicCheckFailed, match="gcd"):
-        root_of_unity(5, 1).inverse()
+def test_vanishing_norm_is_a_typed_error(monkeypatch):
+    # a zero conjugate makes the norm zero, which no nonzero element has
+    x = root_of_unity(5, 1)
+    monkeypatch.setattr(cyclotomic, "_place", lambda vec, m, order, items, scale: vec)
+    with pytest.raises(CyclotomicCheckFailed, match="norm"):
+        x.inverse()
+
+
+def test_inverse_on_certify_pivots_and_wide_numerators(monkeypatch):
+    # every irrational operand the exact eliminations of certify's T^u and
+    # Delta_6^u invert (k = 4; T^u is stored at order 20), and random
+    # elements at orders 15, 20 and 60 with numerators up to 2^64
+    u = icosahedral_conjugator(4)
+    matrices = [coefficient_matrix(phi(conjugate(G, u)))
+                for G in (binary_polyhedral("T"), dihedral(6))]
+    operands = []
+    inverse = Cyclotomic.inverse
+
+    def recording(x):
+        if x.order != 1:
+            operands.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", recording)
+    for M in matrices:
+        inertia_exact(M)
+        gauss_rank(M)
+    monkeypatch.undo()
+    assert {x.order for x in operands} == {20, 30}
+    rng = random.Random(64)
+    for n in (15, 20, 60):
+        for _ in range(6):
+            exps = rng.sample(range(n), rng.randint(2, 6))
+            operands.append(Cyclotomic(n, {k: Fraction(rng.randint(-2 ** 64, 2 ** 64),
+                                                       rng.randint(1, 2 ** 16)) for k in exps}))
+    for x in operands:
+        inv = x.inverse()
+        _assert_canonical(inv)
+        assert inv.key() == _reference_inverse(x).key()
+        assert x * inv == 1
 
 
 def test_promote_and_roundtrip():
