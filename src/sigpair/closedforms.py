@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, _pmul, rational
+from .cyclotomic import Cyclotomic, rational
 from .fpq import c_closed, even_binomial, fpq
 from .intervals import cos_2pi
 from .invariant import HermitianPolynomial, pack_key
@@ -40,6 +40,15 @@ def _trim(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
+
+
+def _pmul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two int coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _subst_terms(f: dict[tuple[int, int], int], anti: bool,
@@ -215,7 +224,7 @@ def p_poly_roots_check(p: int) -> bool:
 
     roots = []
     for j in range(p):
-        lo, hi = cos_2pi(2 * j + 1, 4 * p, 64)
+        lo, hi = (Fraction(c, 1 << 64) for c in cos_2pi(2 * j + 1, 4 * p, 64))
         if lo <= -1:
             return False
         roots.append(((lo - 1) / (lo + 1), (hi - 1) / (hi + 1)))

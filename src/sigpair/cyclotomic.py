@@ -13,17 +13,18 @@ zero operand, always the canonical order-1 zero, returns at once with the
 same value and key.  Rationals build no vector: a sum, product, `sub_mul`
 or `inverse` whose operands all sit at order 1 is a few int products over
 one gcd, a product with one rational operand scales the other's
-numerators, and `sign` reads a rational's numerator.  The one reduction
-table is `root_items(n)`, the canonical numerators of zeta_n^k for
-0 <= k < n: a basis vector below phi(n), the row of x^k mod Phi_n from
-there on.  Every
-result collects into one phi(n)-long vector, and only an exponent at or
-above phi(n) goes through its row: linearly in `_place` (the constructor,
-`promote`, sums and `conj`, which takes no gcd) and bilinearly in
-`_mul_into` (`__mul__` and the fused `sub_mul`, a - b*c, the update of both
-eliminations in `signature`).  `inverse` uses both: it places each
-conjugate of the numerators and multiplies them into the norm.  The fold
-in `invariant` reduces packed integers modulo Phi_n(2^w) instead and takes
+numerators, and `sign` reads a rational's numerator.  Phi_n comes from
+its Moebius factorization, one int loop per divisor, with no polynomial
+division.  The one reduction table is `root_items(n)`, the canonical
+numerators of zeta_n^k for 0 <= k < n: a basis vector below phi(n), the
+row of x^k mod Phi_n from there on.  Every result collects into one
+phi(n)-long vector, and only an exponent at or above phi(n) goes through
+its row: linearly in `_place` (the constructor, `promote`, sums and
+`conj`, which takes no gcd) and bilinearly in `_mul_into` (`__mul__` and
+the fused `sub_mul`, a - b*c, the update of both eliminations in
+`signature`).  `inverse` uses both: it places each conjugate of the
+numerators and multiplies them into the norm.  The fold in `invariant`
+reduces packed integers modulo Phi_n(2^w) instead and takes
 from the same rows the norms that bound that step.  Fractions appear only
 at the edges: the constructor, `coords`, `as_fraction` and JSON.
 
@@ -41,8 +42,9 @@ from functools import lru_cache
 
 from . import intervals
 
-# Largest field order a JSON element may name: Q(zeta_n) costs Phi_n and
-# about (n - phi(n)) phi(n) reduction-table entries before any arithmetic.
+# Largest field order a JSON element may name: Q(zeta_n) costs about
+# (n - phi(n)) phi(n) reduction-table entries (`root_items`) before any
+# arithmetic, which dwarfs the few ms of Phi_n.
 MAX_JSON_ORDER = 4096
 
 
@@ -71,45 +73,51 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending degree: x^n - 1 divided by
-    Phi_d for every proper divisor d of n."""
+    """Integer coefficients of Phi_n, ascending degree.
+
+    For n > 1, Phi_n is the product of (1 - x^d)^mu(n/d) over the divisors
+    d < n of n, taken as a power series below x^n: the factor d = n is 1
+    there, and deg Phi_n = phi(n) < n, so the truncation is exact.
+    Multiplying by 1 - x^d is a descending shift-subtract and dividing by it
+    an ascending shift-add.  The result must be monic, palindromic and of
+    degree #{1 <= k <= n : gcd(k, n) = 1}, or `CyclotomicCheckFailed` is
+    raised."""
     if n == 1:
         return (-1, 1)
-    f = [-1] + [0] * (n - 1) + [1]
+    f = [1] + [0] * (n - 1)
     for d in (d for d in range(1, n) if n % d == 0):
-        den = cyclotomic_polynomial(d)
-        q, r = _pdivmod(f, den)
-        if any(r):
-            raise CyclotomicCheckFailed(f"dividing x^{n} - 1 by Phi_{d} left a remainder")
-        f = q[:len(f) - len(den) + 1]
+        mu = _mobius(n // d)
+        if mu > 0:
+            for i in range(n - 1, d - 1, -1):
+                f[i] -= f[i - d]
+        elif mu < 0:
+            for i in range(d, n):
+                f[i] += f[i - d]
+    while not f[-1]:
+        f.pop()
+    if f[-1] != 1 or f != f[::-1] or len(f) - 1 != sum(
+            math.gcd(k, n) == 1 for k in range(1, n + 1)):
+        raise CyclotomicCheckFailed(f"the Moebius product for Phi_{n} is not monic, "
+                                    f"palindromic and of degree phi({n})")
     return tuple(f)
+
+
+def _mobius(m: int) -> int:
+    """The Moebius function mu(m), m >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if m > 1 else mu
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
-
-
-def _pdeg(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _pdivmod(a: list[Fraction], b: list[Fraction]):
-    """(quotient, remainder) of a / b; integer inputs stay integer when b is monic."""
-    a = list(a)
-    db = _pdeg(b)
-    lead = b[db]
-    q = [0] * max(1, len(a))
-    for i in range(_pdeg(a), db - 1, -1):
-        if a[i]:
-            c = a[i] if lead == 1 else a[i] / lead
-            q[i - db] = c
-            for k in range(db + 1):
-                a[k + i - db] -= c * b[k]
-    return q, a
 
 
 class Cyclotomic:
@@ -453,17 +461,6 @@ def sub_mul(a: Cyclotomic, b: Cyclotomic, c: Cyclotomic) -> Cyclotomic:
         # a rational b*c leaves a - b*c at a's order
         return a + Cyclotomic.from_reduced(1, vec[:1], den)
     return Cyclotomic.from_reduced(m, _place(vec, m, a.order, a.items, den // a.den), den)
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Product of dense coefficient lists; integer inputs stay integer."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def _coerce(x):

@@ -1,15 +1,14 @@
 """Rigorous dyadic interval arithmetic for evaluating real cyclotomic numbers.
 
 Series are summed in fixed point on ints, every floor counted into an
-explicit error bound, and results are (lo, hi) pairs of dyadic Fractions
-rounded outward, so an enclosure computed here genuinely contains the real
-number it approximates, which is what makes the sign certification in
-`cyclotomic` a proof rather than a heuristic.
+explicit error bound, and results are (lo, hi) pairs of ints in units of
+2^-bits, rounded outward, so an enclosure computed here genuinely contains
+the real number it approximates, which is what makes the sign certification
+in `cyclotomic` a proof rather than a heuristic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -39,9 +38,9 @@ def _pi_fixed(w: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def cos_2pi(num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Dyadic enclosure (lo, hi) of cos(2*pi*num/den), num any integer and
-    den > 0, with hi - lo < 3 * 2^-bits.
+def cos_2pi(num: int, den: int, bits: int) -> tuple[int, int]:
+    """Enclosure lo 2^-bits <= cos(2*pi*num/den) <= hi 2^-bits, lo and hi
+    ints, num any integer and den > 0, with hi - lo < 3.
 
     By symmetry x = 2 pi a/b lies in [0, pi/2], up to the sign of the result;
     the fraction need not be in lowest terms, since scaling a and b by the same
@@ -60,7 +59,7 @@ def cos_2pi(num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
     if 4 * a > b:
         a, b, sign = b - 2 * a, 2 * b, -1
     if a == 0:
-        return Fraction(sign), Fraction(sign)
+        return sign << bits, sign << bits
     g = bits.bit_length() + 8
     w = bits + g
     pl, ph = _pi_fixed(w)
@@ -75,35 +74,26 @@ def cos_2pi(num: int, den: int, bits: int) -> tuple[Fraction, Fraction]:
         s += -m if j & 1 else m
     err = 2 * j + 2 + max(x - xl, xh - x)
     lo, hi = (s - err) >> g, -((-s - err) >> g)
-    if sign < 0:
-        lo, hi = -hi, -lo
-    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+    return (-hi, -lo) if sign < 0 else (lo, hi)
 
 
-@lru_cache(maxsize=None)
-def _cos_units(num: int, den: int, bits: int) -> tuple[int, int]:
-    """`cos_2pi(num, den, bits)` as ints in units of 2^-bits."""
-    return tuple(c.numerator << (bits + 1 - c.denominator.bit_length())
-                 for c in cos_2pi(num, den, bits))
-
-
-def real_enclosure(order: int, items, bits: int) -> tuple[Fraction, Fraction]:
+def real_enclosure(order: int, items, bits: int) -> tuple[int, int]:
     """Enclosure (lo, hi) of Re(sum a_k zeta_order^k) = sum a_k cos(2*pi*k/order)
-    on the 2^-bits grid, items the (k, a_k) pairs with int a_k.
+    as ints in units of 2^-bits, items the (k, a_k) pairs with int a_k.
 
     Width: each cosine is enclosed at w >= bits + 12 bits, narrower than
-    3 * 2^-w, the sum is taken exactly in units of 2^-w and rounded outward
-    once, so hi - lo < (S / 1024 + 2) 2^-bits, S = sum |a_k|; below
-    2^(L+1-bits) for S < 2^L.
+    3 units of 2^-w, the sum is taken exactly in those units and rounded
+    outward once, so hi - lo < S / 1024 + 2, S = sum |a_k|; below 2^(L+1)
+    for S < 2^L.
     """
     w = bits + 8 + max(4, order.bit_length())
     lo = hi = 0
     for k, v in items:
-        cl, ch = _cos_units(k, order, w)
+        cl, ch = cos_2pi(k, order, w)
         if v >= 0:
             lo += v * cl
             hi += v * ch
         else:
             lo += v * ch
             hi += v * cl
-    return Fraction(lo >> (w - bits), 1 << bits), Fraction(-(-hi >> (w - bits)), 1 << bits)
+    return lo >> (w - bits), -(-hi >> (w - bits))

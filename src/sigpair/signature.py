@@ -406,10 +406,10 @@ def _count_below(d: list[int], e2: list[int], x: int) -> int:
 @lru_cache(maxsize=None)
 def _root_fixed(n: int, k: int, scale: int) -> tuple[int, int]:
     """cos(2 pi k/n) and sin(2 pi k/n) = cos(2 pi (n - 4k)/(4n)) times 2^scale,
-    each the rounded midpoint of a `cos_2pi` enclosure narrower than 3 units,
-    so within 2 units of the true value."""
-    return tuple(round((lo + hi) * (1 << scale) / 2)
-                 for lo, hi in (cos_2pi(k, n, scale), cos_2pi(n - 4 * k, 4 * n, scale)))
+    each the midpoint of a `cos_2pi` enclosure narrower than 3 units, rounded
+    half to even, so within 2 units of the true value."""
+    return tuple((s + (s >> 1 & 1)) >> 1
+                 for s in (sum(cos_2pi(k, n, scale)), sum(cos_2pi(n - 4 * k, 4 * n, scale))))
 
 
 def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,

@@ -3,11 +3,45 @@
 import math
 from fractions import Fraction
 
-from sigpair.cyclotomic import (Cyclotomic, _pdivmod, cyclotomic_polynomial, euler_phi, rational,
+from sigpair.cyclotomic import (Cyclotomic, cyclotomic_polynomial, euler_phi, rational,
                                 root_of_unity)
 from sigpair.group import FiniteMatrixGroup, Matrix2, antidiag, closure, diag, springer_generators
 from sigpair.invariant import HermitianPolynomial, pack_key
 from sigpair.signature import HermitianMatrix
+
+
+def poly_degree(p) -> int:
+    """Degree of an ascending coefficient list; -1 for the zero polynomial."""
+    return max((i for i, c in enumerate(p) if c), default=-1)
+
+
+def poly_divmod(a, b):
+    """(quotient, remainder) of ascending coefficient lists a / b by long
+    division, b nonzero; the remainder keeps a's length.  Int lists stay int
+    when b is monic, and Fractions work throughout."""
+    a = list(a)
+    db = poly_degree(b)
+    lead = b[db]
+    q = [0] * max(1, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        if a[i]:
+            c = a[i] if lead == 1 else a[i] / lead
+            q[i - db] = c
+            for k in range(db + 1):
+                a[i - db + k] -= c * b[k]
+    return q, a
+
+
+def poly_mul(a, b):
+    """Product of ascending coefficient lists: each nonzero coefficient of
+    the sparser one scales a slice of the other."""
+    if sum(map(bool, a)) > sum(map(bool, b)):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + len(b)] = [o + x * y for o, y in zip(out[i:i + len(b)], b)]
+    return out
 
 
 def approx_complex(c) -> complex:
@@ -107,7 +141,7 @@ def reference_fold(factors, n, prod=None):
                         acc[j if j < n else j - n] += c * v
         prod = {}
         for key, vec in out.items():
-            _, rem = _pdivmod(vec, cyclotomic_polynomial(n))
+            _, rem = poly_divmod(vec, cyclotomic_polynomial(n))
             if any(rem):
                 prod[key] = rem
     return {key: vec[:euler_phi(n)] for key, vec in prod.items()}

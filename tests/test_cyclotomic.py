@@ -28,7 +28,8 @@ from sigpair.group import binary_polyhedral, conjugate, dihedral
 from sigpair.invariant import phi
 from sigpair.signature import coefficient_matrix, gauss_rank, inertia_exact
 
-from helpers import approx_complex, icosahedral_conjugator, multiplicative_order
+from helpers import (approx_complex, icosahedral_conjugator, multiplicative_order, poly_degree,
+                     poly_divmod, poly_mul)
 
 
 def test_cyclotomic_polynomials():
@@ -39,6 +40,16 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     assert euler_phi(20) == 8
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # x^n - 1 is the product of Phi_d over the divisors d of n, multiplied by
+    # the tests' own product, not by anything that built the Phi_d
+    for n in range(1, 1501):
+        prod = [1]
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            prod = poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_roots_of_unity_basics():
@@ -116,7 +127,7 @@ def _reference(n, raw):
     poly = [Fraction(0)] * (max(raw, default=0) + 1)
     for k, v in raw.items():
         poly[k] += v
-    _, rem = cyclotomic._pdivmod(poly, [Fraction(c) for c in cyclotomic_polynomial(n)])
+    _, rem = poly_divmod(poly, cyclotomic_polynomial(n))
     return {k: v for k, v in enumerate(rem) if v}
 
 
@@ -194,10 +205,10 @@ def _reference_inverse(c):
         a[k] = Fraction(v)
     r0, r1 = [Fraction(x) for x in cyclotomic_polynomial(n)], a
     s0, s1 = [Fraction(0)], [Fraction(1)]
-    while cyclotomic._pdeg(r1) > 0:
-        q, r = cyclotomic._pdivmod(r0, r1)
+    while poly_degree(r1) > 0:
+        q, r = poly_divmod(r0, r1)
         r0, r1 = r1, r
-        qs = cyclotomic._pmul(q, s1)
+        qs = poly_mul(q, s1)
         s0, s1 = s1, [x - y for x, y in zip_longest(s0, qs, fillvalue=0)]
     return Cyclotomic(n, {i: v * c.den / r1[0] for i, v in enumerate(s1) if v})
 
@@ -416,16 +427,12 @@ def test_division_errors():
         zero().inverse()
 
 
-def test_inexact_cyclotomic_division_is_a_typed_error(monkeypatch):
-    # the checks are exceptions, not asserts, so they also hold under python -O
-    exact = cyclotomic._pdivmod
-
-    def with_remainder(a, b):
-        q, r = exact(a, b)
-        return q, [r[0] + 1] + r[1:]
-
-    monkeypatch.setattr(cyclotomic, "_pdivmod", with_remainder)
-    with pytest.raises(CyclotomicCheckFailed, match="remainder"):
+def test_broken_moebius_product_is_a_typed_error(monkeypatch):
+    # the checks are exceptions, not asserts, so they also hold under python -O:
+    # with mu negated the product is 1/Phi_12 below x^12, not a polynomial of degree 4
+    mobius = cyclotomic._mobius
+    monkeypatch.setattr(cyclotomic, "_mobius", lambda m: -mobius(m))
+    with pytest.raises(CyclotomicCheckFailed, match="Moebius"):
         cyclotomic_polynomial.__wrapped__(12)  # bypass the cache
 
 
@@ -528,13 +535,13 @@ def test_real_enclosure_intervals():
         for bits in (64, 128):
             lo, hi = intervals.cos_2pi(num, den, bits)
             true = _math.cos(2 * _math.pi * num / den)
-            assert float(lo) - 1e-12 <= true <= float(hi) + 1e-12
-            assert hi - lo <= Fraction(1, 1 << (bits - 8))
+            assert lo / 2 ** bits - 1e-12 <= true <= hi / 2 ** bits + 1e-12
+            assert hi - lo <= 1 << 8
     z7 = root_of_unity(7, 1)
     elt = z7 + z7 ** 6
     lo, hi = intervals.real_enclosure(elt.order, elt.items, 96)
     assert 0 < lo <= hi
-    assert abs(float((lo + hi) / 2) - 2 * _math.cos(2 * _math.pi / 7)) < 1e-12
+    assert abs((lo + hi) / 2 ** 97 - 2 * _math.cos(2 * _math.pi / 7)) < 1e-12
 
 
 def test_json_round_trip():
@@ -597,8 +604,9 @@ def test_sign_of_large_powers_is_fast():
     assert time.perf_counter() - start < 2.0
 
 
-def _mp(x: Fraction):
-    return mpmath.mpf(x.numerator) / x.denominator
+def _mp(x: int, bits: int):
+    """x 2^-bits as an mpmath number."""
+    return mpmath.ldexp(x, -bits)
 
 
 @pytest.mark.parametrize("bits", [1, 8, 64, 200, 1024, 4096])
@@ -611,10 +619,10 @@ def test_cos_2pi_contains_the_value(bits):
             nums = [n for n in range(den) if math.gcd(n, den) == 1]
             for num in nums if den < 100 else nums[:12] + nums[-12:]:
                 lo, hi = intervals.cos_2pi(num, den, bits)
-                assert lo.denominator <= 1 << bits and hi.denominator <= 1 << bits
-                assert hi - lo < Fraction(3, 1 << bits)
+                assert type(lo) is int and type(hi) is int
+                assert hi - lo < 3
                 val = mpmath.cos(2 * mpmath.pi * num / den)
-                assert _mp(lo) - eps <= val <= _mp(hi) + eps, (num, den, bits)
+                assert _mp(lo, bits) - eps <= val <= _mp(hi, bits) + eps, (num, den, bits)
 
 
 def test_cos_2pi_takes_any_fraction():
@@ -637,10 +645,11 @@ def test_real_enclosure_contains_the_value(bits):
                 continue
             lo, hi = intervals.real_enclosure(x.order, x.items, bits)
             s = sum(abs(v) for _, v in x.items)
-            assert hi - lo < Fraction(s, 1 << (bits + 10)) + Fraction(2, 1 << bits)
+            assert type(lo) is int and type(hi) is int
+            assert hi - lo < Fraction(s, 1 << 10) + 2
             val = sum(v * mpmath.cos(2 * mpmath.pi * k / x.order) for k, v in x.items)
             eps = s * mpmath.mpf(2) ** (4 - 2 * bits)
-            assert _mp(lo) - eps <= val <= _mp(hi) + eps, (order, bits)
+            assert _mp(lo, bits) - eps <= val <= _mp(hi, bits) + eps, (order, bits)
 
 
 def test_straddling_enclosure_fails_within_the_bound(monkeypatch):
