@@ -6,6 +6,8 @@ Subcommands:
   verify      run a named verification sweep; exits 4 on a counterexample
   ratio       positivity-ratio tables for the cyclic, dihedral and binary
               dihedral families
+  family-csv  closed-form (p, N, N+, N-, ratio) table of the dihedral or
+              binary dihedral family
 
 Results go to stdout (JSON, CSV, LaTeX or text); diagnostics go to stderr.
 Exit codes: 0 success, 2 bad arguments (including a malformed group spec
@@ -132,7 +134,7 @@ def _signature_records(args, G, methods, dump) -> int:
         return _error(exc)
     if args.verbose and stats:
         print(f"{G.label}: elimination, {stats['blocks']} blocks, largest {stats['max_block']}, "
-              f"{stats['pivots_1x1']} 1x1 and {stats['pivots_2x2']} 2x2 pivots", file=sys.stderr)
+              f"{stats['shifts']} shifts", file=sys.stderr)
     if dump:
         dump.truncate(0)
         dump.writelines(row + "\n" for row in P.csv_rows())
@@ -471,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report progress on stderr, one step per coset of the diagonal subgroup, "
                          "with the product's term count and the fold's slot width, then the "
                          "fold's cosets, orbits, peak term count and term products, then the "
-                         "exact elimination's blocks and pivot counts")
+                         "exact elimination's blocks, largest block and shifts")
     sp.set_defaults(func=cmd_signature)
 
     fp = sub.add_parser("fpq", help="the bivariate polynomials f_{p,q}")

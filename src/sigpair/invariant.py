@@ -522,16 +522,12 @@ def _diagonal_exponents(H: list[Matrix2], n: int) -> list[tuple[int, int]]:
     return [(exponent(h.a), exponent(h.d)) for h in H]
 
 
-def _least_prime(q: int) -> int:
-    """The least prime dividing q > 1."""
-    return next(p for p in range(2, q + 1) if q % p == 0)
-
-
-def _chain(exponents: list[tuple[int, int]], N: int) -> list[int]:
-    """Indices i_1, i_2, ... into `exponents`, a list of exponent pairs
-    modulo N, with {0} = K_0 < K_1 < ... = H, K_t generated by K_(t-1) and
-    exponents[i_t], each step of least index [K_t : K_(t-1)] (the first such
-    element in list order); `InvariantCheckFailed` if the list is no group H.
+def _chain(exponents: list[tuple[int, int]], N: int) -> list[tuple[int, int]]:
+    """The chain {0} = K_0 < K_1 < ... = H as pairs (i_t, |K_t|), t >= 1:
+    K_t is generated by K_(t-1) and exponents[i_t], for `exponents` a list of
+    exponent pairs modulo N, each step of least index [K_t : K_(t-1)] (the
+    first such element in list order); `InvariantCheckFailed` if the list is
+    no group H.
 
     The least index is the least prime m dividing [H : K_(t-1)] (Cauchy), so
     the step is the first element e outside K_(t-1) whose m-th multiple lies
@@ -542,7 +538,8 @@ def _chain(exponents: list[tuple[int, int]], N: int) -> list[int]:
     ok = len(listed) == order and (0, 0) in listed
     K, chain = dict.fromkeys([(0, 0)]), []
     while ok and len(K) < order and order % len(K) == 0:
-        m = _least_prime(order // len(K))
+        rest = order // len(K)
+        m = next(p for p in range(2, rest + 1) if rest % p == 0)
         i = next((i for i, (a, b) in enumerate(exponents)
                   if (a, b) not in K and (m * a % N, m * b % N) in K), None)
         if i is None:
@@ -551,7 +548,7 @@ def _chain(exponents: list[tuple[int, int]], N: int) -> list[int]:
         grown = [((x + k * a) % N, (y + k * b) % N) for k in range(1, m) for x, y in K]
         ok = listed.issuperset(grown)
         K.update(dict.fromkeys(grown))
-        chain.append(i)
+        chain.append((i, len(K)))
     _require(ok and len(K) == order, f"the {order} diagonal elements are not a group")
     return chain
 
@@ -603,8 +600,9 @@ def _cosets(G: FiniteMatrixGroup):
     return H, reps, coset
 
 
-def _coset_plan(H: list[Matrix2], exponents: list[tuple[int, int]], chain: list[int], N: int,
-                reps: list[Matrix2], coset: dict) -> tuple[list[list[int]], list | None]:
+def _coset_plan(H: list[Matrix2], exponents: list[tuple[int, int]],
+                chain: list[tuple[int, int]], N: int, reps: list[Matrix2],
+                coset: dict) -> tuple[list[list[int]], list | None]:
     """(orbits, lattices): the orbits of H, acting by gH -> hgH on the
     non-identity cosets (indices into `reps`), largest first, ties by least
     coset, and for each coset in that order the `_lattice_basis` its fold
@@ -633,7 +631,7 @@ def _coset_plan(H: list[Matrix2], exponents: list[tuple[int, int]], chain: list[
         if start in placed:
             continue
         orbit, steps = [start], [None]
-        for t, h in enumerate(H[i] for i in chain):
+        for t, h in enumerate(H[i] for i, _ in chain):
             block, marks = orbit, steps
             while h.a != h.d and (block := [image(h, j) for j in block])[0] not in orbit:
                 orbit, steps = orbit + block, steps + marks
@@ -645,10 +643,7 @@ def _coset_plan(H: list[Matrix2], exponents: list[tuple[int, int]], chain: list[
     orbits = [orbit for orbit, _ in plans]
     if len(reps) < 2:
         return orbits, None
-    orders = [1]
-    for _ in chain:
-        orders.append(orders[-1] * _least_prime(len(H) // orders[-1]))
-    bases = {t: _lattice_basis([exponents[i] for i in chain[:t + 1]], N, orders[t + 1])
+    bases = {t: _lattice_basis([exponents[i] for i, _ in chain[:t + 1]], N, chain[t][1])
              for _, steps in plans for t in steps if t is not None}
     return orbits, [bases.get(t) for _, steps in plans for t in steps]
 
@@ -675,7 +670,7 @@ def _product(G: FiniteMatrixGroup, n: int, progress=None, stats=None):
     exponents = _diagonal_exponents(H, n)
     N = math.lcm(2, n)
     chain = _chain(exponents, N)
-    identity_factor = _diagonal_product([exponents[i] for i in chain], len(H), n)
+    identity_factor = _diagonal_product([exponents[i] for i, _ in chain], len(H), n)
     prod = {pack_key(r, s, r, s): [c] for (r, s), c in identity_factor.items()}
     orbits, lattices = _coset_plan(H, exponents, chain, N, reps, coset)
     order = [j for orbit in orbits for j in orbit]

@@ -2,10 +2,10 @@
 
 The inertia (n+, n-, n0) is computed by congruence elimination, never by
 characteristic polynomials: the first remaining index whose diagonal entry
-is nonzero gives a 1x1 pivot contributing its certified sign; if every
-remaining diagonal entry of a nonzero block vanishes, an off-diagonal 2x2
-pivot [[0, a], [conj(a), 0]] contributes one eigenvalue of each sign (its
-determinant -a*conj(a) is negative).  All arithmetic stays in the
+is nonzero is the pivot and contributes its certified sign; if every
+remaining diagonal entry of a nonzero block vanishes, a shift, the
+congruence e_i -> e_i + conj(a) e_j at the first nonzero entry a = A_ij,
+first turns A_ii into the pivot 2 a conj(a) > 0.  All arithmetic stays in the
 cyclotomic field, where every congruence is exact, so by Sylvester's law
 any nonzero pivot keeps the inertia and none is chosen by size: the
 elimination evaluates no real number except through `Cyclotomic.sign`.
@@ -188,84 +188,69 @@ def _pivot_line(block, p: int, active: list[int]) -> list[tuple[int, Cyclotomic,
 
 
 def _eliminate_block(block: list[list[Cyclotomic]]) -> tuple[Inertia, int]:
-    """Inertia of a dense Hermitian block and its number of 2x2 pivots.
+    """Inertia of a dense Hermitian block and its number of shifts.
 
-    Only the upper triangle, block[i][j] with i <= j, is read or written; an
-    entry below it is the conj of its mirror.  Each pivot's row and column
-    are read once (`_pivot_line`), and each update of the Schur complement is
-    one fused `sub_mul`, so a pivot costs O(m) conj, not O(m^2)."""
+    Each pivot is the first remaining nonzero diagonal entry; when none is
+    left, a shift makes one (see the module docstring).  Only the upper
+    triangle, block[i][j] with i <= j, is read or written; an entry below it
+    is the conj of its mirror.  Each pivot's row and column are read once
+    (`_pivot_line`), and each update of the Schur complement is one fused
+    `sub_mul`, so a pivot costs O(m) conj, not O(m^2)."""
     m = len(block)
     active = list(range(m))
-    pos = neg = pairs = 0
+    pos = neg = shifts = 0
     while active:
         piv = next((i for i in active if not block[i][i].is_zero()), None)
-        if piv is not None:
-            d = block[piv][piv]
-            if d.sign() > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(piv)
-            line = _pivot_line(block, piv, active)
-            if line:
-                dinv = d.inverse()
-                for x, (i, col, _) in enumerate(line):
-                    ratio = col * dinv
-                    row_i = block[i]
-                    for j, _, row in line[x:]:
-                        row_i[j] = sub_mul(row_i[j], ratio, row)
-        else:
-            pair = None
-            for x, i in enumerate(active):
-                for j in active[x + 1:]:
-                    if not block[i][j].is_zero():
-                        pair = (i, j)
-                        break
-                if pair:
+        if piv is None:
+            for i in active:
+                if line := _pivot_line(block, i, active):
                     break
-            if pair is None:
+            else:
                 break  # remaining block is zero
-            i0, j0 = pair
+            # row i += a row j (a = A_ij) puts a conj(a) at A_ii; column i +=
+            # conj(a) column j, kept only at A_ii, adds it again.  Each other
+            # k of row j is past i, as the rows before i are zero
+            j, _, a = line[0]
+            neg_a, row_i = -a, block[i]
+            for k, _, row in _pivot_line(block, j, active):
+                row_i[k] = sub_mul(row_i[k], neg_a, row)
+            row_i[i] += row_i[i]
+            shifts += 1
+            piv = i
+        d = block[piv][piv]
+        if d.sign() > 0:
             pos += 1
+        else:
             neg += 1
-            pairs += 1
-            active.remove(i0)
-            active.remove(j0)
-            # pivot [[0, a], [conj(a), 0]]: subtract (b_kj0 / a) row i0 + (b_ki0 / conj(a)) row j0
-            inv_a = block[i0][j0].inverse()
-            inv_ac = inv_a.conj()
-            z = rational(0)
-            lines = [{j: (col, row) for j, col, row in _pivot_line(block, p, active)}
-                     for p in (i0, j0)]
-            coefs = []
-            for k in sorted(lines[0].keys() | lines[1].keys()):
-                bi, ri = lines[0].get(k, (z, z))
-                bj, rj = lines[1].get(k, (z, z))
-                coefs.append((k, bj * inv_a, ri, bi * inv_ac, rj))
-            for x, (k, u, _, w, _) in enumerate(coefs):
-                row_k = block[k]
-                for l, _, ri, _, rj in coefs[x:]:
-                    row_k[l] = sub_mul(sub_mul(row_k[l], u, ri), w, rj)
-    return Inertia(pos, neg, m - pos - neg), pairs
+        active.remove(piv)
+        line = _pivot_line(block, piv, active)
+        if line:
+            dinv = d.inverse()
+            for x, (i, col, _) in enumerate(line):
+                ratio = col * dinv
+                row_i = block[i]
+                for j, _, row in line[x:]:
+                    row_i[j] = sub_mul(row_i[j], ratio, row)
+    return Inertia(pos, neg, m - pos - neg), shifts
 
 
 def inertia_exact(M: HermitianMatrix, stats: dict | None = None) -> Inertia:
     """Certified inertia by Hermitian congruence elimination.
 
     When given, `stats` receives deterministic counters of the run:
-    `blocks`, `max_block` (the largest component's size), `pivots_1x1` and
-    `pivots_2x2`."""
+    `blocks`, `max_block` (the largest component's size) and `shifts`; the
+    pivots are as many as the rank."""
     signs = [c.sign() for c in _isolated(M)]
-    pos, neg, pairs = signs.count(1), signs.count(-1), 0
+    pos, neg, shifts = signs.count(1), signs.count(-1), 0
     for block in _dense_blocks(M):
-        res, p2 = _eliminate_block(block)
+        res, s = _eliminate_block(block)
         pos += res.n_plus
         neg += res.n_minus
-        pairs += p2
+        shifts += s
     if stats is not None:
         comps = M.components()
         stats.update(blocks=len(comps), max_block=max(map(len, comps), default=0),
-                     pivots_1x1=pos + neg - 2 * pairs, pivots_2x2=pairs)
+                     shifts=shifts)
     return Inertia(pos, neg, M.dimension - pos - neg)
 
 

@@ -169,7 +169,7 @@ def _elimination_line(G):
     stats = {}
     signature.inertia_exact(signature.coefficient_matrix(invariant.phi(G)), stats)
     return (f"{G.label}: elimination, {stats['blocks']} blocks, largest {stats['max_block']}, "
-            f"{stats['pivots_1x1']} 1x1 and {stats['pivots_2x2']} 2x2 pivots")
+            f"{stats['shifts']} shifts")
 
 
 @pytest.mark.parametrize("spec", ["cyclic:40,39", "O", "dihedral:6"])
@@ -194,8 +194,8 @@ def test_verbose_progress_reports_terms_and_slot_width(capsys, spec):
 
 
 @pytest.mark.parametrize("spec, line", [
-    ("T", "T: elimination, 13 blocks, largest 7, 14 1x1 and 0 2x2 pivots"),
-    ("dihedral:3", "Delta(3): elimination, 5 blocks, largest 3, 4 1x1 and 1 2x2 pivots"),
+    ("T", "T: elimination, 13 blocks, largest 7, 0 shifts"),
+    ("dihedral:3", "Delta(3): elimination, 5 blocks, largest 3, 1 shifts"),
 ])
 def test_verbose_reports_the_elimination(capsys, spec, line):
     # one stderr line after the exact elimination; stdout is the same as without -v

@@ -303,11 +303,12 @@ def test_coset_order_keeps_every_chain_orbit_contiguous(G):
     # is the least prime dividing |H| / |K_(t-1)|
     N = math.lcm(2, G.field_order())
     K = {(0, 0)}
-    for i in invariant._chain(exponents, N):
+    for i, size in invariant._chain(exponents, N):
         a, b = exponents[i]
         grown = {((x + k * a) % N, (y + k * b) % N) for x, y in K for k in range(len(H))}
         rest = len(H) // len(K)
         assert len(grown) // len(K) == min(p for p in range(2, rest + 1) if rest % p == 0)
+        assert len(grown) == size
         K = grown
         members = [h for h, e in zip(H, exponents) if e in K]
         for j in range(len(reps)):
@@ -632,7 +633,7 @@ def test_diagonal_product_matches_elementwise_fold():
     for G in _diagonal_groups():
         n = G.field_order()
         exponents = invariant._diagonal_exponents(G.elements, n)
-        gens = [exponents[i] for i in invariant._chain(exponents, math.lcm(2, n))]
+        gens = [exponents[i] for i, _ in invariant._chain(exponents, math.lcm(2, n))]
         prod = invariant._diagonal_product(gens, G.order, n)
         got = HermitianPolynomial({pack_key(r, s, r, s): rational(c) for (r, s), c in prod.items()})
         # Gamma(p, q) has order p, the lcm order of its entries
@@ -666,7 +667,7 @@ def test_weight_lattice_from_its_basis_matches_the_filter():
     cases = 0
     for label, n, exponents in _lattice_cases():
         N = math.lcm(2, n)
-        gens = [exponents[i] for i in invariant._chain(exponents, N)]
+        gens = [exponents[i] for i, _ in invariant._chain(exponents, N)]
         got = invariant._log_weights(gens, N, len(exponents))
         want = _reference_log_weights(set(exponents), N, len(exponents))
         assert list(got.items()) == list(want.items()), label
@@ -713,18 +714,19 @@ def test_group_check_accepts_exactly_the_groups(case):
             invariant._chain(exponents, N)
         return
     chain = invariant._chain(exponents, N)
-    gens = [exponents[i] for i in chain]
+    gens = [exponents[i] for i, _ in chain]
     assert _generated(gens, N) == S
     # each step is the first listed element that grows K_(t-1) by the least
-    # index, the least prime dividing |H| / |K_(t-1)|
+    # index, the least prime dividing |H| / |K_(t-1)|, and carries |K_t|
     K = {(0, 0)}
-    for t, i in enumerate(chain):
+    for t, (i, size) in enumerate(chain):
         rest = len(S) // len(K)
         least = min(p for p in range(2, rest + 1) if rest % p == 0)
         steps = [j for j, e in enumerate(exponents)
                  if len(_generated([*gens[:t], e], N)) == least * len(K)]
         assert i == steps[0]
         K = _generated(gens[:t + 1], N)
+        assert size == len(K)
     assert K == S
 
 

@@ -505,17 +505,41 @@ def test_result_record_schema():
 
 
 def test_inertia_exact_reports_blocks_and_pivots():
-    for G in (binary_polyhedral("T"), dihedral(3), binary_dihedral(3)):
+    # Delta_p with p odd has one component whose diagonal is zero once it is
+    # reached, so it takes one shift; no other group here takes one
+    for G, shifts in ([(dihedral(p), p % 2) for p in range(2, 16)]
+                      + [(binary_polyhedral("T"), 0), (binary_dihedral(3), 0)]):
         M = coefficient_matrix(phi(G))
         stats = {}
-        res = inertia_exact(M, stats)
+        inertia_exact(M, stats)
         comps = M.components()
-        assert stats["blocks"] == len(comps)
-        assert stats["max_block"] == max(map(len, comps))
-        assert stats["pivots_1x1"] + 2 * stats["pivots_2x2"] == res.rank
+        assert stats == {"blocks": len(comps), "max_block": max(map(len, comps)),
+                         "shifts": shifts}, G.label
     stats = {}
-    inertia_exact(_hm(diag_vals=(0, 0, 5), offdiag=[(0, 1, 2)]), stats)
-    assert stats == {"blocks": 2, "max_block": 2, "pivots_1x1": 1, "pivots_2x2": 1}
+    assert inertia_exact(_hm(diag_vals=(0, 0, 5), offdiag=[(0, 1, 2)]), stats) == Inertia(2, 1, 0)
+    assert stats == {"blocks": 2, "max_block": 2, "shifts": 1}
+
+
+@pytest.mark.parametrize("order", [5, 8])
+def test_shift_after_a_pivot_with_an_irrational_entry(order):
+    # pivoting on index 0 leaves the diagonal of indices 1-4 zero; the shift
+    # then takes i = 1 and j = 3 with an irrational a = A_13, and adds a
+    # times row 3 to row 1 on both sides of j: at 2 (a conj(A_23)) and at 4.
+    # The matrix is singular, so a shift that made A_11 = a conj(a), not
+    # twice that, would leave a wrong Schur complement of rank 2, not 1
+    z = root_of_unity(order, 1)
+    a, b, c = z + z ** 2, 1 - z ** 3, z ** 2 - 2
+    rows = [[rational(0)] * 5 for _ in range(5)]
+    rows[0][0] = rows[0][1] = rows[1][0] = rows[1][1] = rational(1)
+    for i, j, x in ((1, 3, a), (2, 3, b), (3, 4, c)):
+        rows[i][j], rows[j][i] = x, x.conj()
+    M = _dense(rows)
+    expected = _reference_inertia(M)
+    assert expected == Inertia(2, 1, 2)
+    assert inertia_exact(M) == expected
+    assert gauss_rank(M) == expected.rank
+    upper = [[e if i <= j else None for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    assert signature._eliminate_block(upper) == (expected, 1)
 
 
 def _mixed_rows(rng):
@@ -549,7 +573,7 @@ def _mixed_rows(rng):
 def test_isolated_indices_match_one_dense_block(monkeypatch):
     # a 1x1 component is read from its entry, with one sign() if it is
     # nonzero; the whole matrix eliminated as one dense block must agree on
-    # the inertia, the pivot counts and the sign() calls
+    # the inertia, the counters and the sign() calls
     calls = []
     sign = Cyclotomic.sign
     monkeypatch.setattr(Cyclotomic, "sign", lambda self: calls.append(self) or sign(self))
@@ -557,14 +581,13 @@ def test_isolated_indices_match_one_dense_block(monkeypatch):
         rows, blocks, largest = _mixed_rows(random.Random(seed))
         M = _dense(rows)
         calls.clear()
-        whole, pairs = signature._eliminate_block([row[:] for row in rows])
+        whole, shifts = signature._eliminate_block([row[:] for row in rows])
         whole_signs = len(calls)
         calls.clear()
         stats = {}
         assert inertia_exact(M, stats) == whole, seed
         assert len(calls) == whole_signs, seed
-        assert stats == {"blocks": blocks, "max_block": largest,
-                         "pivots_1x1": whole.rank - 2 * pairs, "pivots_2x2": pairs}, seed
+        assert stats == {"blocks": blocks, "max_block": largest, "shifts": shifts}, seed
         assert gauss_rank(M) == whole.rank, seed
 
 
@@ -725,7 +748,7 @@ def _reference_gauss_rank(M):
 def _hermitian_rows(draw):
     """A dense Hermitian matrix: random entries or a sum of 1-3 terms
     s v v*, entries with denominators, and some or all diagonals set to
-    zero, so that 2x2 pivots with complex entries occur."""
+    zero, so that shifts with complex entries occur."""
     order = draw(st.sampled_from((1, 4, 5, 8, 30, 40)))
     n = draw(st.integers(1, 12))
 
@@ -773,8 +796,8 @@ def test_elimination_matches_reference_routes(rows):
                                    lambda: binary_dihedral(3), lambda: cyclic_gamma(8, 3)],
                          ids=["T", "Delta_6", "Lambda_3", "Gamma_8_3"])
 def test_elimination_conj_count_is_linear_per_pivot(monkeypatch, build):
-    # a pivot of a size-m block reads its row with at most m conj (2m for a
-    # 2x2 pivot, which adds 2 to the rank), and sign() takes one more: at most
+    # a pivot of a size-m block reads its row with at most m conj (none of
+    # these matrices takes a shift), and sign() takes one more: at most
     # largest block x (rank + 1) in all, a bound the full-matrix route, with
     # its conj per update, exceeds (T: 243 against 2030, bound 375)
     M = _conjugated_matrix(build())
