@@ -14,13 +14,15 @@ Exit codes: 0 success, 2 bad arguments (including a malformed group spec
 or generator file, a --precision below the numeric oracle's floor, a --p
 outside a family's range, a range that leaves a `ratio`, `family-csv` or
 `fpq --table` with no rows or a verify sweep with no cases, a --p-max given
-to a sweep with no p, or a --dump-poly path that cannot be written), 3
-invalid group input, 4 failed verification.
+to a sweep with no p, a --format that an `fpq` table does not print, or a
+--dump-poly path that cannot be written), 3 invalid group input, 4 failed
+verification.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -47,6 +49,11 @@ def _error(message, code: int = 2) -> int:
 _FAMILIES = {"cyclic": (cyclic_gamma, "cyclic:P,Q", 1), "dihedral": (dihedral, "dihedral:P", 2),
              "binary-dihedral": (binary_dihedral, "binary-dihedral:P", 4)}
 
+# constructor, closed-form pair (N+, N-), least p that `ratio` accepts, first p
+# of `ratio`'s default range
+_DIHEDRAL = {"dihedral": (dihedral, closedforms.delta_signature_closed, 3, 3),
+             "binary-dihedral": (binary_dihedral, closedforms.lambda_signature_closed, 1, 2)}
+
 
 def _parse_group(spec: str) -> FiniteMatrixGroup:
     if spec in ("T", "O", "I"):
@@ -68,18 +75,21 @@ def _parse_group(spec: str) -> FiniteMatrixGroup:
     raise ValueError(f"unrecognized group spec {spec!r}")
 
 
-def _emit_record(rec: dict, fmt: str, stable: bool):
+def _emit_records(records: list, fmt: str, stable: bool):
+    """Print the records as JSON lines, one CSV table, or text lines."""
     if stable:
-        rec = {k: v for k, v in rec.items() if k != "elapsed_ms"}
-    if fmt == "json":
-        print(json.dumps(rec, sort_keys=True))
-    elif fmt == "csv":
-        keys = sorted(rec)
-        print(",".join(keys))
-        print(",".join(str(rec[k]) for k in keys))
+        records = [{k: v for k, v in rec.items() if k != "elapsed_ms"} for rec in records]
+    keys = sorted(records[0])
+    if fmt == "csv":
+        out = csv.writer(sys.stdout, lineterminator="\n")  # quotes a label such as Gamma(8,3)
+        out.writerow(keys)
+        out.writerows([rec[k] for k in keys] for rec in records)
+    elif fmt == "json":
+        for rec in records:
+            print(json.dumps(rec, sort_keys=True))
     else:
-        pairs = ", ".join(f"{k}={rec[k]}" for k in sorted(rec))
-        print(pairs)
+        for rec in records:
+            print(", ".join(f"{k}={rec[k]}" for k in keys))
 
 
 def cmd_signature(args) -> int:
@@ -140,7 +150,7 @@ def _signature_records(args, G, methods, dump) -> int:
         dump.writelines(row + "\n" for row in P.csv_rows())
     for rec in records:
         rec["elapsed_ms"] += expand_ms
-        _emit_record(rec, args.format, args.stable_output)
+    _emit_records(records, args.format, args.stable_output)
     return 0
 
 
@@ -159,17 +169,23 @@ def _progress(verbose: bool, G):
 def cmd_fpq(args) -> int:
     latex = args.format == "latex"
     if args.table2:
+        if args.format != "text":
+            return _error(f"fpq --table2 prints text only, not --format {args.format}")
         for row in even_odd_table():
             print(row)
         return 0
+    if not args.table and args.p is None:
+        return _error("--p required unless --table/--table2")
+    if args.q is None:
+        return _error(f"--q required with {'--table' if args.table else '--p'}")
     if args.table:
+        if args.format not in ("text", "latex"):
+            return _error(f"fpq --table prints text or latex only, not --format {args.format}")
         if args.p_max < 1:
             return _error(f"fpq --table --p-max {args.p_max} leaves no p; it must be at least 1")
         for row in family_table(args.q, args.p_max, latex=latex):
             print(row)
         return 0
-    if args.p is None:
-        return _error("--p required unless --table/--table2")
     if args.p < 1:
         return _error(f"p must be at least 1, got {args.p}")
     poly = fpq(args.p, args.q)
@@ -185,31 +201,20 @@ def cmd_fpq(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    least = {"dihedral": 3, "binary-dihedral": 1}.get(args.family)
-    if least and args.p is not None and args.p < least:
-        return _error(f"p must be at least {least}, got {args.p}")
-    rows = []
     if args.family == "cyclic-T":
-        for q in range(1, args.q_max + 1):
-            rows.append((q, T_closed(q), None))
-        header = "q,T(q),engine"
-    elif args.family == "dihedral":
-        ps = [args.p] if args.p is not None else list(range(3, args.p_max + 1))
-        for p in ps:
-            engine = sig_mod.positivity_ratio(dihedral(p)) if p <= args.engine_max else None
-            rows.append((p, closedforms.delta_ratio(p), engine))
-        header = "p,ratio,engine"
-    elif args.family == "binary-dihedral":
-        ps = [args.p] if args.p is not None else list(range(2, args.p_max + 1))
-        for p in ps:
-            np_, nm = closedforms.lambda_signature_closed(p)
-            engine = sig_mod.positivity_ratio(binary_dihedral(p)) if p <= args.engine_max else None
-            rows.append((p, Fraction(np_, np_ + nm), engine))
-        header = "p,ratio,engine"
+        rows = [(q, T_closed(q), None) for q in range(1, args.q_max + 1)]
+        header, bound = "q,T(q),engine", f"--q-max {args.q_max}"
     else:
-        return _error(f"unknown family {args.family}")
+        build, closed, least, first = _DIHEDRAL[args.family]
+        if args.p is not None and args.p < least:
+            return _error(f"p must be at least {least}, got {args.p}")
+        rows = []
+        for p in [args.p] if args.p is not None else range(first, args.p_max + 1):
+            npos, nneg = closed(p)
+            engine = sig_mod.positivity_ratio(build(p)) if p <= args.engine_max else None
+            rows.append((p, Fraction(npos, npos + nneg), engine))
+        header, bound = "p,ratio,engine", f"--p-max {args.p_max}"
     if not rows:
-        bound = f"--q-max {args.q_max}" if args.family == "cyclic-T" else f"--p-max {args.p_max}"
         return _error(f"ratio --family {args.family} {bound} leaves no rows")
     if args.format == "csv":
         print(header)
@@ -228,17 +233,14 @@ def cmd_ratio(args) -> int:
 
 def _family_csv(args) -> int:
     """(p, N, N+, N-, ratio) rows for a closed-form family."""
-    fam = args.family
+    closed = _DIHEDRAL[args.family][1]
     if args.p_min < 1:
         return _error(f"p must be at least 1, got {args.p_min}")
     if args.p_max < args.p_min:
         return _error(f"family-csv --p-max {args.p_max} is below --p-min {args.p_min}: no rows")
     print("p,N,N_plus,N_minus,ratio")
     for p in range(args.p_min, args.p_max + 1):
-        if fam == "dihedral":
-            npos, nneg = closedforms.delta_signature_closed(p)
-        else:
-            npos, nneg = closedforms.lambda_signature_closed(p)
+        npos, nneg = closed(p)
         n = npos + nneg
         print(f"{p},{n},{npos},{nneg},{Fraction(npos, n)}")
     return 0
@@ -271,15 +273,10 @@ def _sweep(name, cases, check) -> dict:
 
 
 def _verify_thm_su2(args) -> dict:
-    cases = []
-    for p in range(2, args.p_max + 1):
-        cases.append(("cyclic", p))
-    for p in range(2, 9):
-        cases.append(("binary-dihedral", p))
-    cases.append(("T", 0))
-    cases.append(("O", 0))
-    if args.include_slow:
-        cases.append(("I", 0))
+    cases = [("cyclic", p) for p in range(2, args.p_max + 1)]
+    cases += [("binary-dihedral", p) for p in range(2, 9)]
+    cases += [(kind, 0) for kind in ("T", "O", "I")]
+    expected = {"T": (9, 5, 14), "O": (17, 9, 26), "I": (40, 22, 62)}
 
     def check(case):
         kind, p = case
@@ -289,13 +286,8 @@ def _verify_thm_su2(args) -> dict:
                     == signature_cyclic_closed(p))
         if kind == "binary-dihedral":
             return sig_mod.signature_pair(binary_dihedral(p)) == closedforms.lambda_signature_closed(p)
-        expected = {"T": (9, 5), "O": (17, 9), "I": (40, 22)}[kind]
-        G = binary_polyhedral(kind)
-        M = sig_mod.coefficient_matrix(phi(G))
-        res = sig_mod.inertia_exact(M)
-        if (res.n_plus, res.n_minus) != expected:
-            return False
-        return sig_mod.inertia_numeric(M, 256, 1e-30) == res
+        records = sig_mod.result_records(binary_polyhedral(kind), ("exact", "numeric"))
+        return all((r["N_plus"], r["N_minus"], r["rank"]) == expected[kind] for r in records)
 
     return _sweep("thm-su2-signatures", cases, check)
 
@@ -478,11 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     fp = sub.add_parser("fpq", help="the bivariate polynomials f_{p,q}")
     fp.add_argument("--p", type=int)
-    fp.add_argument("--q", type=int, required=True)
+    fp.add_argument("--q", type=int, help="required with --p and with --table")
     fp.add_argument("--p-max", type=int, default=9)
     fp.add_argument("--table", action="store_true", help="print f_{p,q} for 1 <= p <= p-max")
     fp.add_argument("--table2", action="store_true", help="print the even/odd weight limit table")
-    fp.add_argument("--format", choices=("text", "latex", "json", "csv"), default="text")
+    fp.add_argument("--format", choices=("text", "latex", "json", "csv"), default="text",
+                    help="--table prints text or latex, --table2 text only")
     fp.set_defaults(func=cmd_fpq)
 
     vp = sub.add_parser("verify", help="run a verification sweep")
@@ -490,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--p-max", type=int, default=None,
                     help="largest p of the sweep (for thm1.1 it bounds only the cyclic cases); "
                          "dk-signs and thm1.2-limit have no p and refuse it")
-    vp.add_argument("--include-slow", action="store_true",
-                    help="include the order-120 exact computation")
     vp.add_argument("--stable-output", action="store_true")
     vp.set_defaults(func=cmd_verify)
 

@@ -1,5 +1,6 @@
 """CLI contract: outputs, exit codes, determinism."""
 
+import csv
 import json
 import time
 from fractions import Fraction
@@ -48,6 +49,25 @@ def test_signature_both_methods(capsys):
     recs = [json.loads(line) for line in lines]
     assert {r["method"] for r in recs} == {"exact", "numeric"}
     assert all((r["N_plus"], r["N_minus"]) == (5, 1) for r in recs)
+
+
+def test_signature_csv_is_one_table(capsys):
+    code, out, _ = run_cli(capsys, "signature", "--group", "cyclic:8,3", "--method", "both",
+                           "--format", "csv", "--stable-output")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [r["method"] for r in rows] == ["exact", "numeric"]
+    assert all(r["group"] == "Gamma(8,3)" and (r["N_plus"], r["N_minus"]) == ("5", "1")
+               for r in rows)
+
+
+def test_signature_text_format(capsys):
+    code, out, _ = run_cli(capsys, "signature", "--group", "T", "--method", "both",
+                           "--format", "text", "--stable-output")
+    assert code == 0
+    assert out.splitlines() == [
+        f"N=14, N_minus=5, N_plus=9, group=T, method={m}, order=24, rank=14, ratio=9/14"
+        for m in ("exact", "numeric")]
 
 
 def test_signature_from_file(capsys, tmp_path):
@@ -347,6 +367,30 @@ def test_fpq_missing_p(capsys):
     assert code == 2 and err
 
 
+def test_fpq_table2_needs_no_q(capsys):
+    code, out, _ = run_cli(capsys, "fpq", "--table2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "q mod 4 | lim N_even/N | lim N_odd/N"
+    assert [line.split(" | ")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--table2", "--format", "latex"),
+    ("--table2", "--format", "json"),
+    ("--table2", "--format", "csv"),
+    ("--table", "--q", "3", "--format", "json"),
+    ("--table", "--q", "3", "--format", "csv"),
+    ("--table",),
+    ("--p", "3"),
+])
+def test_fpq_unprinted_format_or_missing_q_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "fpq", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_fpq_csv_and_json(capsys):
     code, out, _ = run_cli(capsys, "fpq", "--p", "2", "--q", "4", "--format", "csv")
     assert out.splitlines()[0] == "r,s,coefficient"
@@ -363,6 +407,15 @@ def test_ratio_cyclic_T(capsys):
 def test_ratio_dihedral(capsys):
     code, out, _ = run_cli(capsys, "ratio", "--family", "dihedral", "--p", "7")
     assert out.strip().startswith("7: 1/2")
+
+
+def test_ratio_dihedral_column_is_delta_ratio(capsys):
+    code, out, _ = run_cli(capsys, "ratio", "--family", "dihedral", "--p-max", "40",
+                           "--engine-max", "0", "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(p) for p, _, _ in rows] == list(range(3, 41))
+    assert all(Fraction(val) == closedforms.delta_ratio(int(p)) for p, val, _ in rows)
 
 
 def test_ratio_binary_dihedral(capsys):
@@ -431,6 +484,15 @@ def test_verify_fixed_cases_need_no_p_max(capsys):
     assert json.loads(out)["cases_run"] > 0
 
 
+def test_verify_dk_signs(capsys):
+    # 12 d_k, 18 e_k and 8 P polynomials; no p to bound
+    code, out, _ = run_cli(capsys, "verify", "dk-signs", "--stable-output")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["cases_passed"] == rep["cases_run"] == 38
+    assert rep["first_counterexample"] is None
+
+
 @pytest.mark.parametrize("theorem", ["dk-signs", "thm1.2-limit"])
 def test_verify_p_max_on_a_sweep_with_no_p_exit_2(capsys, theorem):
     code, out, err = run_cli(capsys, "verify", theorem, "--p-max", "0", "--stable-output")
@@ -445,12 +507,33 @@ def test_verify_p_max_on_a_sweep_with_no_p_exit_2(capsys, theorem):
     ("chern", "3", 6),                  # (p, q), 1 <= q <= p <= 3
     ("quaternion-decomp", "2", 2),      # p = 1, 2
     ("dihedral-decomp", "3", 3),        # p = 1..3
+    ("thm1.1", "2", 11),                # Gamma(2,1), Lambda_2..8, T, O, I
+    ("lww", "2", 12),                   # p = 1, 2 by six q
+    ("census", "1", 11),                # p = 1, 2 <= q <= 12
 ])
 def test_verify_p_max_bounds_the_sweep(capsys, theorem, p_max, cases):
     code, out, _ = run_cli(capsys, "verify", theorem, "--p-max", p_max, "--stable-output")
     assert code == 0
     rep = json.loads(out)
     assert rep["cases_passed"] == rep["cases_run"] == cases
+    assert rep["first_counterexample"] is None
+
+
+def test_verify_thm1_1_compares_both_records_with_the_theorem(capsys, monkeypatch):
+    # a numeric oracle that loses one negative eigenvalue fails T, O and I
+    numeric = signature.inertia_numeric
+
+    def one_short(*args):
+        inertia = numeric(*args)
+        return inertia._replace(n_minus=inertia.n_minus - 1)
+
+    monkeypatch.setattr(signature, "inertia_numeric", one_short)
+    code, out, err = run_cli(capsys, "verify", "thm1.1", "--p-max", "2", "--stable-output")
+    assert code == 4
+    rep = json.loads(out)
+    assert (rep["cases_run"], rep["cases_passed"]) == (11, 8)
+    assert rep["first_counterexample"] == "('T', 0)"
+    assert err == "counterexample: ('T', 0)\n"
 
 
 def test_verify_help_says_p_max_bounds_only_thm1_1_cyclic_cases(capsys):
