@@ -45,6 +45,20 @@ def _error(message, code: int = 2) -> int:
     return code
 
 
+def _unread(args, mode: str, flags, **defaults) -> int | None:
+    """Exit 2 naming the first of `flags` that was given, since `mode` does
+    not read it; else None, after giving each flag in `defaults` that was
+    left at None its documented default."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
+            return _error(f"{mode} does not read {flag}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    return None
+
+
 # constructor, spec shape, and the group's order as a multiple of P
 _FAMILIES = {"cyclic": (cyclic_gamma, "cyclic:P,Q", 1), "dihedral": (dihedral, "dihedral:P", 2),
              "binary-dihedral": (binary_dihedral, "binary-dihedral:P", 4)}
@@ -169,6 +183,8 @@ def _progress(verbose: bool, G):
 def cmd_fpq(args) -> int:
     latex = args.format == "latex"
     if args.table2:
+        if (code := _unread(args, "fpq --table2", ("--table", "--p", "--q", "--p-max"))):
+            return code
         if args.format != "text":
             return _error(f"fpq --table2 prints text only, not --format {args.format}")
         for row in even_odd_table():
@@ -178,6 +194,9 @@ def cmd_fpq(args) -> int:
         return _error("--p required unless --table/--table2")
     if args.q is None:
         return _error(f"--q required with {'--table' if args.table else '--p'}")
+    mode, unread = ("fpq --table", ("--p",)) if args.table else ("fpq --p", ("--p-max",))
+    if (code := _unread(args, mode, unread, p_max=9)):
+        return code
     if args.table:
         if args.format not in ("text", "latex"):
             return _error(f"fpq --table prints text or latex only, not --format {args.format}")
@@ -201,6 +220,15 @@ def cmd_fpq(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    mode = f"ratio --family {args.family}"
+    if args.family == "cyclic-T":
+        unread = ("--p", "--p-max", "--engine-max")
+    elif args.p is None:
+        unread = ("--q-max",)
+    else:
+        mode, unread = f"{mode} --p", ("--q-max", "--p-max")
+    if (code := _unread(args, mode, unread, p_max=12, q_max=9, engine_max=8)):
+        return code
     if args.family == "cyclic-T":
         rows = [(q, T_closed(q), None) for q in range(1, args.q_max + 1)]
         header, bound = "q,T(q),engine", f"--q-max {args.q_max}"
@@ -471,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp = sub.add_parser("fpq", help="the bivariate polynomials f_{p,q}")
     fp.add_argument("--p", type=int)
     fp.add_argument("--q", type=int, help="required with --p and with --table")
-    fp.add_argument("--p-max", type=int, default=9)
+    fp.add_argument("--p-max", type=int, help="largest p of --table (default 9)")
     fp.add_argument("--table", action="store_true", help="print f_{p,q} for 1 <= p <= p-max")
     fp.add_argument("--table2", action="store_true", help="print the even/odd weight limit table")
     fp.add_argument("--format", choices=("text", "latex", "json", "csv"), default="text",
@@ -489,11 +517,11 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("ratio", help="positivity-ratio tables")
     rp.add_argument("--family", choices=("cyclic-T", "dihedral", "binary-dihedral"),
                     required=True)
-    rp.add_argument("--p", type=int)
-    rp.add_argument("--p-max", type=int, default=12)
-    rp.add_argument("--q-max", type=int, default=9)
-    rp.add_argument("--engine-max", type=int, default=8,
-                    help="largest p for which the engine value is also computed")
+    rp.add_argument("--p", type=int, help="one row of a dihedral family")
+    rp.add_argument("--p-max", type=int, help="a dihedral family's last p (default 12)")
+    rp.add_argument("--q-max", type=int, help="cyclic-T's last q (default 9)")
+    rp.add_argument("--engine-max", type=int,
+                    help="largest p with an engine value, dihedral families only (default 8)")
     rp.add_argument("--format", choices=("text", "csv", "latex"), default="text")
     rp.set_defaults(func=cmd_ratio)
 

@@ -723,6 +723,9 @@ def phi(G: FiniteMatrixGroup, progress=None, stats=None) -> HermitianPolynomial:
     _require(out.check_hermitian(), "expansion lost Hermitian symmetry")
     _require(max(map(max, map(unpack_key, out.terms)), default=0) <= G.order,
              "degree bound exceeded")
+    # each factor <gz, z> has bidegree (1, 1), so every term z^a zbar^b has |a| = |b|
+    _require(all(a1 + a2 == b1 + b2 for a1, a2, b1, b2 in map(unpack_key, out.terms)),
+             "a term's bidegree is not (k, k)")
     return out
 
 

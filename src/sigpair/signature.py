@@ -10,23 +10,25 @@ cyclotomic field, where every congruence is exact, so by Sylvester's law
 any nonzero pivot keeps the inertia and none is chosen by size: the
 elimination evaluates no real number except through `Cyclotomic.sign`.
 Matrices arising from invariant polynomials split into many small connected
-components, which the elimination exploits; inertia is additive across
-components, found once per matrix.  A 1x1 component is certified from its
-entry (one sign, rank 1 or 0); the dense block of each larger one is built
-in turn from one pass over the entries.  The elimination stores only the
-upper triangle of a block, reading a pivot's row and column once per
-pivot, and each update of the Schur complement is one fused field
-operation, `sub_mul(a, b, c)` = a - b*c.
-`gauss_rank`, the independent rank route, eliminates full rows with the
-same fused update.
+components, found once per matrix; inertia and rank are additive across
+them.  `_blocks` builds the dense block of every component, 1x1 ones
+included, in one pass over the entries, and raises `SignatureCheckFailed`
+unless the components partition the basis and no nonzero entry joins two
+of them, so no route reads a block that the check has not passed.  Each of
+the three routes below loops over these blocks with its own kernel; a 1x1
+block is read from its entry, with one sign when it is nonzero and none
+when it is zero.  The elimination stores only the upper triangle of a
+block, reading a pivot's row and column once per pivot, and each update
+of the Schur complement is one fused field operation,
+`sub_mul(a, b, c)` = a - b*c.  `gauss_rank`, the independent rank route,
+eliminates full rows with the same fused update.
 
 A numeric oracle (inertia_numeric) stands in for the original
 high-precision eigenvalue workflow; it is advisory only and never feeds
-certified results.  It too works block by block, after checking that the
-components partition the basis and that no nonzero entry joins two of them,
-but computes no eigenvalue: each block is reduced to a real tridiagonal
-matrix by Householder reflections in integer fixed point, and two Sturm
-counts per block give the eigenvalues above and below the zero threshold.
+certified results.  It computes no eigenvalue: each block is reduced to a
+real tridiagonal matrix by Householder reflections in integer fixed point,
+and two Sturm counts per block give the eigenvalues above and below the
+zero threshold.
 The roots of unity come from the proven cosine enclosures of `intervals`.
 """
 
@@ -59,8 +61,9 @@ class InsufficientPrecision(ValueError):
 
 
 class SignatureCheckFailed(ArithmeticError):
-    """The numeric oracle's blocks do not partition the matrix: an index is
-    missing or repeated, or a nonzero entry joins two blocks."""
+    """The components do not partition the matrix: an index is missing or
+    repeated, or a nonzero entry joins two of them.  Raised by `_blocks`,
+    so by the exact, rank and numeric routes alike."""
 
 
 class Inertia(NamedTuple):
@@ -148,27 +151,25 @@ def coefficient_matrix(P: HermitianPolynomial) -> HermitianMatrix:
     return HermitianMatrix(basis, entries)
 
 
-def _dense_blocks(M: HermitianMatrix):
-    """The dense block of each component of M of two or more indices, built
-    one at a time after one pass that buckets the entries by component."""
-    comps = [comp for comp in M.components() if len(comp) > 1]
-    where = {i: (b, at) for b, comp in enumerate(comps) for at, i in enumerate(comp)}
-    buckets = [[] for _ in comps]
-    for (i, j), c in M.entries.items():
-        if i in where:
-            b, p = where[i]
-            buckets[b].append((p, where[j][1], c))
+def _blocks(M: HermitianMatrix) -> list[list[list[Cyclotomic]]]:
+    """The dense block of every component of M, 1x1 ones included, from one
+    pass over the entries; raises `SignatureCheckFailed` unless the
+    components partition the basis and no entry joins two of them."""
+    comps = M.components()
+    if sorted(i for comp in comps for i in comp) != list(range(M.dimension)):
+        raise SignatureCheckFailed("components do not partition the basis")
+    block_of, at = [0] * M.dimension, [0] * M.dimension
+    for b, comp in enumerate(comps):
+        for p, i in enumerate(comp):
+            block_of[i], at[i] = b, p
     z = rational(0)
-    for comp, bucket in zip(comps, buckets):
-        block = [[z] * len(comp) for _ in comp]
-        for p, r, c in bucket:
-            block[p][r] = c
-        yield block
-
-
-def _isolated(M: HermitianMatrix) -> list[Cyclotomic]:
-    """The nonzero entry of each 1x1 component of M: rank 1, the entry's sign."""
-    return [M.entries[i, i] for i, *rest in M.components() if not rest and (i, i) in M.entries]
+    blocks = [[[z] * len(comp) for _ in comp] if len(comp) > 1 else [[z]] for comp in comps]
+    for (i, j), c in M.entries.items():
+        b = block_of[i]
+        if b != block_of[j]:
+            raise SignatureCheckFailed(f"entry ({i},{j}) joins two components")
+        blocks[b][at[i]][at[j]] = c
+    return blocks
 
 
 def _pivot_line(block, p: int, active: list[int]) -> list[tuple[int, Cyclotomic, Cyclotomic]]:
@@ -240,34 +241,36 @@ def inertia_exact(M: HermitianMatrix, stats: dict | None = None) -> Inertia:
     When given, `stats` receives deterministic counters of the run:
     `blocks`, `max_block` (the largest component's size) and `shifts`; the
     pivots are as many as the rank."""
-    signs = [c.sign() for c in _isolated(M)]
-    pos, neg, shifts = signs.count(1), signs.count(-1), 0
-    for block in _dense_blocks(M):
+    blocks = _blocks(M)
+    pos = neg = shifts = 0
+    for block in blocks:
+        if len(block) == 1:  # rank 1 and the entry's sign, or rank 0
+            c = block[0][0]
+            s = 0 if c.is_zero() else c.sign()
+            pos, neg = pos + (s > 0), neg + (s < 0)
+            continue
         res, s = _eliminate_block(block)
         pos += res.n_plus
         neg += res.n_minus
         shifts += s
     if stats is not None:
-        comps = M.components()
-        stats.update(blocks=len(comps), max_block=max(map(len, comps), default=0),
+        stats.update(blocks=len(blocks), max_block=max(map(len, blocks), default=0),
                      shifts=shifts)
     return Inertia(pos, neg, M.dimension - pos - neg)
 
 
 def gauss_rank(M: HermitianMatrix) -> int:
-    """Rank by ordinary (non-symmetric) Gaussian elimination on full rows, a
-    nonzero 1x1 component counting 1; shares with inertia_exact only the
-    field kernel and the components."""
-    rank = len(_isolated(M))
-    for block in _dense_blocks(M):
+    """Rank by ordinary (non-symmetric) Gaussian elimination on full rows;
+    shares with inertia_exact only the field kernel and the blocks."""
+    rank = 0
+    for block in _blocks(M):
         m = len(block)
+        if m == 1:
+            rank += not block[0][0].is_zero()
+            continue
         row = 0
         for col in range(m):
-            pr = None
-            for i in range(row, m):
-                if not block[i][col].is_zero():
-                    pr = i
-                    break
+            pr = next((i for i in range(row, m) if not block[i][col].is_zero()), None)
             if pr is None:
                 continue
             block[row], block[pr] = block[pr], block[row]
@@ -401,15 +404,15 @@ def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
                     zero_threshold: float = 1e-30) -> Inertia:
     """Numeric inertia oracle: advisory only, never used for certified results.
 
-    Works block by block on the components of `M.components()` and adds the
-    per-block counts; an eigenvalue counts as zero when its absolute value is
-    at most `zero_threshold`.  Before any arithmetic the components must
-    partition the basis and hold both ends of every nonzero entry, or
-    `SignatureCheckFailed` is raised.  No eigenvalue is computed: each block
-    is reduced to a real tridiagonal matrix by complex Householder
-    reflections in integer fixed point with precision_bits fraction bits,
-    and two Sturm counts give the eigenvalues below -zero_threshold and at
-    most +zero_threshold.  Each entry is converted once, its mirror being its
+    Works on the blocks of `_blocks`, which raises `SignatureCheckFailed`
+    before any arithmetic unless the components partition the matrix, and
+    adds the per-block counts; an eigenvalue counts as zero when its
+    absolute value is at most `zero_threshold`.  No eigenvalue is computed:
+    each block is reduced to a real tridiagonal matrix by complex
+    Householder reflections in integer fixed point with precision_bits
+    fraction bits, and two Sturm counts give the eigenvalues below
+    -zero_threshold and at most +zero_threshold.  Each nonzero entry of a
+    block's upper triangle is converted once, its mirror being its
     conjugate, from root-of-unity values on a grid with at least 32 guard
     bits, each within 2 units of that grid (`_root_fixed`).
 
@@ -419,36 +422,32 @@ def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
     138 for `O` and 171 for `I` at the default threshold.
     """
     check_numeric_precision(precision_bits, zero_threshold)
-    comps = M.components()
-    where = {i: (b, at) for b, comp in enumerate(comps) for at, i in enumerate(comp)}
-    if sum(map(len, comps)) != M.dimension or set(where) != set(range(M.dimension)):
-        raise SignatureCheckFailed("components do not partition the basis")
-    for (i, j) in M.entries:
-        if where[i][0] != where[j][0]:
-            raise SignatureCheckFailed(f"entry ({i},{j}) joins two components")
     bits = max(precision_bits, 1)  # the shifts below need a positive width
-    upper = [(i, j, c) for (i, j), c in M.entries.items() if i <= j]
+    blocks = _blocks(M)
+    upper = [[(p, r, c) for p, row in enumerate(block) for r, c in enumerate(row[p:], p)
+              if not c.is_zero()] for block in blocks]
     # guard bits cover coordinates larger than the entry they sum to
     guard = 32 + max([0] + [sum(abs(v) for _, v in c.items).bit_length() - c.den.bit_length()
-                            for _, _, c in upper])
+                            for line in upper for _, _, c in line])
     scale = bits + guard
-    re = [[[0] * len(comp) for _ in comp] for comp in comps]
-    im = [[[0] * len(comp) for _ in comp] for comp in comps]
+    fixed = []
     size = 0.0  # log2(max(1, max |a_ij|)), from the entries before rounding to bits
-    for i, j, c in upper:
-        zr = zi = 0
-        for k, v in c.items:
-            w = _root_fixed(c.order, k, scale)
-            zr += v * w[0]
-            zi += v * w[1]
-        q = c.den << guard
-        if zr or zi:
-            size = max(size, math.log2(zr * zr + zi * zi) / 2 - math.log2(q) - bits)
-        zr, zi = _div(zr, q), (_div(zi, q) if i != j else 0)
-        b, p = where[i]
-        r = where[j][1]
-        re[b][p][r] = re[b][r][p] = zr
-        im[b][p][r], im[b][r][p] = zi, -zi
+    for block, line in zip(blocks, upper):
+        re = [[0] * len(block) for _ in block]
+        im = [[0] * len(block) for _ in block]
+        for p, r, c in line:
+            zr = zi = 0
+            for k, v in c.items:
+                w = _root_fixed(c.order, k, scale)
+                zr += v * w[0]
+                zi += v * w[1]
+            q = c.den << guard
+            if zr or zi:
+                size = max(size, math.log2(zr * zr + zi * zi) / 2 - math.log2(q) - bits)
+            zr, zi = _div(zr, q), (_div(zi, q) if p != r else 0)
+            re[p][r] = re[r][p] = zr
+            im[p][r], im[r][p] = zi, -zi
+        fixed.append((re, im))
     floor = 16 - math.log2(zero_threshold) + size
     if precision_bits < floor:
         raise InsufficientPrecision(
@@ -457,8 +456,8 @@ def inertia_numeric(M: HermitianMatrix, precision_bits: int = 256,
             f"got {precision_bits}")
     thresh = math.floor(Fraction(zero_threshold) * 2 ** bits)
     pos = neg = 0
-    for bre, bim in zip(re, im):
-        d, e2 = _tridiagonal(bre, bim, bits)
+    for re, im in fixed:
+        d, e2 = _tridiagonal(re, im, bits)
         neg += _count_below(d, e2, -thresh)
         pos += len(d) - _count_below(d, e2, thresh)
     return Inertia(pos, neg, M.dimension - pos - neg)

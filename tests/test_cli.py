@@ -391,6 +391,26 @@ def test_fpq_unprinted_format_or_missing_q_exit_2(capsys, argv):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, mode, flag", [
+    ("ratio --family cyclic-T --p 5 --q-max 3", "ratio --family cyclic-T", "--p"),
+    ("ratio --family cyclic-T --engine-max 2", "ratio --family cyclic-T", "--engine-max"),
+    ("ratio --family dihedral --q-max 3", "ratio --family dihedral", "--q-max"),
+    ("ratio --family binary-dihedral --p 3 --p-max 2", "ratio --family binary-dihedral --p",
+     "--p-max"),
+    ("fpq --p 5 --q 2 --p-max 3", "fpq --p", "--p-max"),
+    ("fpq --table --p 5 --q 2", "fpq --table", "--p"),
+    ("fpq --table2 --p 4", "fpq --table2", "--p"),
+    ("fpq --table2 --q 3", "fpq --table2", "--q"),
+    ("fpq --table2 --p-max 3", "fpq --table2", "--p-max"),
+    ("fpq --table2 --table", "fpq --table2", "--table"),
+])
+def test_a_flag_the_mode_does_not_read_exit_2(capsys, argv, mode, flag):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {mode} does not read {flag}\n"
+
+
 def test_fpq_csv_and_json(capsys):
     code, out, _ = run_cli(capsys, "fpq", "--p", "2", "--q", "4", "--format", "csv")
     assert out.splitlines()[0] == "r,s,coefficient"

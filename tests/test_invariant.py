@@ -24,7 +24,7 @@ from sigpair.group import (FiniteMatrixGroup, Matrix2, antidiag, binary_dihedral
 from sigpair.invariant import (GroupTooLarge, HermitianPolynomial,
                                InvariantCheckFailed, pack_key, phi,
                                polarized_at_ones, unpack_key)
-from sigpair.signature import signature_pair
+from sigpair.signature import coefficient_matrix, signature_pair
 from helpers import elementwise, icosahedral_conjugator, phi_row, reference_fold
 
 # the full hand-checkable expansion of the order-8 binary dihedral invariant
@@ -103,6 +103,18 @@ def test_degree_bound():
     P = phi(g)
     for key in P.terms:
         assert all(e <= g.order for e in unpack_key(key))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: binary_polyhedral("T"), lambda: binary_polyhedral("O"),
+    lambda: conjugate(binary_polyhedral("T"), icosahedral_conjugator(2)),
+    lambda: dihedral(5), lambda: binary_dihedral(3), lambda: cyclic_gamma(8, 3),
+], ids=["T", "O", "T^u2", "Delta_5", "Lambda_3", "Gamma_8_3"])
+def test_every_component_lies_in_one_degree(build):
+    # the blocks of the signature routes each lie in one total degree k
+    M = coefficient_matrix(phi(build()))
+    for comp in M.components():
+        assert len({sum(M.basis[i]) for i in comp}) == 1, comp
 
 
 def test_group_invariance_by_substitution():
@@ -820,11 +832,18 @@ def _past_degree_bound(prod, order):
     prod[pack_key(order + 1, 0, order + 1, 0)] = list(prod[0])
 
 
+def _off_bidegree(prod, order):
+    # z1^2 zbar1 and its mirror z1 zbar1^2: a Hermitian pair within the degree bound
+    prod[pack_key(2, 0, 1, 0)] = list(prod[0])
+    prod[pack_key(1, 0, 2, 0)] = list(prod[0])
+
+
 @pytest.mark.parametrize("expand, corrupt, what", [
     (phi, _double_constant, "constant term"),
     (polarized_at_ones, _double_constant, "constant term"),
     (phi, _double_off_diagonal, "Hermitian symmetry"),
     (phi, _past_degree_bound, "degree bound"),
+    (phi, _off_bidegree, "bidegree"),
 ])
 def test_corrupted_fold_fails_its_check(monkeypatch, expand, corrupt, what):
     # corrupt the full product, the one phi converts to field coefficients

@@ -367,18 +367,24 @@ def test_blockwise_oracle_matches_full_matrix(build):
     assert inertia_numeric(permuted(M, perm), 256, 1e-30) == expected
 
 
-def test_numeric_oracle_checks_the_partition(monkeypatch):
+@pytest.mark.parametrize("route", [inertia_exact, gauss_rank,
+                                   lambda M: inertia_numeric(M, 256, 1e-30)],
+                         ids=["exact", "rank", "numeric"])
+@pytest.mark.parametrize("case", ["split", "dropped", "repeated", "out-of-range"])
+def test_every_route_checks_the_partition(monkeypatch, route, case):
+    # every route reads its blocks from one checked pass: a split component
+    # leaves an entry joining two blocks, and a dropped, repeated or unknown
+    # index leaves the components no partition of the basis
     M = coefficient_matrix(phi(binary_polyhedral("T")))
     comps = M.components()
     big = max(comps, key=len)
-    split = [c for c in comps if c is not big] + [big[:1], big[1:]]
-    monkeypatch.setattr(HermitianMatrix, "components", lambda self: split)
-    with pytest.raises(SignatureCheckFailed, match="joins two components"):
-        inertia_numeric(M, 256, 1e-30)
-    dropped = [c for c in comps if c is not big]
-    monkeypatch.setattr(HermitianMatrix, "components", lambda self: dropped)
-    with pytest.raises(SignatureCheckFailed, match="partition"):
-        inertia_numeric(M, 256, 1e-30)
+    rest = [c for c in comps if c is not big]
+    broken = {"split": rest + [big[:1], big[1:]], "dropped": rest,
+              "repeated": comps + [big[:1]], "out-of-range": comps + [[M.dimension]]}[case]
+    monkeypatch.setattr(HermitianMatrix, "components", lambda self: broken)
+    match = "joins two components" if case == "split" else "partition"
+    with pytest.raises(SignatureCheckFailed, match=match):
+        route(M)
 
 
 def test_numeric_oracle_precision_floor():
@@ -570,10 +576,10 @@ def _mixed_rows(rng):
     return rows, len(pieces), max(map(len, pieces))
 
 
-def test_isolated_indices_match_one_dense_block(monkeypatch):
-    # a 1x1 component is read from its entry, with one sign() if it is
-    # nonzero; the whole matrix eliminated as one dense block must agree on
-    # the inertia, the counters and the sign() calls
+def test_blockwise_routes_match_one_dense_block(monkeypatch):
+    # the routes read each component's block, a 1x1 one from its entry with
+    # one sign() if it is nonzero; the whole matrix eliminated as one dense
+    # block must agree on the inertia, the counters and the sign() calls
     calls = []
     sign = Cyclotomic.sign
     monkeypatch.setattr(Cyclotomic, "sign", lambda self: calls.append(self) or sign(self))
